@@ -7,10 +7,12 @@ from .dsl import parse, serialize, validate_ordinal
 from .economy import Economy, PreferenceProfile, build_economy, payoff
 from .framework import (
     BlockWitness,
+    candidate_matchings,
     check_consistency,
     check_generalized_consistency,
     is_phi_solution,
     phi_solution_set,
+    recursive_solution_set,
 )
 from .matching import (
     DynamicMatching,
@@ -32,6 +34,7 @@ __all__ = [
     "Solver",
     "StaticEconomy",
     "build_economy",
+    "candidate_matchings",
     "check_consistency",
     "check_generalized_consistency",
     "deferred_acceptance",
@@ -42,6 +45,7 @@ __all__ = [
     "parse_matching_text",
     "payoff",
     "phi_solution_set",
+    "recursive_solution_set",
     "serialize",
     "stable_set",
     "validate_ordinal",

@@ -1,9 +1,9 @@
 """Command-line front end: solve, check, and reproduce.
 
-Exit codes: 0 success (nonempty solution set / check passed), 1 input error,
-2 enumeration cap exceeded, 3 empty solution set, 4 check failed.  Reports
-go to stdout and are byte-identical for identical inputs and flags; timing
-and diagnostics go to stderr.
+Exit codes: 0 success (nonempty solution set / check passed), 1 input error
+(a bad flag or flag value included), 2 enumeration cap exceeded, 3 empty
+solution set, 4 check failed.  Reports go to stdout and are byte-identical
+for identical inputs and flags; timing and diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -180,6 +180,13 @@ def cmd_reproduce(args) -> int:
     return EXIT_OK if all_pass else EXIT_CHECK_FAILED
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("file", help="economy file (.econ)")
     p.add_argument("--concept", choices=CONCEPT_NAMES, required=True)
@@ -189,7 +196,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         default="vacuous",
         help="how an empty conjecture set constrains its owner",
     )
-    p.add_argument("--max-matchings", type=int, default=DEFAULT_MAX_MATCHINGS)
+    p.add_argument("--max-matchings", type=positive_int, default=DEFAULT_MAX_MATCHINGS)
     p.add_argument(
         "--threads",
         type=int,
@@ -227,7 +234,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2 on a usage error; 2 is EXIT_SIZE.
+        return EXIT_OK if exc.code == 0 else EXIT_INPUT
     try:
         return args.func(args)
     except SizeLimitExceeded as exc:

@@ -1,6 +1,7 @@
 """The named solution concepts and the solver facade.
 
-Each concept is a conjecture family paired with a memoized engine:
+Each concept is a conjecture family; the family memoizes its own conjecture
+and solution sets (see :class:`~dynmatch.framework.ConjectureFamily`):
 
 - ``stable``: myopic conjectures (nobody matches again), i.e. per-period
   individual rationality plus no blocking pair.
@@ -16,6 +17,9 @@ Each concept is a conjecture family paired with a memoized engine:
 - ``sds``: sophisticated dynamic stability — deferred-arrival conjectures
   monotonically expanded with candidates that leave the owner unmatched,
   until the set is consistent.
+
+``cvr-ds`` and ``sds`` share the iteration of :class:`FixedPointFamily` and
+differ only in its start set and its step.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from .errors import DynmatchError, EmptyFixedPoint
 from .framework import (
     AgreeFamily,
     BlockWitness,
-    ConceptEngine,
     ConjectureFamily,
     StableFamily,
     _canonical,
@@ -40,15 +43,11 @@ from .matching import (
     DEFAULT_MAX_MATCHINGS,
     DynamicMatching,
     History,
-    continuation_economy,
     defer_arrivals,
     enumerate_matchings,
     initial_history,
-    restrict,
 )
 from .statics import conjecture_threshold, stability_among_matched
-
-CONCEPT_NAMES = ("stable", "agree", "re", "ds", "cvr-ds", "sds")
 
 
 class REFamily(ConjectureFamily):
@@ -57,14 +56,10 @@ class REFamily(ConjectureFamily):
 
     name = "re"
 
-    def __init__(self, empty_policy="vacuous", max_matchings=DEFAULT_MAX_MATCHINGS):
-        super().__init__(max_matchings)
-        self.engine = ConceptEngine(self, empty_policy, max_matchings)
-
     def _root_conjectures(self, economy, k):
         # A matching of the deferred economy is literally a matching of the
         # base economy with k unmatched in period 1, and vice versa.
-        return self.engine.solution_set(defer_arrivals(economy, [k]))
+        return self.solution_set(defer_arrivals(economy, [k]))
 
 
 class DSFamily(ConjectureFamily):
@@ -73,176 +68,138 @@ class DSFamily(ConjectureFamily):
 
     name = "ds"
 
+    def _root_conjectures(self, economy, k):
+        # The period-1 test is cheap; it runs first so that rejected
+        # matchings never solve their continuation economy.
+        return [
+            mbar
+            for mbar in enumerate_matchings(
+                economy, unmatched_now=[k], max_matchings=self.max_matchings
+            )
+            if stability_among_matched(economy, mbar.pairs_at(1), {})
+            and self.continues_as_solution(economy, mbar)
+        ]
+
+
+class FixedPointFamily(ConjectureFamily):
+    """Conjectures of all period-1 agents at once, iterated from a start set
+    until an iterate repeats.  Subclasses supply :meth:`_start` (one agent's
+    first iterate) and :meth:`_step` (the next iterate of every agent)."""
+
     def __init__(self, empty_policy="vacuous", max_matchings=DEFAULT_MAX_MATCHINGS):
-        super().__init__(max_matchings)
-        self.engine = ConceptEngine(self, empty_policy, max_matchings)
+        super().__init__(empty_policy, max_matchings)
+        self._fp_cache: dict = {}
 
     def _root_conjectures(self, economy, k):
-        out = []
-        for mbar in enumerate_matchings(
-            economy, unmatched_now=[k], max_matchings=self.max_matchings
-        ):
-            if not stability_among_matched(economy, mbar.pairs_at(1), {}):
-                continue
-            if economy.horizon >= 2:
-                h1 = History(economy, mbar.prefix(2))
-                sols = set(
-                    self.engine.solution_set(continuation_economy(economy, h1))
-                )
-                if restrict(economy, mbar, h1) not in sols:
-                    continue
-            out.append(mbar)
-        return out
+        return self.fixed_point(economy)[0][k]
+
+    def iterates(self, economy: Economy) -> tuple[dict, ...]:
+        return self.fixed_point(economy)[1]
+
+    def fixed_point(self, economy: Economy):
+        """(limit, iterates), each iterate mapping agent -> matchings."""
+        key = economy.key
+        if key not in self._fp_cache:
+            a1, b1 = economy.arrivals[0]
+            current = {k: self._start(economy, k) for k in (*a1, *b1)}
+            trace = [current]
+            while True:
+                nxt = self._step(economy, current)
+                if nxt == current:
+                    break
+                trace.append(nxt)
+                current = nxt
+            self._check_limit(economy, trace)
+            self._fp_cache[key] = (current, tuple(trace))
+        return self._fp_cache[key]
+
+    def _start(self, economy: Economy, k: str) -> tuple[DynamicMatching, ...]:
+        raise NotImplementedError
+
+    def _step(self, economy: Economy, current: dict) -> dict:
+        raise NotImplementedError
+
+    def _check_limit(self, economy: Economy, trace: list) -> None:
+        """Hook: raise if the limit ``trace[-1]`` is unacceptable."""
 
 
-class CVRFamily(ConjectureFamily):
+class CVRFamily(FixedPointFamily):
     """Like ``ds`` but with thresholds equal to each matched agent's own
     worst-conjecture continuation value; computed as the limit of a
     decreasing iteration over all period-1 agents simultaneously."""
 
     name = "cvr-ds"
 
-    def __init__(self, empty_policy="vacuous", max_matchings=DEFAULT_MAX_MATCHINGS):
-        super().__init__(max_matchings)
-        self.empty_policy = empty_policy
-        self.engine = ConceptEngine(self, empty_policy, max_matchings)
-        self._fp_cache: dict = {}
-
-    def _root_conjectures(self, economy, k):
-        return self.fixed_point(economy)[0][k]
-
-    def iterates(self, economy: Economy) -> tuple[dict, ...]:
-        return self.fixed_point(economy)[1]
-
-    def fixed_point(self, economy: Economy):
-        key = economy.key
-        if key in self._fp_cache:
-            return self._fp_cache[key]
-        a1, b1 = economy.arrivals[0]
-        avail = (*a1, *b1)
-        h0 = initial_history(economy)
-
-        base: dict[str, tuple[DynamicMatching, ...]] = {}
-        for k in avail:
-            members = enumerate_matchings(
+    def _start(self, economy, k):
+        return _canonical(
+            mbar
+            for mbar in enumerate_matchings(
                 economy, unmatched_now=[k], max_matchings=self.max_matchings
             )
-            if economy.horizon >= 2:
-                kept = []
-                for mbar in members:
-                    h1 = History(economy, mbar.prefix(2))
-                    sols = set(
-                        self.engine.solution_set(continuation_economy(economy, h1))
-                    )
-                    if restrict(economy, mbar, h1) in sols:
-                        kept.append(mbar)
-                members = tuple(kept)
-            base[k] = _canonical(members)
+            if self.continues_as_solution(economy, mbar)
+        )
 
-        def refine(current):
-            thr = {
-                j: conjecture_threshold(
-                    economy, h0, j, current[j], self.empty_policy
-                )
-                for j in avail
-            }
-            return {
-                k: tuple(
-                    mbar
-                    for mbar in current[k]
-                    if stability_among_matched(economy, mbar.pairs_at(1), thr)
-                )
-                for k in avail
-            }
+    def _refine(self, economy, current, members):
+        """``members`` filtered by the thresholds that ``current`` implies."""
+        h0 = initial_history(economy)
+        thr = {
+            j: conjecture_threshold(economy, h0, j, current[j], self.empty_policy)
+            for j in current
+        }
+        return {
+            k: tuple(
+                mbar
+                for mbar in ms
+                if stability_among_matched(economy, mbar.pairs_at(1), thr)
+            )
+            for k, ms in members.items()
+        }
 
-        trace = [base]
-        current = base
-        while True:
-            nxt = refine(current)
-            if nxt == current:
-                break
-            trace.append(nxt)
-            current = nxt
+    def _step(self, economy, current):
+        return self._refine(economy, current, current)
 
-        for k in avail:
-            if not current[k]:
+    def _check_limit(self, economy, trace):
+        limit = trace[-1]
+        for k, ms in limit.items():
+            if not ms:
                 raise EmptyFixedPoint(
                     f"conjecture iteration for {k} converged to the empty set"
                 )
         # One-shot identity check: filtering the full base by the limit's own
         # thresholds must reproduce the limit exactly.
-        thr = {
-            j: conjecture_threshold(economy, h0, j, current[j], self.empty_policy)
-            for j in avail
-        }
-        for k in avail:
-            recomputed = tuple(
-                mbar
-                for mbar in base[k]
-                if stability_among_matched(economy, mbar.pairs_at(1), thr)
-            )
-            if recomputed != current[k]:
+        recomputed = self._refine(economy, limit, trace[0])
+        for k in limit:
+            if recomputed[k] != limit[k]:
                 raise DynmatchError(
                     f"threshold fixed-point identity violated for {k}"
                 )
 
-        result = (current, tuple(trace))
-        self._fp_cache[key] = result
-        return result
 
-
-class SDSFamily(ConjectureFamily):
+class SDSFamily(FixedPointFamily):
     """Deferred-arrival conjectures expanded, round by round, with the
     candidates (stable induced first period + solved continuation) that
     leave the owner unmatched; stops at the set-inclusion fixed point."""
 
     name = "sds"
 
-    def __init__(self, empty_policy="vacuous", max_matchings=DEFAULT_MAX_MATCHINGS):
-        super().__init__(max_matchings)
-        self.empty_policy = empty_policy
-        self.engine = ConceptEngine(self, empty_policy, max_matchings)
-        self._fp_cache: dict = {}
+    def _start(self, economy, k):
+        return _canonical(self.solution_set(defer_arrivals(economy, [k])))
 
-    def _root_conjectures(self, economy, k):
-        return self.fixed_point(economy)[0][k]
-
-    def iterates(self, economy: Economy) -> tuple[dict, ...]:
-        return self.fixed_point(economy)[1]
-
-    def fixed_point(self, economy: Economy):
-        key = economy.key
-        if key in self._fp_cache:
-            return self._fp_cache[key]
-        a1, b1 = economy.arrivals[0]
-        avail = (*a1, *b1)
-
-        current = {
-            k: _canonical(self.engine.solution_set(defer_arrivals(economy, [k])))
-            for k in avail
+    def _step(self, economy, current):
+        # One Jacobi round: candidates built from the previous iterate for
+        # every agent at once.
+        candidates = candidate_set(economy, current, self)
+        return {
+            k: _canonical(ms + tuple(m for m in candidates if m.partner(k, 1) == k))
+            for k, ms in current.items()
         }
-        trace = [current]
-        while True:
-            # One Jacobi round: candidates built from the previous iterate
-            # for every agent at once.
-            candidates = candidate_set(
-                economy, current, self.engine.solution_set, self.empty_policy
-            )
-            nxt = {
-                k: _canonical(
-                    current[k]
-                    + tuple(m for m in candidates if m.partner(k, 1) == k)
-                )
-                for k in avail
-            }
-            if nxt == current:
-                break
-            trace.append(nxt)
-            current = nxt
 
-        result = (current, tuple(trace))
-        self._fp_cache[key] = result
-        return result
+
+FAMILIES = {
+    cls.name: cls
+    for cls in (StableFamily, AgreeFamily, REFamily, DSFamily, CVRFamily, SDSFamily)
+}
+CONCEPT_NAMES = tuple(FAMILIES)
 
 
 @dataclass(frozen=True)
@@ -261,44 +218,34 @@ class SolveReport:
 
 
 class Solver:
-    """One engine per concept over a shared configuration; all caches live
-    for the solver's lifetime, so repeated queries on one economy are cheap."""
+    """One conjecture family per concept over a shared configuration.  Every
+    cache lives in a family, so it lasts exactly as long as the solver and
+    repeated queries on one economy are cheap."""
 
     def __init__(self, empty_policy="vacuous", max_matchings=DEFAULT_MAX_MATCHINGS):
         self.empty_policy = empty_policy
         self.max_matchings = max_matchings
-        stable = StableFamily(max_matchings)
-        stable_engine = ConceptEngine(stable, empty_policy, max_matchings)
-        self._engines = {
-            "stable": stable_engine,
-            "agree": AgreeFamily(empty_policy, max_matchings).engine,
-            "re": REFamily(empty_policy, max_matchings).engine,
-            "ds": DSFamily(empty_policy, max_matchings).engine,
-            "cvr-ds": CVRFamily(empty_policy, max_matchings).engine,
-            "sds": SDSFamily(empty_policy, max_matchings).engine,
+        self._families = {
+            name: cls(empty_policy, max_matchings) for name, cls in FAMILIES.items()
         }
 
-    def engine(self, concept: str) -> ConceptEngine:
+    def family(self, concept: str) -> ConjectureFamily:
         try:
-            return self._engines[concept]
+            return self._families[concept]
         except KeyError:
             raise ValueError(
                 f"unknown concept {concept!r}; expected one of {CONCEPT_NAMES}"
             ) from None
 
-    def family(self, concept: str) -> ConjectureFamily:
-        return self.engine(concept).family
-
     def solution_set(self, concept: str, economy: Economy):
-        return self.engine(concept).solution_set(economy)
+        return self.family(concept).solution_set(economy)
 
     def conjectures(self, concept: str, economy: Economy, h: History, k: str):
         return self.family(concept).conjecture_set(economy, h, k)
 
     def solve(self, concept: str, economy: Economy) -> SolveReport:
-        engine = self.engine(concept)
-        family = engine.family
-        solutions = engine.solution_set(economy)
+        family = self.family(concept)
+        solutions = family.solution_set(economy)
         candidates = candidate_matchings(
             economy, family, self.empty_policy, self.max_matchings
         )

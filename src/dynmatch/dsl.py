@@ -223,8 +223,3 @@ def validate_ordinal(economy: Economy, doc: EconomyDocument) -> None:
             rhs = delta**d2 * economy.utility(owner, p2)
             if not lhs > rhs:
                 raise OrdinalViolation(owner, (p1, d1), (p2, d2), lhs, rhs)
-
-
-def load(path) -> EconomyDocument:
-    with open(path, encoding="utf-8") as fh:
-        return parse(fh.read())

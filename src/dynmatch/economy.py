@@ -24,18 +24,6 @@ SIDE_B = "B"
 UNLISTED_UTILITY = Fraction(-1)
 
 
-@dataclass(frozen=True, order=True)
-class AgentId:
-    side: str
-    name: str
-
-    def __post_init__(self):
-        if self.side not in (SIDE_A, SIDE_B):
-            raise ValueError(f"side must be 'A' or 'B', got {self.side!r}")
-        if not self.name:
-            raise ValueError("agent name must be nonempty")
-
-
 @dataclass(frozen=True)
 class PreferenceProfile:
     """Per-agent discount factors and partner utilities.
@@ -100,12 +88,15 @@ class Economy:
     def __post_init__(self):
         if self.horizon < 0 or len(self.arrivals) != self.horizon:
             raise ValueError("arrival schedule length must equal the horizon")
-        seen: set[str] = set()
-        for a_names, b_names in self.arrivals:
-            for name in (*a_names, *b_names):
-                if name in seen:
-                    raise ValueError(f"agent {name} arrives more than once")
-                seen.add(name)
+        # name -> (side, arrival period), built once for every lookup.
+        index: dict[str, tuple[str, int]] = {}
+        for t, (a_names, b_names) in enumerate(self.arrivals, start=1):
+            for side, names in ((SIDE_A, a_names), (SIDE_B, b_names)):
+                for name in names:
+                    if name in index:
+                        raise ValueError(f"agent {name} arrives more than once")
+                    index[name] = (side, t)
+        object.__setattr__(self, "_index", index)
 
     @property
     def key(self) -> tuple:
@@ -118,40 +109,20 @@ class Economy:
             self.profile,
         )
 
-    def side_a(self) -> tuple[str, ...]:
-        return tuple(n for a, _ in self.arrivals for n in a)
-
-    def side_b(self) -> tuple[str, ...]:
-        return tuple(n for _, b in self.arrivals for n in b)
-
     def members(self) -> tuple[str, ...]:
         return tuple(n for a, b in self.arrivals for n in (*a, *b))
 
+    def _entry(self, name: str) -> tuple[str, int]:
+        try:
+            return self._index[name]
+        except KeyError:
+            raise UnknownAgent(name) from None
+
     def side_of(self, name: str) -> str:
-        if name in self._side_map():
-            return self._side_map()[name]
-        raise UnknownAgent(name)
-
-    def _side_map(self) -> dict[str, str]:
-        cache = getattr(self, "_sides", None)
-        if cache is None:
-            cache = {}
-            for a_names, b_names in self.arrivals:
-                for n in a_names:
-                    cache[n] = SIDE_A
-                for n in b_names:
-                    cache[n] = SIDE_B
-            object.__setattr__(self, "_sides", cache)
-        return cache
-
-    def agent(self, name: str) -> AgentId:
-        return AgentId(self.side_of(name), name)
+        return self._entry(name)[0]
 
     def arrival_period(self, name: str) -> int:
-        for t, (a_names, b_names) in enumerate(self.arrivals, start=1):
-            if name in a_names or name in b_names:
-                return t
-        raise UnknownAgent(name)
+        return self._entry(name)[1]
 
     def arrived_by(self, t: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
         """Cumulative arrivals through period t, in declaration order."""
@@ -164,12 +135,9 @@ class Economy:
 
     def utility(self, owner: str, partner: str) -> Fraction:
         """Static utility of ``owner`` for ``partner`` (0 for self)."""
-        self.side_of(owner)
-        if owner != partner:
-            side_o = self.side_of(owner)
-            side_p = self.side_of(partner)
-            if side_o == side_p:
-                raise ValueError(f"{owner} and {partner} are on the same side")
+        side_o = self.side_of(owner)
+        if owner != partner and side_o == self.side_of(partner):
+            raise ValueError(f"{owner} and {partner} are on the same side")
         return self.profile.utility(owner, partner)
 
     def delta(self, name: str) -> Fraction:
@@ -217,8 +185,7 @@ def is_individually_rational(economy: Economy, m: "DynamicMatching") -> bool:
 
 
 def _require_available(economy: Economy, m: "DynamicMatching", k: str, t: int):
-    economy.side_of(k)  # raises UnknownAgent
-    if economy.arrival_period(k) > t:
+    if economy.arrival_period(k) > t:  # raises UnknownAgent
         raise NotAvailable(f"{k} has not arrived by period {t}")
     if t > 1 and m.partner(k, t - 1) != k:
         raise NotAvailable(f"{k} is already matched before period {t}")

@@ -10,7 +10,7 @@ partner and delay, so two histories with the same continuation agree).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from .economy import Economy, payoff
 from .errors import EmptyContinuationSolutions, NotACandidate, NotAvailable
@@ -28,7 +28,6 @@ from .matching import (
 )
 from .statics import (
     StaticEconomy,
-    Threshold,
     checked_stable_set,
     conjecture_threshold,
     induced_one_period_economy,
@@ -62,14 +61,23 @@ class ConjectureFamily:
 
     Subclasses implement :meth:`_root_conjectures` for an agent available in
     period 1 of a (continuation) economy; results are cached per canonical
-    economy key and lifted back onto the caller's history.
+    economy key and lifted back onto the caller's history.  The family also
+    holds its concept's configuration and every cache the concept fills:
+    conjecture sets, solution sets and static stable sets.
     """
 
     name = "?"
 
-    def __init__(self, max_matchings: int = DEFAULT_MAX_MATCHINGS):
+    def __init__(
+        self,
+        empty_policy: str = "vacuous",
+        max_matchings: int = DEFAULT_MAX_MATCHINGS,
+    ):
+        self.empty_policy = empty_policy
         self.max_matchings = max_matchings
         self._cache: dict = {}
+        self._solutions: dict = {}
+        self.stable_sets: dict = {}
 
     def conjecture_set(
         self, economy: Economy, h: History, k: str
@@ -90,6 +98,23 @@ class ConjectureFamily:
     ) -> Iterable[DynamicMatching]:
         raise NotImplementedError
 
+    def solution_set(self, economy: Economy) -> tuple[DynamicMatching, ...]:
+        """The concept's solution set, memoized by economy key."""
+        key = economy.key
+        if key not in self._solutions:
+            self._solutions[key] = phi_solution_set(
+                economy, self, self.empty_policy, self.max_matchings
+            )
+        return self._solutions[key]
+
+    def continues_as_solution(self, economy: Economy, m: DynamicMatching) -> bool:
+        """Is m, from period 2 on, a solution of its continuation economy?"""
+        if economy.horizon <= 1:
+            return True
+        h1 = History(economy, m.prefix(2))
+        cont = continuation_economy(economy, h1)
+        return restrict(economy, m, h1) in self.solution_set(cont)
+
 
 class StableFamily(ConjectureFamily):
     """Myopic conjectures: the single matching in which nobody ever pairs up.
@@ -105,30 +130,6 @@ class StableFamily(ConjectureFamily):
         return (DynamicMatching(((),) * economy.horizon),)
 
 
-class ConceptEngine:
-    """A named concept: one conjecture family plus a memoized solution map."""
-
-    def __init__(
-        self,
-        family: ConjectureFamily,
-        empty_policy: str = "vacuous",
-        max_matchings: int = DEFAULT_MAX_MATCHINGS,
-    ):
-        self.family = family
-        self.name = family.name
-        self.empty_policy = empty_policy
-        self.max_matchings = max_matchings
-        self._solutions: dict = {}
-
-    def solution_set(self, economy: Economy) -> tuple[DynamicMatching, ...]:
-        key = economy.key
-        if key not in self._solutions:
-            self._solutions[key] = phi_solution_set(
-                economy, self.family, self.empty_policy, self.max_matchings
-            )
-        return self._solutions[key]
-
-
 class AgreeFamily(ConjectureFamily):
     """Conjectures constrained only in the continuation: the agent believes
     the market produces some solution from next period onward, with no
@@ -136,48 +137,14 @@ class AgreeFamily(ConjectureFamily):
 
     name = "agree"
 
-    def __init__(
-        self,
-        empty_policy: str = "vacuous",
-        max_matchings: int = DEFAULT_MAX_MATCHINGS,
-    ):
-        super().__init__(max_matchings)
-        self.engine = ConceptEngine(self, empty_policy, max_matchings)
-
     def _root_conjectures(self, economy, k):
-        base = enumerate_matchings(
-            economy, unmatched_now=[k], max_matchings=self.max_matchings
-        )
-        if economy.horizon <= 1:
-            return base
-        out = []
-        for mbar in base:
-            h1 = History(economy, mbar.prefix(2))
-            accepted = set(self.engine.solution_set(continuation_economy(economy, h1)))
-            if restrict(economy, mbar, h1) in accepted:
-                out.append(mbar)
-        return out
-
-
-def agree_conjectures(
-    economy: Economy, h: History, k: str, family: Optional[AgreeFamily] = None
-) -> tuple[DynamicMatching, ...]:
-    return (family or AgreeFamily()).conjecture_set(economy, h, k)
-
-
-def family_thresholds(
-    economy: Economy,
-    h: History,
-    family: ConjectureFamily,
-    empty_policy: str = "vacuous",
-) -> dict[str, Threshold]:
-    avail_a, avail_b = available_agents(economy, h)
-    return {
-        k: conjecture_threshold(
-            economy, h, k, family.conjecture_set(economy, h, k), empty_policy
-        )
-        for k in (*avail_a, *avail_b)
-    }
+        return [
+            m
+            for m in enumerate_matchings(
+                economy, unmatched_now=[k], max_matchings=self.max_matchings
+            )
+            if self.continues_as_solution(economy, m)
+        ]
 
 
 def induced_economy_at(
@@ -306,38 +273,34 @@ def recursive_solution_set(
     return result
 
 
-_stable_cache: dict = {}
-
-
-def stable_set_checked(e1: StaticEconomy):
-    """Memoized exhaustive stable set with the same-unmatched-set assertion."""
-    if e1 not in _stable_cache:
-        _stable_cache[e1] = checked_stable_set(e1)
-    return _stable_cache[e1]
+def stable_set_checked(e1: StaticEconomy, cache: dict):
+    """Exhaustive stable set with the same-unmatched-set assertion, memoized
+    in ``cache`` (a family's ``stable_sets``)."""
+    if e1 not in cache:
+        cache[e1] = checked_stable_set(e1)
+    return cache[e1]
 
 
 def candidate_set(
     economy: Economy,
     conjectured: Mapping[str, Iterable[DynamicMatching]],
-    continuation_solutions: Callable[[Economy], Iterable[DynamicMatching]],
-    empty_policy: str = "vacuous",
+    family: ConjectureFamily,
 ) -> tuple[DynamicMatching, ...]:
-    """Stable first periods of the induced economy, stitched to solved
-    continuations.  ``conjectured`` maps each period-1 agent to the matchings
-    backing their reservation value."""
+    """Stable first periods of the induced economy, stitched to the family's
+    solved continuations.  ``conjectured`` maps each period-1 agent to the
+    matchings backing their reservation value."""
     if economy.horizon == 0:
         return (DynamicMatching(()),)
     h0 = initial_history(economy)
-    e1 = induced_one_period_economy(economy, h0, conjectured, empty_policy)
+    e1 = induced_one_period_economy(economy, h0, conjectured, family.empty_policy)
     out = []
-    for m1 in stable_set_checked(e1):
+    for m1 in stable_set_checked(e1, family.stable_sets):
         prefix = DynamicMatching((m1,))
         if economy.horizon == 1:
             out.append(prefix)
             continue
         h1 = History(economy, prefix)
-        e2 = continuation_economy(economy, h1)
-        sols = tuple(continuation_solutions(e2))
+        sols = family.solution_set(continuation_economy(economy, h1))
         if not sols:
             raise EmptyContinuationSolutions(
                 f"no continuation solutions after first period {m1}"
@@ -347,17 +310,14 @@ def candidate_set(
 
 
 def candidate_set_for_family(
-    economy: Economy,
-    family: ConjectureFamily,
-    engine: ConceptEngine,
-    empty_policy: str = "vacuous",
+    economy: Economy, family: ConjectureFamily
 ) -> tuple[DynamicMatching, ...]:
     h0 = initial_history(economy)
     avail_a, avail_b = available_agents(economy, h0)
     conjectured = {
         k: family.conjecture_set(economy, h0, k) for k in (*avail_a, *avail_b)
     }
-    return candidate_set(economy, conjectured, engine.solution_set, empty_policy)
+    return candidate_set(economy, conjectured, family)
 
 
 def candidate_matchings(
@@ -373,7 +333,8 @@ def candidate_matchings(
         if all(
             m.formed_at(t)
             in stable_set_checked(
-                induced_economy_at(economy, History(economy, m.prefix(t)), family, empty_policy)
+                induced_economy_at(economy, History(economy, m.prefix(t)), family, empty_policy),
+                family.stable_sets,
             )
             for t in range(1, economy.horizon + 1)
         ):

@@ -36,10 +36,6 @@ class DynamicMatching:
     periods: tuple[PeriodPairs, ...]
 
     @staticmethod
-    def from_pairs(per_period: Iterable[Iterable[Pair]]) -> "DynamicMatching":
-        return DynamicMatching(tuple(canonical_pairs(p) for p in per_period))
-
-    @staticmethod
     def from_formed(stages: Iterable[Iterable[Pair]]) -> "DynamicMatching":
         """Build from the pairs *formed* in each period (cumulated here)."""
         acc: set[Pair] = set()
@@ -96,11 +92,8 @@ class History:
     prefix: DynamicMatching
 
     def __post_init__(self):
-        if self.prefix.horizon >= self.economy.horizon and self.prefix.horizon:
-            if self.prefix.horizon > self.economy.horizon - 1:
-                raise InvalidHistory(
-                    "history prefix must stop before the final period"
-                )
+        if self.prefix.horizon and self.prefix.horizon >= self.economy.horizon:
+            raise InvalidHistory("history prefix must stop before the final period")
         try:
             _check_prefix(self.economy, self.prefix)
         except (ValueError, UnknownAgent) as exc:

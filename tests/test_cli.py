@@ -54,6 +54,25 @@ def test_solve_json_report_is_byte_identical(econ_file, capsys):
     assert report["flags"]["threads"] == 1
 
 
+@pytest.mark.parametrize("cap", ["0", "-5", "x"])
+def test_bad_max_matchings_is_a_usage_error(econ_file, capsys, cap):
+    code = run_cli("solve", econ_file, "--concept", "stable", "--max-matchings", cap)
+    assert code == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert "--max-matchings" in captured.err
+    assert captured.out == ""
+
+
+def test_unknown_concept_is_a_usage_error(econ_file, capsys):
+    assert run_cli("solve", econ_file, "--concept", "bogus") == cli.EXIT_INPUT
+    assert "--concept" in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    assert run_cli("solve", "--help") == cli.EXIT_OK
+    assert "--max-matchings" in capsys.readouterr().out
+
+
 def test_timing_goes_to_stderr_not_stdout(econ_file, capsys):
     run_cli("solve", econ_file, "--concept", "stable", "--json")
     captured = capsys.readouterr()

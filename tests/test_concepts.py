@@ -146,3 +146,25 @@ def test_solver_reuses_cached_solution_sets(solver, market1):
     assert solver.solution_set("ds", market1) is solver.solution_set(
         "ds", market1
     )
+
+
+def test_stable_set_caches_belong_to_their_solver(monkeypatch):
+    import dynmatch.framework
+
+    calls = []
+    real = dynmatch.framework.checked_stable_set
+
+    def counting(e1):
+        calls.append(e1)
+        return real(e1)
+
+    monkeypatch.setattr(dynmatch.framework, "checked_stable_set", counting)
+    e = load_fixture("example1")[0]
+    first = Solver().solve("stable", e)
+    first_calls = len(calls)
+    assert first_calls > 0
+    second = Solver().solve("stable", e)
+    assert second == first
+    # A fresh solver starts with empty caches and computes every stable set
+    # again; nothing is shared through module state.
+    assert len(calls) == 2 * first_calls

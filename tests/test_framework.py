@@ -8,7 +8,6 @@ from dynmatch.errors import NotACandidate, NotAvailable
 from dynmatch.framework import (
     AgreeFamily,
     BlockWitness,
-    ConceptEngine,
     StableFamily,
     candidate_matchings,
     candidate_set_for_family,
@@ -155,7 +154,7 @@ def test_conjectures_reduce_to_the_continuation_market():
     assert one == two and one
 
 
-def test_agree_conjectures_in_the_last_period_are_unrestricted():
+def test_agree_conjecture_sets_in_the_last_period_are_unrestricted():
     for e in corpus(38, 8, max_per_side=2):
         if e.horizon < 2:
             continue
@@ -180,7 +179,7 @@ def test_candidate_routes_agree_for_the_self_referential_family():
     for e in corpus(39, 10, max_per_side=2):
         family = AgreeFamily()
         non_recursive = candidate_matchings(e, family)
-        recursive = candidate_set_for_family(e, family, family.engine)
+        recursive = candidate_set_for_family(e, family)
         assert non_recursive == recursive
 
 
@@ -188,7 +187,7 @@ def test_solutions_are_candidates_for_the_self_referential_family():
     for e in corpus(40, 10, max_per_side=2):
         family = AgreeFamily()
         candidates = set(candidate_matchings(e, family))
-        for m in family.engine.solution_set(e):
+        for m in family.solution_set(e):
             assert m in candidates
 
 
@@ -285,8 +284,16 @@ def test_empty_conjecture_policies_change_the_solution_set():
     assert phi_solution_set(e, EmptyFamily(), "strict") == ()
 
 
-def test_engine_memoizes_by_economy_key():
+def test_family_memoizes_solution_sets_by_economy_key():
     e = random_economy(random.Random(42), max_per_side=2)
-    engine = ConceptEngine(StableFamily())
-    first = engine.solution_set(e)
-    assert engine.solution_set(e) is first
+    family = StableFamily()
+    first = family.solution_set(e)
+    assert family.solution_set(e) is first
+
+
+def test_oracle_routes_are_exported_from_the_package():
+    import dynmatch
+
+    assert dynmatch.recursive_solution_set is recursive_solution_set
+    assert dynmatch.candidate_matchings is candidate_matchings
+    assert {"recursive_solution_set", "candidate_matchings"} <= set(dynmatch.__all__)

@@ -31,6 +31,7 @@ from .matching import (
     parse_matching_text,
 )
 from .reproduce import RUNNERS
+from .statics import EMPTY_POLICIES
 
 SCHEMA = "solve-report/1"
 
@@ -137,9 +138,7 @@ def cmd_check(args) -> int:
         print(f"--matching is required for --check {args.check}", file=sys.stderr)
         return EXIT_INPUT
     if args.check == "gc":
-        verdict = check_generalized_consistency(
-            economy, family, args.empty_conjectures, args.max_matchings
-        )
+        verdict = check_generalized_consistency(economy, family)
         if verdict.passed:
             print("generalized consistency: pass")
             return EXIT_OK
@@ -149,9 +148,7 @@ def cmd_check(args) -> int:
         return EXIT_CHECK_FAILED
     m = _read_matching_arg(economy, args.matching)
     if args.check == "cc":
-        verdict = check_consistency(
-            economy, m, family, args.empty_conjectures, args.max_matchings
-        )
+        verdict = check_consistency(economy, m, family)
         if verdict.passed:
             print("consistency: pass")
             return EXIT_OK
@@ -159,7 +156,7 @@ def cmd_check(args) -> int:
         for t, k in verdict.failures:
             print(f"  not conjectured by {k} at t={t}")
         return EXIT_CHECK_FAILED
-    result = is_phi_solution(economy, m, family, args.empty_conjectures)
+    result = is_phi_solution(economy, m, family)
     if result is True:
         print("solution: pass")
         return EXIT_OK
@@ -192,7 +189,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--concept", choices=CONCEPT_NAMES, required=True)
     p.add_argument(
         "--empty-conjectures",
-        choices=("vacuous", "strict"),
+        choices=EMPTY_POLICIES,
         default="vacuous",
         help="how an empty conjecture set constrains its owner",
     )

@@ -86,8 +86,8 @@ class FixedPointFamily(ConjectureFamily):
     until an iterate repeats.  Subclasses supply :meth:`_start` (one agent's
     first iterate) and :meth:`_step` (the next iterate of every agent)."""
 
-    def __init__(self, empty_policy="vacuous", max_matchings=DEFAULT_MAX_MATCHINGS):
-        super().__init__(empty_policy, max_matchings)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         self._fp_cache: dict = {}
 
     def _root_conjectures(self, economy, k):
@@ -218,13 +218,12 @@ class SolveReport:
 
 
 class Solver:
-    """One conjecture family per concept over a shared configuration.  Every
+    """One conjecture family per concept, each built with this configuration,
+    which the family checks and keeps (reports copy it from there).  Every
     cache lives in a family, so it lasts exactly as long as the solver and
     repeated queries on one economy are cheap."""
 
     def __init__(self, empty_policy="vacuous", max_matchings=DEFAULT_MAX_MATCHINGS):
-        self.empty_policy = empty_policy
-        self.max_matchings = max_matchings
         self._families = {
             name: cls(empty_policy, max_matchings) for name, cls in FAMILIES.items()
         }
@@ -246,9 +245,7 @@ class Solver:
     def solve(self, concept: str, economy: Economy) -> SolveReport:
         family = self.family(concept)
         solutions = family.solution_set(economy)
-        candidates = candidate_matchings(
-            economy, family, self.empty_policy, self.max_matchings
-        )
+        candidates = candidate_matchings(economy, family)
         consistency = tuple(
             (c, not fails, fails)
             for c in candidates
@@ -258,13 +255,13 @@ class Solver:
         witnesses = []
         for c in candidates:
             if c not in solved:
-                w = is_phi_solution(economy, c, family, self.empty_policy)
+                w = is_phi_solution(economy, c, family)
                 if w is not True:
                     witnesses.append((c, w))
         return SolveReport(
             concept=concept,
-            empty_policy=self.empty_policy,
-            max_matchings=self.max_matchings,
+            empty_policy=family.empty_policy,
+            max_matchings=family.max_matchings,
             solutions=solutions,
             candidates=candidates,
             consistency=consistency,

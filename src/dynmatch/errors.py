@@ -22,10 +22,17 @@ class NotAContinuation(DynmatchError):
 
 
 class SizeLimitExceeded(DynmatchError):
-    """Exhaustive enumeration exceeded the configured cap."""
+    """Exhaustive enumeration exceeded the configured cap.
 
-    def __init__(self, cap: int):
-        super().__init__(f"enumeration exceeded the cap of {cap} matchings")
+    Names the economy being enumerated, which may be a continuation or
+    deferred economy met inside a conjecture computation.
+    """
+
+    def __init__(self, cap: int, horizon: int, agents: int):
+        super().__init__(
+            f"enumeration exceeded the cap of {cap} matchings in an economy "
+            f"with horizon {horizon} and {agents} agents"
+        )
         self.cap = cap
 
 

@@ -5,6 +5,11 @@ if k stays unmatched this period".  Families are defined at period 1 of an
 arbitrary economy; queries at later histories reduce to the continuation
 economy, which also gives memoization for free (payoffs depend only on
 partner and delay, so two histories with the same continuation agree).
+
+A family is its concept: it holds the concept's configuration (the
+empty-conjecture policy and the enumeration cap), set once when it is built,
+and every function here takes the family and reads the configuration from
+it, so the exhaustive and recursive routes cannot disagree about it.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from .matching import (
     restrict,
 )
 from .statics import (
+    EMPTY_POLICIES,
     StaticEconomy,
     checked_stable_set,
     conjecture_threshold,
@@ -73,6 +79,13 @@ class ConjectureFamily:
         empty_policy: str = "vacuous",
         max_matchings: int = DEFAULT_MAX_MATCHINGS,
     ):
+        if empty_policy not in EMPTY_POLICIES:
+            raise ValueError(
+                f"unknown empty-conjecture policy {empty_policy!r}; "
+                f"expected one of {EMPTY_POLICIES}"
+            )
+        if max_matchings < 1:
+            raise ValueError(f"max_matchings must be at least 1, got {max_matchings}")
         self.empty_policy = empty_policy
         self.max_matchings = max_matchings
         self._cache: dict = {}
@@ -102,9 +115,7 @@ class ConjectureFamily:
         """The concept's solution set, memoized by economy key."""
         key = economy.key
         if key not in self._solutions:
-            self._solutions[key] = phi_solution_set(
-                economy, self, self.empty_policy, self.max_matchings
-            )
+            self._solutions[key] = phi_solution_set(economy, self)
         return self._solutions[key]
 
     def continues_as_solution(self, economy: Economy, m: DynamicMatching) -> bool:
@@ -148,24 +159,17 @@ class AgreeFamily(ConjectureFamily):
 
 
 def induced_economy_at(
-    economy: Economy,
-    h: History,
-    family: ConjectureFamily,
-    empty_policy: str = "vacuous",
+    economy: Economy, h: History, family: ConjectureFamily
 ) -> StaticEconomy:
     avail_a, avail_b = available_agents(economy, h)
     conjectured = {
         k: family.conjecture_set(economy, h, k) for k in (*avail_a, *avail_b)
     }
-    return induced_one_period_economy(economy, h, conjectured, empty_policy)
+    return induced_one_period_economy(economy, h, conjectured, family.empty_policy)
 
 
 def period_witness(
-    economy: Economy,
-    m: DynamicMatching,
-    t: int,
-    family: ConjectureFamily,
-    empty_policy: str = "vacuous",
+    economy: Economy, m: DynamicMatching, t: int, family: ConjectureFamily
 ) -> Optional[BlockWitness]:
     """First violation of the period-t solution conditions, or None.
 
@@ -177,7 +181,7 @@ def period_witness(
     for kind, names in ((INDIVIDUAL_A, avail_a), (INDIVIDUAL_B, avail_b)):
         for k in names:
             thr = conjecture_threshold(
-                economy, h, k, family.conjecture_set(economy, h, k), empty_policy
+                economy, h, k, family.conjecture_set(economy, h, k), family.empty_policy
             )
             val = payoff(economy, m, k, t)
             if not value_ge(val, thr):
@@ -197,15 +201,10 @@ def period_witness(
     return None
 
 
-def is_phi_solution(
-    economy: Economy,
-    m: DynamicMatching,
-    family: ConjectureFamily,
-    empty_policy: str = "vacuous",
-):
+def is_phi_solution(economy: Economy, m: DynamicMatching, family: ConjectureFamily):
     """True, or the first BlockWitness in (period, kind, agent) order."""
     for t in range(1, economy.horizon + 1):
-        witness = period_witness(economy, m, t, family, empty_policy)
+        witness = period_witness(economy, m, t, family)
         if witness is not None:
             return witness
     return True
@@ -216,25 +215,18 @@ def _canonical(matchings: Iterable[DynamicMatching]) -> tuple[DynamicMatching, .
 
 
 def phi_solution_set(
-    economy: Economy,
-    family: ConjectureFamily,
-    empty_policy: str = "vacuous",
-    max_matchings: int = DEFAULT_MAX_MATCHINGS,
+    economy: Economy, family: ConjectureFamily
 ) -> tuple[DynamicMatching, ...]:
     """Exhaustive filter of all matchings by the solution conditions."""
     return _canonical(
         m
-        for m in enumerate_matchings(economy, max_matchings=max_matchings)
-        if is_phi_solution(economy, m, family, empty_policy) is True
+        for m in enumerate_matchings(economy, max_matchings=family.max_matchings)
+        if is_phi_solution(economy, m, family) is True
     )
 
 
 def recursive_solution_set(
-    economy: Economy,
-    family: ConjectureFamily,
-    empty_policy: str = "vacuous",
-    max_matchings: int = DEFAULT_MAX_MATCHINGS,
-    _cache: Optional[dict] = None,
+    economy: Economy, family: ConjectureFamily
 ) -> tuple[DynamicMatching, ...]:
     """Same set, computed by period-1 conditions plus solved continuations.
 
@@ -242,11 +234,16 @@ def recursive_solution_set(
     instead of filtering full matchings, it stitches each feasible first
     period onto the recursively solved continuation economy.
     """
-    if _cache is None:
-        _cache = {}
+    return _recursive_solutions(economy, family, {})
+
+
+def _recursive_solutions(
+    economy: Economy, family: ConjectureFamily, cache: dict
+) -> tuple[DynamicMatching, ...]:
+    """:func:`recursive_solution_set`, memoized by economy key in ``cache``."""
     key = economy.key
-    if key in _cache:
-        return _cache[key]
+    if key in cache:
+        return cache[key]
     if economy.horizon == 0:
         result = (DynamicMatching(()),)
     else:
@@ -261,15 +258,13 @@ def recursive_solution_set(
                 e2 = continuation_economy(economy, h1)
                 stitched = [
                     lift(economy, h1, cont)
-                    for cont in recursive_solution_set(
-                        e2, family, empty_policy, max_matchings, _cache
-                    )
+                    for cont in _recursive_solutions(e2, family, cache)
                 ]
             for m in stitched:
-                if period_witness(economy, m, 1, family, empty_policy) is None:
+                if period_witness(economy, m, 1, family) is None:
                     out.append(m)
         result = _canonical(out)
-    _cache[key] = result
+    cache[key] = result
     return result
 
 
@@ -321,19 +316,16 @@ def candidate_set_for_family(
 
 
 def candidate_matchings(
-    economy: Economy,
-    family: ConjectureFamily,
-    empty_policy: str = "vacuous",
-    max_matchings: int = DEFAULT_MAX_MATCHINGS,
+    economy: Economy, family: ConjectureFamily
 ) -> tuple[DynamicMatching, ...]:
     """Matchings whose newly formed pairs are stable in the induced economy
     of every period — the non-recursive candidate set."""
     out = []
-    for m in enumerate_matchings(economy, max_matchings=max_matchings):
+    for m in enumerate_matchings(economy, max_matchings=family.max_matchings):
         if all(
             m.formed_at(t)
             in stable_set_checked(
-                induced_economy_at(economy, History(economy, m.prefix(t)), family, empty_policy),
+                induced_economy_at(economy, History(economy, m.prefix(t)), family),
                 family.stable_sets,
             )
             for t in range(1, economy.horizon + 1)
@@ -354,50 +346,39 @@ class ConsistencyVerdict:
         return self.passed
 
 
-def _unmatched_available(economy: Economy, m: DynamicMatching, t: int):
-    h = History(economy, m.prefix(t))
-    avail_a, avail_b = available_agents(economy, h)
-    for k in (*avail_a, *avail_b):
-        if m.partner(k, t) == k:
-            yield h, k
-
-
 def consistency_failures(
     economy: Economy, m_star: DynamicMatching, family: ConjectureFamily
 ) -> tuple[tuple[int, str], ...]:
+    """Every (period, agent) where an available agent m_star leaves unmatched
+    does not conjecture m_star."""
     failures = []
     for t in range(1, economy.horizon + 1):
-        for h, k in _unmatched_available(economy, m_star, t):
-            if m_star not in family.conjecture_set(economy, h, k):
+        h = History(economy, m_star.prefix(t))
+        avail_a, avail_b = available_agents(economy, h)
+        for k in (*avail_a, *avail_b):
+            unmatched = m_star.partner(k, t) == k
+            if unmatched and m_star not in family.conjecture_set(economy, h, k):
                 failures.append((t, k))
     return tuple(failures)
 
 
 def check_consistency(
-    economy: Economy,
-    m_star: DynamicMatching,
-    family: ConjectureFamily,
-    empty_policy: str = "vacuous",
-    max_matchings: int = DEFAULT_MAX_MATCHINGS,
+    economy: Economy, m_star: DynamicMatching, family: ConjectureFamily
 ) -> ConsistencyVerdict:
     """Does every agent the candidate leaves unmatched conjecture it?"""
-    if m_star not in candidate_matchings(economy, family, empty_policy, max_matchings):
+    if m_star not in candidate_matchings(economy, family):
         raise NotACandidate("matching is not in the candidate set")
     failures = consistency_failures(economy, m_star, family)
     return ConsistencyVerdict(not failures, failures)
 
 
 def check_generalized_consistency(
-    economy: Economy,
-    family: ConjectureFamily,
-    empty_policy: str = "vacuous",
-    max_matchings: int = DEFAULT_MAX_MATCHINGS,
+    economy: Economy, family: ConjectureFamily
 ) -> ConsistencyVerdict:
     """The same requirement quantified over every solution, not candidates."""
-    failures = []
-    for m in phi_solution_set(economy, family, empty_policy, max_matchings):
-        for t in range(1, economy.horizon + 1):
-            for h, k in _unmatched_available(economy, m, t):
-                if m not in family.conjecture_set(economy, h, k):
-                    failures.append((m, t, k))
-    return ConsistencyVerdict(not failures, tuple(failures))
+    failures = tuple(
+        (m, t, k)
+        for m in family.solution_set(economy)
+        for t, k in consistency_failures(economy, m, family)
+    )
+    return ConsistencyVerdict(not failures, failures)

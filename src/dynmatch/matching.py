@@ -244,7 +244,9 @@ def enumerate_matchings(
         if hh is None:
             out.append(prefix)
             if len(out) > max_matchings:
-                raise SizeLimitExceeded(max_matchings)
+                raise SizeLimitExceeded(
+                    max_matchings, economy.horizon, len(economy.members())
+                )
             return
         a_avail, b_avail = available_agents(economy, hh)
         keep = set(prefix.pairs_at(t - 1)) if t > 1 else set()

@@ -26,6 +26,10 @@ from .matching import (
 NEG_INF = "-inf"
 POS_INF = "+inf"
 
+# How an empty conjecture set constrains its owner: not at all (threshold
+# NEG_INF) or completely (threshold POS_INF).
+EMPTY_POLICIES = ("vacuous", "strict")
+
 Threshold = object  # Fraction | NEG_INF | POS_INF
 
 
@@ -213,11 +217,9 @@ def conjecture_threshold(
     """Worst (minimum) period-t payoff of owner over the conjectured matchings."""
     values = [payoff(economy, m, owner, h.t) for m in conjectured]
     if not values:
-        if empty_policy == "vacuous":
-            return NEG_INF
-        if empty_policy == "strict":
-            return POS_INF
-        raise ValueError(f"unknown empty-conjecture policy {empty_policy!r}")
+        if empty_policy not in EMPTY_POLICIES:
+            raise ValueError(f"unknown empty-conjecture policy {empty_policy!r}")
+        return NEG_INF if empty_policy == "vacuous" else POS_INF
     return min(values)
 
 

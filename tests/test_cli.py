@@ -95,6 +95,10 @@ def test_enumeration_cap_exit_code(example1_file, capsys):
         "solve", example1_file, "--concept", "stable", "--max-matchings", "5"
     )
     assert code == cli.EXIT_SIZE
+    assert capsys.readouterr().err == (
+        "error: enumeration exceeded the cap of 5 matchings in an economy "
+        "with horizon 2 and 8 agents\n"
+    )
 
 
 def test_empty_solution_set_exit_code(econ_file, capsys, monkeypatch):

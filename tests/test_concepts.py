@@ -119,6 +119,14 @@ def test_both_solution_routes_agree_on_random_markets(solver, concept):
         assert recursive_solution_set(e, family) == phi_solution_set(e, family)
 
 
+def test_both_solution_routes_agree_under_strict_empty_conjectures():
+    solver = Solver("strict")
+    for concept in CONCEPT_NAMES:
+        family = solver.family(concept)
+        for e in corpus(54, 8, max_per_side=2):
+            assert recursive_solution_set(e, family) == phi_solution_set(e, family)
+
+
 def test_solve_report_contents(solver, market1):
     report = solver.solve("re", market1)
     assert report.concept == "re"

@@ -25,7 +25,7 @@ from dynmatch.matching import (
     enumerate_matchings,
     initial_history,
 )
-from dynmatch.statics import stable_set, static_economy
+from dynmatch.statics import EMPTY_POLICIES, stable_set, static_economy
 
 from corpus import RandomFamily, corpus, random_economy
 
@@ -273,15 +273,29 @@ def test_empty_conjecture_policies_change_the_solution_set():
         {"a1": Fraction(1), "b1": Fraction(1)},
         {("a1", "b1"): Fraction(-2), ("b1", "a1"): Fraction(2)},
     )
+    single = DynamicMatching(((),))
+    paired = DynamicMatching(((("a1", "b1"),),))
     # Vacuous thresholds never bind: even the pairing a1 dislikes survives,
     # because blocking requires a strictly better partner for both sides.
-    assert phi_solution_set(e, EmptyFamily(), "vacuous") == (
-        DynamicMatching(((),)),
-        DynamicMatching(((("a1", "b1"),),)),
-    )
+    assert phi_solution_set(e, EmptyFamily("vacuous")) == (single, paired)
     # Strict thresholds reject any matching that leaves someone single, and
     # pairing up is not individually rational for a1: nothing survives.
-    assert phi_solution_set(e, EmptyFamily(), "strict") == ()
+    assert phi_solution_set(e, EmptyFamily("strict")) == ()
+    # Every route reads the policy from the family, so the routes agree.
+    for policy in EMPTY_POLICIES:
+        family = EmptyFamily(policy)
+        solutions = phi_solution_set(e, family)
+        assert recursive_solution_set(e, family) == solutions
+        assert family.solution_set(e) == solutions
+        for m in enumerate_matchings(e):
+            assert (is_phi_solution(e, m, family) is True) == (m in solutions)
+        assert candidate_matchings(e, family) == candidate_set_for_family(e, family)
+
+
+@pytest.mark.parametrize("config", [{"empty_policy": "bogus"}, {"max_matchings": 0}])
+def test_family_rejects_a_bad_configuration(config):
+    with pytest.raises(ValueError):
+        StableFamily(**config)
 
 
 def test_family_memoizes_solution_sets_by_economy_key():

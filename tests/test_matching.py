@@ -62,8 +62,12 @@ def test_two_vs_one_has_three_matchings():
 
 
 def test_enumeration_cap():
-    with pytest.raises(SizeLimitExceeded):
+    with pytest.raises(SizeLimitExceeded) as exc:
         enumerate_matchings(static_economy(4, 4), max_matchings=10)
+    assert str(exc.value) == (
+        "enumeration exceeded the cap of 10 matchings in an economy "
+        "with horizon 1 and 8 agents"
+    )
 
 
 def test_every_enumerated_matching_validates():

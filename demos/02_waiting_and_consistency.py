@@ -10,7 +10,7 @@ check precisely at a3.  Run with
 
 from dynmatch import Solver
 from dynmatch.framework import check_generalized_consistency, consistency_failures
-from dynmatch.matching import initial_history, matching_text
+from dynmatch.matching import matching_text
 from dynmatch.reproduce import EXAMPLE1_STAR, load_fixture
 
 economy, _ = load_fixture("example1")
@@ -36,8 +36,7 @@ family = solver.family("re")
 fails = consistency_failures(economy, EXAMPLE1_STAR, family)
 print("consistency failures (period, agent):", fails)
 
-h0 = initial_history(economy)
-conjectures_a3 = solver.conjectures("re", economy, h0, "a3")
+conjectures_a3 = solver.conjectures("re", economy, "a3")
 print(f"a3 conjectures {len(conjectures_a3)} matchings if it waits:")
 for m in conjectures_a3:
     print("  ", matching_text(m))

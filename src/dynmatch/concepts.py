@@ -42,10 +42,8 @@ from .framework import (
 from .matching import (
     DEFAULT_MAX_MATCHINGS,
     DynamicMatching,
-    History,
     defer_arrivals,
     enumerate_matchings,
-    initial_history,
 )
 from .statics import conjecture_threshold, stability_among_matched
 
@@ -141,9 +139,8 @@ class CVRFamily(FixedPointFamily):
 
     def _refine(self, economy, current, members):
         """``members`` filtered by the thresholds that ``current`` implies."""
-        h0 = initial_history(economy)
         thr = {
-            j: conjecture_threshold(economy, h0, j, current[j], self.empty_policy)
+            j: conjecture_threshold(economy, j, current[j], self.empty_policy)
             for j in current
         }
         return {
@@ -239,8 +236,8 @@ class Solver:
     def solution_set(self, concept: str, economy: Economy):
         return self.family(concept).solution_set(economy)
 
-    def conjectures(self, concept: str, economy: Economy, h: History, k: str):
-        return self.family(concept).conjecture_set(economy, h, k)
+    def conjectures(self, concept: str, economy: Economy, k: str):
+        return self.family(concept).conjecture_set(economy, k)
 
     def solve(self, concept: str, economy: Economy) -> SolveReport:
         family = self.family(concept)

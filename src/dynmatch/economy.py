@@ -177,13 +177,6 @@ def payoff(economy: Economy, m: "DynamicMatching", k: str, t: int) -> Fraction:
     return economy.delta(k) ** (date - t) * util
 
 
-def is_individually_rational(economy: Economy, m: "DynamicMatching") -> bool:
-    """No agent ends up with a partner worse than staying single."""
-    return all(
-        economy.utility(k, m.final_partner(k)) >= 0 for k in economy.members()
-    )
-
-
 def _require_available(economy: Economy, m: "DynamicMatching", k: str, t: int):
     if economy.arrival_period(k) > t:  # raises UnknownAgent
         raise NotAvailable(f"{k} has not arrived by period {t}")

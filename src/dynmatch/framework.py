@@ -2,9 +2,12 @@
 
 A conjecture family answers "which full matchings does agent k deem possible
 if k stays unmatched this period".  Families are defined at period 1 of an
-arbitrary economy; queries at later histories reduce to the continuation
-economy, which also gives memoization for free (payoffs depend only on
-partner and delay, so two histories with the same continuation agree).
+arbitrary economy.  A question about period t of a matching m is asked at
+period 1 of ``continuation(economy, m, t)``: the economy of the agents still
+available at t, with m restricted to it.  Payoffs depend only on partner and
+delay, so an available agent's payoff is the same from either view, and two
+histories with the same continuation share one cache entry.  Only a witness
+still names the original period t.
 
 A family is its concept: it holds the concept's configuration (the
 empty-conjecture policy and the enumeration cap), set once when it is built,
@@ -23,13 +26,12 @@ from .matching import (
     DEFAULT_MAX_MATCHINGS,
     DynamicMatching,
     History,
-    available_agents,
+    continuation,
     continuation_economy,
+    empty_matching,
     enumerate_matchings,
-    initial_history,
     lift,
     period_matchings,
-    restrict,
 )
 from .statics import (
     EMPTY_POLICIES,
@@ -63,13 +65,13 @@ class BlockWitness:
 
 
 class ConjectureFamily:
-    """Base class: deterministic rule (economy, history, agent) -> matchings.
+    """Base class: deterministic rule (economy, period-1 agent) -> matchings.
 
     Subclasses implement :meth:`_root_conjectures` for an agent available in
     period 1 of a (continuation) economy; results are cached per canonical
-    economy key and lifted back onto the caller's history.  The family also
-    holds its concept's configuration and every cache the concept fills:
-    conjecture sets, solution sets and static stable sets.
+    economy key.  The family also holds its concept's configuration and
+    every cache the concept fills: conjecture sets, solution sets and static
+    stable sets.
     """
 
     name = "?"
@@ -92,19 +94,20 @@ class ConjectureFamily:
         self._solutions: dict = {}
         self.stable_sets: dict = {}
 
-    def conjecture_set(
-        self, economy: Economy, h: History, k: str
-    ) -> tuple[DynamicMatching, ...]:
-        cont = continuation_economy(economy, h)
-        a1, b1 = cont.arrivals[0]
+    def conjecture_set(self, economy: Economy, k: str) -> tuple[DynamicMatching, ...]:
+        """The conjectures of k, who must be available in period 1."""
+        a1, b1 = economy.arrivals[0]
         if k not in a1 and k not in b1:
-            raise NotAvailable(f"{k} is not available at period {h.t}")
-        key = (cont.key, k)
+            raise NotAvailable(f"{k} is not available at period 1")
+        key = (economy.key, k)
         if key not in self._cache:
-            self._cache[key] = tuple(self._root_conjectures(cont, k))
-        if h.t == 1:
-            return self._cache[key]
-        return tuple(lift(economy, h, c) for c in self._cache[key])
+            self._cache[key] = tuple(self._root_conjectures(economy, k))
+        return self._cache[key]
+
+    def conjecture_sets(self, economy: Economy) -> dict:
+        """Every period-1 agent's conjecture set, in declaration order."""
+        a1, b1 = economy.arrivals[0]
+        return {k: self.conjecture_set(economy, k) for k in (*a1, *b1)}
 
     def _root_conjectures(
         self, economy: Economy, k: str
@@ -122,9 +125,8 @@ class ConjectureFamily:
         """Is m, from period 2 on, a solution of its continuation economy?"""
         if economy.horizon <= 1:
             return True
-        h1 = History(economy, m.prefix(2))
-        cont = continuation_economy(economy, h1)
-        return restrict(economy, m, h1) in self.solution_set(cont)
+        cont, rest = continuation(economy, m, 2)
+        return rest in self.solution_set(cont)
 
 
 class StableFamily(ConjectureFamily):
@@ -138,7 +140,7 @@ class StableFamily(ConjectureFamily):
     name = "stable"
 
     def _root_conjectures(self, economy, k):
-        return (DynamicMatching(((),) * economy.horizon),)
+        return (empty_matching(economy.horizon),)
 
 
 class AgreeFamily(ConjectureFamily):
@@ -158,16 +160,6 @@ class AgreeFamily(ConjectureFamily):
         ]
 
 
-def induced_economy_at(
-    economy: Economy, h: History, family: ConjectureFamily
-) -> StaticEconomy:
-    avail_a, avail_b = available_agents(economy, h)
-    conjectured = {
-        k: family.conjecture_set(economy, h, k) for k in (*avail_a, *avail_b)
-    }
-    return induced_one_period_economy(economy, h, conjectured, family.empty_policy)
-
-
 def period_witness(
     economy: Economy, m: DynamicMatching, t: int, family: ConjectureFamily
 ) -> Optional[BlockWitness]:
@@ -176,27 +168,27 @@ def period_witness(
     Scan order is deterministic: individual objections before pair blocks,
     agents in declaration order.
     """
-    h = History(economy, m.prefix(t))
-    avail_a, avail_b = available_agents(economy, h)
+    cont, rest = continuation(economy, m, t)
+    avail_a, avail_b = cont.arrivals[0]
     for kind, names in ((INDIVIDUAL_A, avail_a), (INDIVIDUAL_B, avail_b)):
         for k in names:
             thr = conjecture_threshold(
-                economy, h, k, family.conjecture_set(economy, h, k), family.empty_policy
+                cont, k, family.conjecture_set(cont, k), family.empty_policy
             )
-            val = payoff(economy, m, k, t)
+            val = payoff(cont, rest, k, 1)
             if not value_ge(val, thr):
                 return BlockWitness(kind, t, (k,), (val, thr))
     for a in avail_a:
-        ua = payoff(economy, m, a, t)
+        ua = payoff(cont, rest, a, 1)
         for b in avail_b:
-            if economy.utility(a, b) > ua:
-                vb = payoff(economy, m, b, t)
-                if economy.utility(b, a) > vb:
+            if cont.utility(a, b) > ua:
+                vb = payoff(cont, rest, b, 1)
+                if cont.utility(b, a) > vb:
                     return BlockWitness(
                         PAIR,
                         t,
                         (a, b),
-                        (economy.utility(a, b), ua, economy.utility(b, a), vb),
+                        (cont.utility(a, b), ua, cont.utility(b, a), vb),
                     )
     return None
 
@@ -286,8 +278,7 @@ def candidate_set(
     matchings backing their reservation value."""
     if economy.horizon == 0:
         return (DynamicMatching(()),)
-    h0 = initial_history(economy)
-    e1 = induced_one_period_economy(economy, h0, conjectured, family.empty_policy)
+    e1 = induced_one_period_economy(economy, conjectured, family.empty_policy)
     out = []
     for m1 in stable_set_checked(e1, family.stable_sets):
         prefix = DynamicMatching((m1,))
@@ -304,17 +295,6 @@ def candidate_set(
     return _canonical(out)
 
 
-def candidate_set_for_family(
-    economy: Economy, family: ConjectureFamily
-) -> tuple[DynamicMatching, ...]:
-    h0 = initial_history(economy)
-    avail_a, avail_b = available_agents(economy, h0)
-    conjectured = {
-        k: family.conjecture_set(economy, h0, k) for k in (*avail_a, *avail_b)
-    }
-    return candidate_set(economy, conjectured, family)
-
-
 def candidate_matchings(
     economy: Economy, family: ConjectureFamily
 ) -> tuple[DynamicMatching, ...]:
@@ -322,14 +302,14 @@ def candidate_matchings(
     of every period — the non-recursive candidate set."""
     out = []
     for m in enumerate_matchings(economy, max_matchings=family.max_matchings):
-        if all(
-            m.formed_at(t)
-            in stable_set_checked(
-                induced_economy_at(economy, History(economy, m.prefix(t)), family),
-                family.stable_sets,
+        for t in range(1, economy.horizon + 1):
+            cont, rest = continuation(economy, m, t)
+            e1 = induced_one_period_economy(
+                cont, family.conjecture_sets(cont), family.empty_policy
             )
-            for t in range(1, economy.horizon + 1)
-        ):
+            if rest.pairs_at(1) not in stable_set_checked(e1, family.stable_sets):
+                break
+        else:
             out.append(m)
     return _canonical(out)
 
@@ -353,11 +333,11 @@ def consistency_failures(
     does not conjecture m_star."""
     failures = []
     for t in range(1, economy.horizon + 1):
-        h = History(economy, m_star.prefix(t))
-        avail_a, avail_b = available_agents(economy, h)
-        for k in (*avail_a, *avail_b):
-            unmatched = m_star.partner(k, t) == k
-            if unmatched and m_star not in family.conjecture_set(economy, h, k):
+        cont, rest = continuation(economy, m_star, t)
+        a1, b1 = cont.arrivals[0]
+        for k in (*a1, *b1):
+            unmatched = rest.partner(k, 1) == k
+            if unmatched and rest not in family.conjecture_set(cont, k):
                 failures.append((t, k))
     return tuple(failures)
 

@@ -8,7 +8,7 @@ structural check and keeps matchings hashable for memoization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 from .economy import Economy
 from .errors import (
@@ -104,10 +104,6 @@ class History:
         return self.prefix.horizon + 1
 
 
-def initial_history(economy: Economy) -> History:
-    return History(economy, DynamicMatching(()))
-
-
 def validate_matching(economy: Economy, m: DynamicMatching) -> None:
     """Check feasibility and irreversibility; raises ValueError on failure.
 
@@ -166,6 +162,18 @@ def continuation_economy(economy: Economy, h: History) -> Economy:
     return Economy(economy.horizon - h.t + 1, schedule, economy.profile)
 
 
+def continuation(
+    economy: Economy, m: DynamicMatching, t: int
+) -> tuple[Economy, DynamicMatching]:
+    """The continuation economy after m's first t-1 periods, and m restricted
+    to it.  Period t of m is period 1 of the continuation, and an agent
+    available at t gets the same payoff from either view."""
+    if t == 1:
+        return economy, m
+    h = History(economy, m.prefix(t))
+    return continuation_economy(economy, h), restrict(economy, m, h)
+
+
 def defer_arrivals(economy: Economy, names: Iterable[str]) -> Economy:
     """Move first-period arrivals one period later.
 
@@ -220,21 +228,18 @@ def period_matchings(
 
 def enumerate_matchings(
     economy: Economy,
-    h: Optional[History] = None,
     unmatched_now: Iterable[str] = (),
     max_matchings: int = DEFAULT_MAX_MATCHINGS,
 ) -> tuple[DynamicMatching, ...]:
-    """All dynamic matchings extending h, duplicate-free and deterministic.
+    """All dynamic matchings of the economy, duplicate-free and deterministic.
 
-    ``unmatched_now`` agents must stay single through h's current period;
-    they may match later.  Raises SizeLimitExceeded past ``max_matchings``.
+    ``unmatched_now`` agents must stay single in period 1; they may match
+    later.  Raises SizeLimitExceeded past ``max_matchings``.
     """
-    if h is None:
-        h = initial_history(economy)
     forbidden = frozenset(unmatched_now)
-    avail = available_agents(economy, h)
+    a1, b1 = economy.arrived_by(1)
     for k in forbidden:
-        if k not in avail[0] and k not in avail[1]:
+        if k not in a1 and k not in b1:
             raise InvalidHistory(f"constraint agent {k} is not available")
 
     out: list[DynamicMatching] = []
@@ -250,12 +255,12 @@ def enumerate_matchings(
             return
         a_avail, b_avail = available_agents(economy, hh)
         keep = set(prefix.pairs_at(t - 1)) if t > 1 else set()
-        block = forbidden if t == h.t else frozenset()
+        block = forbidden if t == 1 else frozenset()
         for new_pairs in period_matchings(a_avail, b_avail, block):
             full = canonical_pairs(keep | set(new_pairs))
             extend(DynamicMatching(prefix.periods + (full,)), t + 1)
 
-    extend(h.prefix, h.t)
+    extend(DynamicMatching(()), 1)
     return tuple(out)
 
 

@@ -11,9 +11,8 @@ from importlib import resources
 from .concepts import Solver
 from .dsl import EconomyDocument, parse
 from .economy import Economy
-from .errors import NotACandidate
-from .framework import check_generalized_consistency, consistency_failures
-from .matching import DynamicMatching, initial_history
+from .framework import check_generalized_consistency
+from .matching import DynamicMatching, defer_arrivals
 from .statics import deferred_acceptance, static_economy, stable_set
 
 Claim = tuple[str, bool, str]
@@ -98,9 +97,8 @@ def run_example1(solver: Solver | None = None) -> tuple[Claim, ...]:
     )
 
     # (c) the dissuading conjectures are solutions of the deferred markets.
-    h0 = initial_history(economy)
-    conj_a2 = solver.conjectures("re", economy, h0, "a2")
-    conj_b1 = solver.conjectures("re", economy, h0, "b1")
+    conj_a2 = solver.conjectures("re", economy, "a2")
+    conj_b1 = solver.conjectures("re", economy, "b1")
     claims.append(
         (
             "the conjectured matching for a2 survives when a2 arrives late",
@@ -117,8 +115,6 @@ def run_example1(solver: Solver | None = None) -> tuple[Claim, ...]:
     )
 
     # (d) deferring both a3 and b1: b1 always ends up with a4.
-    from .matching import defer_arrivals
-
     deferred_both = defer_arrivals(economy, ["a3", "b1"])
     sols = solver.solution_set("re", deferred_both)
     claims.append(
@@ -143,16 +139,8 @@ def run_example1(solver: Solver | None = None) -> tuple[Claim, ...]:
 
     # (f) consistency fails exactly at (period 1, a3); the generalized
     # condition fails for the whole concept.
-    family = solver.family("re")
-    try:
-        fails = (
-            consistency_failures(economy, EXAMPLE1_STAR, family)
-            if EXAMPLE1_STAR in report.candidates
-            else None
-        )
-    except NotACandidate:
-        fails = None
-    gc = check_generalized_consistency(economy, family)
+    fails = next((f for m, _, f in report.consistency if m == EXAMPLE1_STAR), None)
+    gc = check_generalized_consistency(economy, solver.family("re"))
     claims.append(
         (
             "consistency fails exactly for a3 at period 1, and generalized "
@@ -178,9 +166,8 @@ def run_example2(solver: Solver | None = None) -> tuple[Claim, ...]:
         )
     )
 
-    h0 = initial_history(economy)
-    ds_conj = solver.conjectures("ds", economy, h0, "a2")
-    cvr_conj = solver.conjectures("cvr-ds", economy, h0, "a2")
+    ds_conj = solver.conjectures("ds", economy, "a2")
+    cvr_conj = solver.conjectures("cvr-ds", economy, "a2")
     claims.append(
         (
             "the dissuading matching for a2 is a plain conjecture but not a "

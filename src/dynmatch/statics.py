@@ -15,13 +15,7 @@ from typing import Iterable, Mapping, Optional
 
 from .economy import UNLISTED_UTILITY, Economy, payoff
 from .errors import LoneWolfViolation, TiesPresent
-from .matching import (
-    DynamicMatching,
-    History,
-    PeriodPairs,
-    available_agents,
-    period_matchings,
-)
+from .matching import DynamicMatching, PeriodPairs, period_matchings
 
 NEG_INF = "-inf"
 POS_INF = "+inf"
@@ -209,13 +203,12 @@ def deferred_acceptance(e1: StaticEconomy, proposing: str = "A") -> PeriodPairs:
 
 def conjecture_threshold(
     economy: Economy,
-    h: History,
     owner: str,
     conjectured: Iterable[DynamicMatching],
     empty_policy: str = "vacuous",
 ) -> Threshold:
-    """Worst (minimum) period-t payoff of owner over the conjectured matchings."""
-    values = [payoff(economy, m, owner, h.t) for m in conjectured]
+    """Worst (minimum) period-1 payoff of owner over the conjectured matchings."""
+    values = [payoff(economy, m, owner, 1) for m in conjectured]
     if not values:
         if empty_policy not in EMPTY_POLICIES:
             raise ValueError(f"unknown empty-conjecture policy {empty_policy!r}")
@@ -225,17 +218,16 @@ def conjecture_threshold(
 
 def induced_one_period_economy(
     economy: Economy,
-    h: History,
     conjectured: Mapping[str, Iterable[DynamicMatching]],
     empty_policy: str = "vacuous",
 ) -> StaticEconomy:
-    """Static economy over the available agents with worst-conjecture thresholds."""
-    avail_a, avail_b = available_agents(economy, h)
+    """Static economy over the period-1 agents with worst-conjecture thresholds."""
+    a1, b1 = economy.arrivals[0]
     thr = {
-        k: conjecture_threshold(economy, h, k, conjectured[k], empty_policy)
-        for k in (*avail_a, *avail_b)
+        k: conjecture_threshold(economy, k, conjectured[k], empty_policy)
+        for k in (*a1, *b1)
     }
-    return static_economy(economy, avail_a, avail_b, thr)
+    return static_economy(economy, a1, b1, thr)
 
 
 def stability_among_matched(

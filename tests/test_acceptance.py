@@ -18,7 +18,7 @@ from dynmatch.framework import (
     phi_solution_set,
     recursive_solution_set,
 )
-from dynmatch.matching import enumerate_matchings, initial_history
+from dynmatch.matching import enumerate_matchings
 from dynmatch.reproduce import (
     FIXTURE_NAMES,
     fixture_text,
@@ -106,9 +106,8 @@ def test_criterion_5_value_respecting_refinement(solver, markets):
                 assert set(later[k]) <= set(earlier[k])
         # Fixed-point identity: filtering the base by the limit's own
         # thresholds reproduces the limit.
-        h0 = initial_history(e)
         thresholds = {
-            k: conjecture_threshold(e, h0, k, limit[k]) for k in limit
+            k: conjecture_threshold(e, k, limit[k]) for k in limit
         }
         for k in limit:
             assert limit[k] == tuple(

@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from dynmatch import cli
+from dynmatch import cli, is_phi_solution, parse_matching_text
+from dynmatch.framework import StableFamily
 from dynmatch.reproduce import fixture_text
 
 ONE_PAIR = """\
@@ -126,6 +127,26 @@ def test_check_solution_pass_and_fail(econ_file, capsys):
     )
     assert code == cli.EXIT_CHECK_FAILED
     assert "block" in capsys.readouterr().out
+
+
+def test_witness_lines_name_the_block_and_its_payoffs(econ_file, capsys):
+    # Staying single is blocked by the pair: u(a1,b1)=2 and v(b1,a1)=3 both
+    # beat the payoff 0 of being single.
+    from dynmatch.concepts import SolveReport
+
+    expected = "Pair block at t=1 by a1, b1 (payoffs 2, 0, 3, 0)"
+    code = run_cli(
+        "check", econ_file, "--concept", "stable", "--matching", "t=1: -"
+    )
+    assert code == cli.EXIT_CHECK_FAILED
+    assert capsys.readouterr().out == f"solution: fail — {expected}\n"
+    economy, _ = cli._load(econ_file)
+    single = parse_matching_text(economy, "t=1: -")
+    witness = is_phi_solution(economy, single, StableFamily())
+    cli._print_report(
+        SolveReport("stable", "vacuous", 1, (), (single,), (), ((single, witness),))
+    )
+    assert f"rejected t=1: -: {expected}\n" in capsys.readouterr().out
 
 
 def test_check_requires_matching_argument(econ_file, capsys):

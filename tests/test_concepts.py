@@ -4,7 +4,7 @@ import pytest
 
 from dynmatch.concepts import CONCEPT_NAMES, Solver
 from dynmatch.framework import phi_solution_set, recursive_solution_set
-from dynmatch.matching import defer_arrivals, initial_history
+from dynmatch.matching import defer_arrivals
 from dynmatch.reproduce import (
     EXAMPLE1_STAR,
     EXAMPLE2_LEFT,
@@ -68,11 +68,10 @@ def test_refinement_chain_on_the_reference_markets(solver, market1, market2):
 
 def test_value_respecting_conjectures_refine_plain_ones(solver):
     for e in corpus(52, 10, max_per_side=2):
-        h0 = initial_history(e)
         a1, b1 = e.arrivals[0]
         for k in (*a1, *b1):
-            cvr = set(solver.conjectures("cvr-ds", e, h0, k))
-            ds = set(solver.conjectures("ds", e, h0, k))
+            cvr = set(solver.conjectures("cvr-ds", e, k))
+            ds = set(solver.conjectures("ds", e, k))
             assert cvr <= ds
 
 
@@ -85,12 +84,11 @@ def test_value_respecting_iteration_is_weakly_decreasing(solver, market2):
 
 
 def test_value_respecting_thresholds_weakly_increase(solver, market2):
-    h0 = initial_history(market2)
     trace = solver.family("cvr-ds").iterates(market2)
     for earlier, later in zip(trace, trace[1:]):
         for k in earlier:
-            lo = conjecture_threshold(market2, h0, k, earlier[k])
-            hi = conjecture_threshold(market2, h0, k, later[k])
+            lo = conjecture_threshold(market2, k, earlier[k])
+            hi = conjecture_threshold(market2, k, later[k])
             assert value_ge(hi, lo)
 
 

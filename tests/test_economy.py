@@ -7,7 +7,6 @@ from dynmatch.economy import (
     Economy,
     build_economy,
     first_match_date,
-    is_individually_rational,
     payoff,
 )
 from dynmatch.errors import NotAvailable, UnknownAgent
@@ -75,22 +74,6 @@ def test_unlisted_partner_has_negative_utility():
     )
     assert e.utility("b1", "a1") == Fraction(-1)
     assert e.utility("a1", "a1") == 0
-
-
-def test_individual_rationality():
-    e = two_period_pair()
-    assert is_individually_rational(e, empty_matching(2))
-    assert is_individually_rational(
-        e, DynamicMatching.from_formed([[("a1", "b1")], []])
-    )
-    bad = build_economy(
-        1,
-        [(("a1",), ("b1",))],
-        {"a1": Fraction(1), "b1": Fraction(1)},
-        {("a1", "b1"): Fraction(5)},
-    )
-    paired = DynamicMatching.from_formed([[("a1", "b1")]])
-    assert not is_individually_rational(bad, paired)  # b1 never listed a1
 
 
 def test_duplicate_arrival_rejected():

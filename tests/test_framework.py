@@ -10,11 +10,10 @@ from dynmatch.framework import (
     BlockWitness,
     StableFamily,
     candidate_matchings,
-    candidate_set_for_family,
+    candidate_set,
     check_consistency,
     check_generalized_consistency,
     consistency_failures,
-    induced_economy_at,
     is_phi_solution,
     phi_solution_set,
     recursive_solution_set,
@@ -22,10 +21,16 @@ from dynmatch.framework import (
 from dynmatch.matching import (
     DynamicMatching,
     History,
+    continuation_economy,
     enumerate_matchings,
-    initial_history,
+    restrict,
 )
-from dynmatch.statics import EMPTY_POLICIES, stable_set, static_economy
+from dynmatch.statics import (
+    EMPTY_POLICIES,
+    induced_one_period_economy,
+    stable_set,
+    static_economy,
+)
 
 from corpus import RandomFamily, corpus, random_economy
 
@@ -115,10 +120,9 @@ def test_witness_reports_the_earliest_failing_period():
 def test_conjecture_sets_leave_the_owner_unmatched_now():
     for i, e in enumerate(corpus(37, 10, max_per_side=2)):
         family = RandomFamily(300 + i)
-        h0 = initial_history(e)
         a1, b1 = e.arrivals[0]
         for k in (*a1, *b1):
-            for m in family.conjecture_set(e, h0, k):
+            for m in family.conjecture_set(e, k):
                 assert m.partner(k, 1) == k
 
 
@@ -130,12 +134,12 @@ def test_conjecture_set_requires_availability():
         {},
     )
     with pytest.raises(NotAvailable):
-        StableFamily().conjecture_set(e, initial_history(e), "b1")
+        StableFamily().conjecture_set(e, "b1")
 
 
 def test_conjectures_reduce_to_the_continuation_market():
-    # Two histories freeing the same agents must produce conjecture sets
-    # that agree once restricted to the continuation.
+    # Two histories freeing the same agents lead to one continuation
+    # economy, and so to one conjecture set.
     names = ("a1", "a2", "a3", "b1", "b2", "b3")
     e = build_economy(
         2,
@@ -147,10 +151,8 @@ def test_conjectures_reduce_to_the_continuation_market():
     # Both histories free exactly a3 and b3 for period 2.
     h_one = History(e, DynamicMatching(((("a1", "b1"), ("a2", "b2")),)))
     h_two = History(e, DynamicMatching(((("a1", "b2"), ("a2", "b1")),)))
-    from dynmatch.matching import restrict
-
-    one = {restrict(e, m, h_one) for m in family.conjecture_set(e, h_one, "a3")}
-    two = {restrict(e, m, h_two) for m in family.conjecture_set(e, h_two, "a3")}
+    one = family.conjecture_set(continuation_economy(e, h_one), "a3")
+    two = RandomFamily(7).conjecture_set(continuation_economy(e, h_two), "a3")
     assert one == two and one
 
 
@@ -161,13 +163,12 @@ def test_agree_conjecture_sets_in_the_last_period_are_unrestricted():
         family = AgreeFamily()
         for m in enumerate_matchings(e):
             h = History(e, m.prefix(e.horizon))
-            from dynmatch.matching import available_agents
-
-            avail_a, avail_b = available_agents(e, h)
-            for k in (*avail_a, *avail_b):
-                got = set(family.conjecture_set(e, h, k))
+            cont = continuation_economy(e, h)
+            a1, b1 = cont.arrivals[0]
+            for k in (*a1, *b1):
+                got = set(family.conjecture_set(cont, k))
                 base = {
-                    c
+                    restrict(e, c, h)
                     for c in enumerate_matchings(e)
                     if c.extends(h.prefix) and c.partner(k, e.horizon) == k
                 }
@@ -179,7 +180,7 @@ def test_candidate_routes_agree_for_the_self_referential_family():
     for e in corpus(39, 10, max_per_side=2):
         family = AgreeFamily()
         non_recursive = candidate_matchings(e, family)
-        recursive = candidate_set_for_family(e, family)
+        recursive = candidate_set(e, family.conjecture_sets(e), family)
         assert non_recursive == recursive
 
 
@@ -198,7 +199,7 @@ def test_induced_economy_exposes_available_agents_only():
         {n: Fraction(1, 2) for n in ("a1", "a2", "b1")},
         {("a1", "b1"): Fraction(1), ("b1", "a1"): Fraction(1)},
     )
-    e1 = induced_economy_at(e, initial_history(e), StableFamily())
+    e1 = induced_one_period_economy(e, StableFamily().conjecture_sets(e))
     assert e1.a_names == ("a1",) and e1.b_names == ("b1",)
 
 
@@ -289,7 +290,9 @@ def test_empty_conjecture_policies_change_the_solution_set():
         assert family.solution_set(e) == solutions
         for m in enumerate_matchings(e):
             assert (is_phi_solution(e, m, family) is True) == (m in solutions)
-        assert candidate_matchings(e, family) == candidate_set_for_family(e, family)
+        assert candidate_matchings(e, family) == candidate_set(
+            e, family.conjecture_sets(e), family
+        )
 
 
 @pytest.mark.parametrize("config", [{"empty_policy": "bogus"}, {"max_matchings": 0}])

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from dynmatch.economy import build_economy
+from dynmatch.economy import build_economy, payoff
 from dynmatch.errors import (
     BadMatchingSpec,
     InvalidHistory,
@@ -15,11 +15,11 @@ from dynmatch.matching import (
     DynamicMatching,
     History,
     available_agents,
+    continuation,
     continuation_economy,
     defer_arrivals,
     empty_matching,
     enumerate_matchings,
-    initial_history,
     lift,
     matching_text,
     parse_matching_text,
@@ -28,7 +28,7 @@ from dynmatch.matching import (
     validate_matching,
 )
 
-from corpus import random_economy
+from corpus import corpus, random_economy
 
 
 def static_economy(n_a, n_b):
@@ -140,7 +140,7 @@ def test_available_agents_tracks_arrivals_and_matches():
         {n: Fraction(1) for n in ("a1", "a2", "a3", "b1", "b2")},
         {("a1", "b1"): Fraction(1), ("b1", "a1"): Fraction(1)},
     )
-    h0 = initial_history(e)
+    h0 = History(e, DynamicMatching(()))
     assert available_agents(e, h0) == (("a1", "a2"), ("b1",))
     h1 = History(e, DynamicMatching(((("a1", "b1"),),)))
     assert available_agents(e, h1) == (("a2", "a3"), ("b2",))
@@ -149,7 +149,7 @@ def test_available_agents_tracks_arrivals_and_matches():
 def test_continuation_economy_after_empty_history_is_identity():
     rng = random.Random(4)
     e = random_economy(rng, max_per_side=2)
-    cont = continuation_economy(e, initial_history(e))
+    cont = continuation_economy(e, History(e, DynamicMatching(())))
     assert cont.key == e.key
 
 
@@ -184,6 +184,18 @@ def test_restrict_and_lift_are_inverse():
             assert lift(e, h1, cont) == m
             cont_e = continuation_economy(e, h1)
             validate_matching(cont_e, cont)
+            assert continuation(e, m, 2) == (cont_e, cont)
+
+
+def test_period_t_payoffs_are_period_1_payoffs_of_the_continuation():
+    for e in corpus(11, 12, max_per_side=2):
+        for m in enumerate_matchings(e):
+            for t in range(1, e.horizon + 1):
+                cont, rest = continuation(e, m, t)
+                avail_a, avail_b = available_agents(e, History(e, m.prefix(t)))
+                assert cont.arrivals[0] == (avail_a, avail_b)
+                for k in (*avail_a, *avail_b):
+                    assert payoff(e, m, k, t) == payoff(cont, rest, k, 1)
 
 
 def test_restrict_requires_extension():

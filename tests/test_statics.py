@@ -5,7 +5,7 @@ import pytest
 
 from dynmatch.economy import build_economy
 from dynmatch.errors import LoneWolfViolation, TiesPresent
-from dynmatch.matching import DynamicMatching, initial_history
+from dynmatch.matching import DynamicMatching
 from dynmatch.statics import (
     NEG_INF,
     POS_INF,
@@ -138,12 +138,11 @@ def test_conjecture_threshold_is_worst_case_payoff():
             ("b2", "a1"): Fraction(1),
         },
     )
-    h0 = initial_history(e)
     stay_single = DynamicMatching.from_formed([[], []])
     match_late = DynamicMatching.from_formed([[], [("a1", "b2")]])
-    thr = conjecture_threshold(e, h0, "a1", [stay_single, match_late])
+    thr = conjecture_threshold(e, "a1", [stay_single, match_late])
     assert thr == Fraction(0)
-    thr = conjecture_threshold(e, h0, "a1", [match_late])
+    thr = conjecture_threshold(e, "a1", [match_late])
     assert thr == Fraction(5)
 
 
@@ -154,11 +153,10 @@ def test_empty_conjecture_policies():
         {"a1": Fraction(1), "b1": Fraction(1)},
         {("a1", "b1"): Fraction(1), ("b1", "a1"): Fraction(1)},
     )
-    h0 = initial_history(e)
-    assert conjecture_threshold(e, h0, "a1", [], "vacuous") is NEG_INF
-    assert conjecture_threshold(e, h0, "a1", [], "strict") is POS_INF
+    assert conjecture_threshold(e, "a1", [], "vacuous") is NEG_INF
+    assert conjecture_threshold(e, "a1", [], "strict") is POS_INF
     with pytest.raises(ValueError):
-        conjecture_threshold(e, h0, "a1", [], "bogus")
+        conjecture_threshold(e, "a1", [], "bogus")
 
 
 def test_induced_economy_with_singleton_idle_conjectures_is_plain_ir():
@@ -168,9 +166,8 @@ def test_induced_economy_with_singleton_idle_conjectures_is_plain_ir():
         {"a1": Fraction(1), "b1": Fraction(1)},
         {("a1", "b1"): Fraction(2), ("b1", "a1"): Fraction(3)},
     )
-    h0 = initial_history(e)
     idle = DynamicMatching.from_formed([[]])
-    e1 = induced_one_period_economy(e, h0, {"a1": [idle], "b1": [idle]})
+    e1 = induced_one_period_economy(e, {"a1": [idle], "b1": [idle]})
     assert e1.threshold("a1") == 0
     assert e1.threshold("b1") == 0
     assert stable_set(e1) == (((("a1", "b1")),),)

@@ -16,7 +16,6 @@ from .framework import (
 )
 from .matching import (
     DynamicMatching,
-    History,
     enumerate_matchings,
     matching_text,
     parse_matching_text,
@@ -28,7 +27,6 @@ __all__ = [
     "CONCEPT_NAMES",
     "DynamicMatching",
     "Economy",
-    "History",
     "PreferenceProfile",
     "SolveReport",
     "Solver",

@@ -15,7 +15,7 @@ import sys
 import time
 
 from .concepts import CONCEPT_NAMES, SolveReport, Solver
-from .dsl import canonical_text, parse
+from .dsl import parse, serialize, validate_ordinal
 from .economy import Economy
 from .errors import DynmatchError, SizeLimitExceeded
 from .framework import check_consistency, check_generalized_consistency, is_phi_solution
@@ -37,12 +37,13 @@ EXIT_CHECK_FAILED = 4
 
 
 def _load(path: str) -> tuple[Economy, str]:
-    """Parse an economy file; returns the economy and its content digest."""
+    """Parse an economy file and check its ordinal blocks; returns the
+    economy and the digest of its canonical text."""
     with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    doc = parse(text)
-    digest = hashlib.sha256(canonical_text(text).encode()).hexdigest()
-    return doc.to_economy(), digest
+        doc = parse(fh.read())
+    economy = doc.to_economy()
+    validate_ordinal(economy, doc)
+    return economy, hashlib.sha256(serialize(doc).encode()).hexdigest()
 
 
 def _witness_dict(w) -> dict:

@@ -34,10 +34,10 @@ from .framework import (
     ConjectureFamily,
     StableFamily,
     _canonical,
+    _first_witness,
     candidate_matchings,
     candidate_set,
     consistency_failures,
-    is_phi_solution,
 )
 from .matching import (
     DEFAULT_MAX_MATCHINGS,
@@ -252,8 +252,8 @@ class Solver:
         witnesses = []
         for c in candidates:
             if c not in solved:
-                w = is_phi_solution(economy, c, family)
-                if w is not True:
+                w = _first_witness(economy, c, family)
+                if w is not None:
                     witnesses.append((c, w))
         return SolveReport(
             concept=concept,

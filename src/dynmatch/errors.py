@@ -13,14 +13,6 @@ class NotAvailable(DynmatchError):
     """The agent is not available to match at the requested period."""
 
 
-class InvalidHistory(DynmatchError):
-    """A matching prefix violates feasibility or irreversibility."""
-
-
-class NotAContinuation(DynmatchError):
-    """The matching does not extend the given history/economy."""
-
-
 class SizeLimitExceeded(DynmatchError):
     """Exhaustive enumeration exceeded the configured cap.
 

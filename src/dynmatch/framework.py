@@ -3,11 +3,17 @@
 A conjecture family answers "which full matchings does agent k deem possible
 if k stays unmatched this period".  Families are defined at period 1 of an
 arbitrary economy.  A question about period t of a matching m is asked at
-period 1 of ``continuation(economy, m, t)``: the economy of the agents still
-available at t, with m restricted to it.  Payoffs depend only on partner and
-delay, so an available agent's payoff is the same from either view, and two
-histories with the same continuation share one cache entry.  Only a witness
-still names the original period t.
+period 1 of the continuation economy at t: the economy of the agents still
+available at t, with m restricted to it.  The checks walk the continuations
+forward one ``next_economy`` step per period, and both stitching routes
+(recursive solutions and recursive candidates) prepend a first period to
+the solutions of the economy it leaves, down to the horizon-0 economy.
+Payoffs depend only on partner and delay, so an available agent's payoff is
+the same from either view, and two histories with the same continuation
+share one cache entry.  Only a witness still names the original period t.
+
+Only the public entry point :func:`is_phi_solution` validates its matching;
+matchings from ``enumerate_matchings`` are trusted.
 
 A family is its concept: it holds the concept's configuration (the
 empty-conjecture policy and the enumeration cap), set once when it is built,
@@ -25,13 +31,13 @@ from .errors import EmptyContinuationSolutions, NotACandidate, NotAvailable
 from .matching import (
     DEFAULT_MAX_MATCHINGS,
     DynamicMatching,
-    History,
-    continuation,
-    continuation_economy,
+    continuations,
     empty_matching,
     enumerate_matchings,
-    lift,
+    next_economy,
     period_matchings,
+    prepend,
+    validate_matching,
 )
 from .statics import (
     EMPTY_POLICIES,
@@ -41,6 +47,11 @@ from .statics import (
     induced_one_period_economy,
     value_ge,
 )
+
+# The horizon-0 economy, where every recursion ends, has one matching, and it
+# is a solution under every concept.  Returned before any cache lookup,
+# because an economy key hashes the whole preference profile.
+_HORIZON_0_SOLUTIONS = (DynamicMatching(()),)
 
 INDIVIDUAL_A = "IndividualA"
 INDIVIDUAL_B = "IndividualB"
@@ -116,6 +127,8 @@ class ConjectureFamily:
 
     def solution_set(self, economy: Economy) -> tuple[DynamicMatching, ...]:
         """The concept's solution set, memoized by economy key."""
+        if not economy.horizon:
+            return _HORIZON_0_SOLUTIONS
         key = economy.key
         if key not in self._solutions:
             self._solutions[key] = phi_solution_set(economy, self)
@@ -123,10 +136,7 @@ class ConjectureFamily:
 
     def continues_as_solution(self, economy: Economy, m: DynamicMatching) -> bool:
         """Is m, from period 2 on, a solution of its continuation economy?"""
-        if economy.horizon <= 1:
-            return True
-        cont, rest = continuation(economy, m, 2)
-        return rest in self.solution_set(cont)
+        return m.tail() in self.solution_set(next_economy(economy, m.pairs_at(1)))
 
 
 class StableFamily(ConjectureFamily):
@@ -161,14 +171,15 @@ class AgreeFamily(ConjectureFamily):
 
 
 def period_witness(
-    economy: Economy, m: DynamicMatching, t: int, family: ConjectureFamily
+    cont: Economy, rest: DynamicMatching, family: ConjectureFamily, t: int = 1
 ) -> Optional[BlockWitness]:
-    """First violation of the period-t solution conditions, or None.
+    """First violation of the period-1 solution conditions of ``rest`` in
+    ``cont``, or None.  ``cont`` is the continuation economy at period t of
+    the matching under test, and a witness names period t.
 
     Scan order is deterministic: individual objections before pair blocks,
     agents in declaration order.
     """
-    cont, rest = continuation(economy, m, t)
     avail_a, avail_b = cont.arrivals[0]
     for kind, names in ((INDIVIDUAL_A, avail_a), (INDIVIDUAL_B, avail_b)):
         for k in names:
@@ -194,12 +205,25 @@ def period_witness(
 
 
 def is_phi_solution(economy: Economy, m: DynamicMatching, family: ConjectureFamily):
-    """True, or the first BlockWitness in (period, kind, agent) order."""
-    for t in range(1, economy.horizon + 1):
-        witness = period_witness(economy, m, t, family)
+    """True, or the first BlockWitness in (period, kind, agent) order.
+
+    Raises ValueError if m is not a matching of the economy.
+    """
+    validate_matching(economy, m)
+    witness = _first_witness(economy, m, family)
+    return True if witness is None else witness
+
+
+def _first_witness(
+    economy: Economy, m: DynamicMatching, family: ConjectureFamily
+) -> Optional[BlockWitness]:
+    """:func:`is_phi_solution` for an m already known to be a matching of
+    the economy, with None for a solution."""
+    for t, (cont, rest) in enumerate(continuations(economy, m), start=1):
+        witness = period_witness(cont, rest, family, t)
         if witness is not None:
             return witness
-    return True
+    return None
 
 
 def _canonical(matchings: Iterable[DynamicMatching]) -> tuple[DynamicMatching, ...]:
@@ -213,7 +237,7 @@ def phi_solution_set(
     return _canonical(
         m
         for m in enumerate_matchings(economy, max_matchings=family.max_matchings)
-        if is_phi_solution(economy, m, family) is True
+        if _first_witness(economy, m, family) is None
     )
 
 
@@ -233,31 +257,20 @@ def _recursive_solutions(
     economy: Economy, family: ConjectureFamily, cache: dict
 ) -> tuple[DynamicMatching, ...]:
     """:func:`recursive_solution_set`, memoized by economy key in ``cache``."""
+    if not economy.horizon:
+        return _HORIZON_0_SOLUTIONS
     key = economy.key
-    if key in cache:
-        return cache[key]
-    if economy.horizon == 0:
-        result = (DynamicMatching(()),)
-    else:
-        out = []
+    if key not in cache:
         a1, b1 = economy.arrivals[0]
-        for p1 in period_matchings(a1, b1):
-            prefix = DynamicMatching((p1,))
-            if economy.horizon == 1:
-                stitched = [prefix]
-            else:
-                h1 = History(economy, prefix)
-                e2 = continuation_economy(economy, h1)
-                stitched = [
-                    lift(economy, h1, cont)
-                    for cont in _recursive_solutions(e2, family, cache)
-                ]
-            for m in stitched:
-                if period_witness(economy, m, 1, family) is None:
-                    out.append(m)
-        result = _canonical(out)
-    cache[key] = result
-    return result
+        stitched = (
+            prepend(p1, cont)
+            for p1 in period_matchings(a1, b1)
+            for cont in _recursive_solutions(next_economy(economy, p1), family, cache)
+        )
+        cache[key] = _canonical(
+            m for m in stitched if period_witness(economy, m, family) is None
+        )
+    return cache[key]
 
 
 def stable_set_checked(e1: StaticEconomy, cache: dict):
@@ -281,17 +294,12 @@ def candidate_set(
     e1 = induced_one_period_economy(economy, conjectured, family.empty_policy)
     out = []
     for m1 in stable_set_checked(e1, family.stable_sets):
-        prefix = DynamicMatching((m1,))
-        if economy.horizon == 1:
-            out.append(prefix)
-            continue
-        h1 = History(economy, prefix)
-        sols = family.solution_set(continuation_economy(economy, h1))
+        sols = family.solution_set(next_economy(economy, m1))
         if not sols:
             raise EmptyContinuationSolutions(
                 f"no continuation solutions after first period {m1}"
             )
-        out.extend(lift(economy, h1, cont) for cont in sols)
+        out.extend(prepend(m1, cont) for cont in sols)
     return _canonical(out)
 
 
@@ -302,8 +310,7 @@ def candidate_matchings(
     of every period — the non-recursive candidate set."""
     out = []
     for m in enumerate_matchings(economy, max_matchings=family.max_matchings):
-        for t in range(1, economy.horizon + 1):
-            cont, rest = continuation(economy, m, t)
+        for cont, rest in continuations(economy, m):
             e1 = induced_one_period_economy(
                 cont, family.conjecture_sets(cont), family.empty_policy
             )
@@ -332,8 +339,7 @@ def consistency_failures(
     """Every (period, agent) where an available agent m_star leaves unmatched
     does not conjecture m_star."""
     failures = []
-    for t in range(1, economy.horizon + 1):
-        cont, rest = continuation(economy, m_star, t)
+    for t, (cont, rest) in enumerate(continuations(economy, m_star), start=1):
         a1, b1 = cont.arrivals[0]
         for k in (*a1, *b1):
             unmatched = rest.partner(k, 1) == k

@@ -1,23 +1,26 @@
-"""Dynamic matchings: validation, enumeration, histories, continuations.
+"""Dynamic matchings: validation, enumeration, continuations.
 
 A matching is stored as one pair set per period.  Irreversibility shows up as
 set inclusion between consecutive periods, which makes the validator a pure
 structural check and keeps matchings hashable for memoization.
+
+Because matching is irreversible, what happened before period t matters only
+through who is still free at t.  :func:`next_economy` is the one place that
+decides it: the economy from period 2 on, once a period-1 pair set formed.
+``m.tail()`` and :func:`prepend` move a matching into and out of that
+economy.  Enumeration, :func:`continuation` and both stitching routes of the
+framework are built on this one period step, down to the horizon-0 economy,
+whose only matching is ``DynamicMatching(())``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator
 
 from .economy import Economy
-from .errors import (
-    BadMatchingSpec,
-    InvalidHistory,
-    NotAContinuation,
-    SizeLimitExceeded,
-    UnknownAgent,
-)
+from .errors import BadMatchingSpec, NotAvailable, SizeLimitExceeded, UnknownAgent
 
 DEFAULT_MAX_MATCHINGS = 10**7
 
@@ -72,36 +75,25 @@ class DynamicMatching:
         prev = set(self.periods[t - 2]) if t >= 2 else set()
         return tuple(p for p in self.pairs_at(t) if p not in prev)
 
-    def prefix(self, t: int) -> "DynamicMatching":
-        """The matching through period t-1 (a history prefix)."""
-        return DynamicMatching(self.periods[: t - 1])
+    def tail(self) -> "DynamicMatching":
+        """m from period 2 on, with the period-1 pairs left out: m as a
+        matching of ``next_economy(economy, m.pairs_at(1))``."""
+        first = set(self.periods[0])
+        return DynamicMatching(
+            tuple(tuple(p for p in ps if p not in first) for ps in self.periods[1:])
+        )
 
-    def extends(self, other: "DynamicMatching") -> bool:
-        return self.periods[: other.horizon] == other.periods
+
+def prepend(pairs: PeriodPairs, m: DynamicMatching) -> DynamicMatching:
+    """Inverse of :meth:`DynamicMatching.tail`: ``pairs`` form in period 1
+    and m, a matching of the next economy, follows."""
+    return DynamicMatching(
+        (pairs,) + tuple(canonical_pairs(pairs + ps) for ps in m.periods)
+    )
 
 
 def empty_matching(horizon: int) -> DynamicMatching:
     return DynamicMatching(((),) * horizon)
-
-
-@dataclass(frozen=True)
-class History:
-    """A valid matching prefix; the current period is ``len(prefix)+1``."""
-
-    economy: Economy
-    prefix: DynamicMatching
-
-    def __post_init__(self):
-        if self.prefix.horizon and self.prefix.horizon >= self.economy.horizon:
-            raise InvalidHistory("history prefix must stop before the final period")
-        try:
-            _check_prefix(self.economy, self.prefix)
-        except (ValueError, UnknownAgent) as exc:
-            raise InvalidHistory(str(exc)) from exc
-
-    @property
-    def t(self) -> int:
-        return self.prefix.horizon + 1
 
 
 def validate_matching(economy: Economy, m: DynamicMatching) -> None:
@@ -112,10 +104,6 @@ def validate_matching(economy: Economy, m: DynamicMatching) -> None:
     """
     if m.horizon != economy.horizon:
         raise ValueError("matching horizon differs from the economy's")
-    _check_prefix(economy, m)
-
-
-def _check_prefix(economy: Economy, m: DynamicMatching) -> None:
     prev: set[Pair] = set()
     for t in range(1, m.horizon + 1):
         a_arrived, b_arrived = economy.arrived_by(t)
@@ -135,31 +123,34 @@ def _check_prefix(economy: Economy, m: DynamicMatching) -> None:
         prev = pairs
 
 
-def available_agents(
-    economy: Economy, h: History
-) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Agents able to match at h's current period, in declaration order."""
-    t = h.t
-    a_arrived, b_arrived = economy.arrived_by(t)
-    if t == 1:
-        return a_arrived, b_arrived
-    prefix = h.prefix
+def next_economy(economy: Economy, pairs: PeriodPairs) -> Economy:
+    """The economy from period 2 on, once ``pairs`` formed in period 1.
 
-    def free(names: tuple[str, ...]) -> tuple[str, ...]:
-        return tuple(
-            n
-            for n in names
-            if economy.arrival_period(n) == t or prefix.partner(n, t - 1) == n
-        )
+    Matching is irreversible, so a history matters only through who is
+    still free: period 1 of the result lists, in declaration order, the
+    period-1 agents that ``pairs`` leaves single, then the period-2
+    arrivals.  After the last period this is the horizon-0 economy.
+    """
+    matched = {n for pair in pairs for n in pair}
+    (a1, b1), *later = economy.arrivals
+    if not later:
+        return Economy(0, (), economy.profile)
+    (a2, b2), *rest = later
+    single = (
+        tuple(n for n in a1 if n not in matched) + a2,
+        tuple(n for n in b1 if n not in matched) + b2,
+    )
+    return Economy(economy.horizon - 1, (single, *rest), economy.profile)
 
-    return free(a_arrived), free(b_arrived)
 
-
-def continuation_economy(economy: Economy, h: History) -> Economy:
-    """The length T-(t-1) economy induced by matching through h's prefix."""
-    avail_a, avail_b = available_agents(economy, h)
-    schedule = ((avail_a, avail_b),) + economy.arrivals[h.t:]
-    return Economy(economy.horizon - h.t + 1, schedule, economy.profile)
+def continuations(
+    economy: Economy, m: DynamicMatching
+) -> Iterator[tuple[Economy, DynamicMatching]]:
+    """For t = 1..T, the continuation economy at period t and m restricted
+    to it, one :func:`next_economy` step apart.  m is not checked."""
+    while economy.horizon:
+        yield economy, m
+        economy, m = next_economy(economy, m.pairs_at(1)), m.tail()
 
 
 def continuation(
@@ -167,11 +158,12 @@ def continuation(
 ) -> tuple[Economy, DynamicMatching]:
     """The continuation economy after m's first t-1 periods, and m restricted
     to it.  Period t of m is period 1 of the continuation, and an agent
-    available at t gets the same payoff from either view."""
-    if t == 1:
-        return economy, m
-    h = History(economy, m.prefix(t))
-    return continuation_economy(economy, h), restrict(economy, m, h)
+    available at t gets the same payoff from either view.  Raises ValueError
+    if m is not a matching of the economy or t is not one of its periods."""
+    validate_matching(economy, m)
+    if not 1 <= t <= economy.horizon:
+        raise ValueError(f"period {t} outside 1..{economy.horizon}")
+    return next(islice(continuations(economy, m), t - 1, None))
 
 
 def defer_arrivals(economy: Economy, names: Iterable[str]) -> Economy:
@@ -240,55 +232,29 @@ def enumerate_matchings(
     a1, b1 = economy.arrived_by(1)
     for k in forbidden:
         if k not in a1 and k not in b1:
-            raise InvalidHistory(f"constraint agent {k} is not available")
-
+            raise NotAvailable(f"constraint agent {k} is not available")
     out: list[DynamicMatching] = []
-
-    def extend(prefix: DynamicMatching, t: int) -> None:
-        hh = History(economy, prefix) if t <= economy.horizon else None
-        if hh is None:
-            out.append(prefix)
-            if len(out) > max_matchings:
-                raise SizeLimitExceeded(
-                    max_matchings, economy.horizon, len(economy.members())
-                )
-            return
-        a_avail, b_avail = available_agents(economy, hh)
-        keep = set(prefix.pairs_at(t - 1)) if t > 1 else set()
-        block = forbidden if t == 1 else frozenset()
-        for new_pairs in period_matchings(a_avail, b_avail, block):
-            full = canonical_pairs(keep | set(new_pairs))
-            extend(DynamicMatching(prefix.periods + (full,)), t + 1)
-
-    extend(DynamicMatching(()), 1)
+    for m in _matchings(economy, forbidden):
+        out.append(m)
+        if len(out) > max_matchings:
+            raise SizeLimitExceeded(
+                max_matchings, economy.horizon, len(economy.members())
+            )
     return tuple(out)
 
 
-def restrict(
-    economy: Economy, m: DynamicMatching, h: History
-) -> DynamicMatching:
-    """Project m onto the continuation economy after h (periods renumbered)."""
-    if not m.extends(h.prefix):
-        raise NotAContinuation("matching does not extend the history")
-    carried = set(h.prefix.periods[-1]) if h.prefix.horizon else set()
-    periods = tuple(
-        tuple(p for p in m.pairs_at(s) if p not in carried)
-        for s in range(h.t, economy.horizon + 1)
-    )
-    return DynamicMatching(periods)
-
-
-def lift(
-    economy: Economy, h: History, cont: DynamicMatching
-) -> DynamicMatching:
-    """Inverse of :func:`restrict`: splice a continuation matching onto h."""
-    carried = h.prefix.periods[-1] if h.prefix.horizon else ()
-    periods = h.prefix.periods + tuple(
-        canonical_pairs(set(carried) | set(p)) for p in cont.periods
-    )
-    if len(periods) != economy.horizon:
-        raise NotAContinuation("continuation length does not fit the horizon")
-    return DynamicMatching(periods)
+def _matchings(
+    economy: Economy, forbidden: frozenset[str] = frozenset()
+) -> Iterator[DynamicMatching]:
+    """Each period-1 pair set, in order, prepended to each matching of the
+    economy it leaves."""
+    if not economy.horizon:
+        yield DynamicMatching(())
+        return
+    a1, b1 = economy.arrivals[0]
+    for pairs in period_matchings(a1, b1, forbidden):
+        for rest in _matchings(next_economy(economy, pairs)):
+            yield prepend(pairs, rest)
 
 
 def parse_matching_text(economy: Economy, text: str) -> DynamicMatching:

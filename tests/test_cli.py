@@ -91,6 +91,20 @@ def test_malformed_economy_is_an_input_error(tmp_path, capsys):
     assert run_cli("solve", str(path), "--concept", "stable") == 1
 
 
+def test_violated_ordinal_block_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "ordinal.econ"
+    path.write_text(
+        "periods: 1\n"
+        "agent a1 side A arrives 1 delta 1/2\n"
+        "agent b1 side B arrives 1 delta 1/2\n"
+        "agent b2 side B arrives 1 delta 1/2\n"
+        "prefs a1: b1=3 b2=5\n"
+        "ordinal a1: (b1,0) (b2,0)\n"
+    )
+    assert run_cli("solve", str(path), "--concept", "stable") == cli.EXIT_INPUT
+    assert "a1" in capsys.readouterr().err
+
+
 def test_enumeration_cap_exit_code(example1_file, capsys):
     code = run_cli(
         "solve", example1_file, "--concept", "stable", "--max-matchings", "5"

@@ -15,15 +15,15 @@ from dynmatch.framework import (
     check_generalized_consistency,
     consistency_failures,
     is_phi_solution,
+    period_witness,
     phi_solution_set,
     recursive_solution_set,
 )
 from dynmatch.matching import (
     DynamicMatching,
-    History,
-    continuation_economy,
+    continuation,
     enumerate_matchings,
-    restrict,
+    next_economy,
 )
 from dynmatch.statics import (
     EMPTY_POLICIES,
@@ -110,11 +110,26 @@ def test_witness_reports_the_earliest_failing_period():
             verdict = is_phi_solution(e, m, family)
             if verdict is True:
                 continue
-            from dynmatch.framework import period_witness
-
             for t in range(1, verdict.period):
                 # No earlier period can contain a violation.
-                assert period_witness(e, m, t, family) is None
+                cont, rest = continuation(e, m, t)
+                assert period_witness(cont, rest, family, t) is None
+            cont, rest = continuation(e, m, verdict.period)
+            assert period_witness(cont, rest, family, verdict.period) == verdict
+
+
+def test_is_phi_solution_rejects_an_infeasible_matching():
+    e = build_economy(
+        2,
+        [(("a1",), ("b1",)), ((), ("b2",))],
+        {n: Fraction(1, 2) for n in ("a1", "b1", "b2")},
+        {("a1", "b1"): Fraction(1), ("a1", "b2"): Fraction(1)},
+    )
+    doubled = DynamicMatching(((), (("a1", "b1"), ("a1", "b2"))))
+    one_period = DynamicMatching(((),))
+    for m in (doubled, one_period):
+        with pytest.raises(ValueError):
+            is_phi_solution(e, m, StableFamily())
 
 
 def test_conjecture_sets_leave_the_owner_unmatched_now():
@@ -149,10 +164,10 @@ def test_conjectures_reduce_to_the_continuation_market():
     )
     family = RandomFamily(7)
     # Both histories free exactly a3 and b3 for period 2.
-    h_one = History(e, DynamicMatching(((("a1", "b1"), ("a2", "b2")),)))
-    h_two = History(e, DynamicMatching(((("a1", "b2"), ("a2", "b1")),)))
-    one = family.conjecture_set(continuation_economy(e, h_one), "a3")
-    two = RandomFamily(7).conjecture_set(continuation_economy(e, h_two), "a3")
+    e_one = next_economy(e, (("a1", "b1"), ("a2", "b2")))
+    e_two = next_economy(e, (("a1", "b2"), ("a2", "b1")))
+    one = family.conjecture_set(e_one, "a3")
+    two = RandomFamily(7).conjecture_set(e_two, "a3")
     assert one == two and one
 
 
@@ -161,16 +176,17 @@ def test_agree_conjecture_sets_in_the_last_period_are_unrestricted():
         if e.horizon < 2:
             continue
         family = AgreeFamily()
+        T = e.horizon
         for m in enumerate_matchings(e):
-            h = History(e, m.prefix(e.horizon))
-            cont = continuation_economy(e, h)
+            cont, _ = continuation(e, m, T)
             a1, b1 = cont.arrivals[0]
             for k in (*a1, *b1):
                 got = set(family.conjecture_set(cont, k))
                 base = {
-                    restrict(e, c, h)
+                    continuation(e, c, T)[1]
                     for c in enumerate_matchings(e)
-                    if c.extends(h.prefix) and c.partner(k, e.horizon) == k
+                    if c.periods[: T - 1] == m.periods[: T - 1]
+                    and c.partner(k, T) == k
                 }
                 assert got == base
             break  # one history per economy keeps this cheap

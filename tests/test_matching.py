@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -5,26 +6,18 @@ from fractions import Fraction
 import pytest
 
 from dynmatch.economy import build_economy, payoff
-from dynmatch.errors import (
-    BadMatchingSpec,
-    InvalidHistory,
-    NotAContinuation,
-    SizeLimitExceeded,
-)
+from dynmatch.errors import BadMatchingSpec, NotAvailable, SizeLimitExceeded
 from dynmatch.matching import (
     DynamicMatching,
-    History,
-    available_agents,
     continuation,
-    continuation_economy,
     defer_arrivals,
     empty_matching,
     enumerate_matchings,
-    lift,
     matching_text,
+    next_economy,
     parse_matching_text,
     period_matchings,
-    restrict,
+    prepend,
     validate_matching,
 )
 
@@ -87,6 +80,30 @@ def test_enumeration_is_duplicate_free_and_deterministic():
         assert ms == enumerate_matchings(e)
 
 
+def test_enumeration_is_complete():
+    # Every sequence of per-period pair sets over arrived agents that the
+    # validator accepts is enumerated, and nothing else is.
+    markets = [e for e in corpus(12, 12, max_per_side=2) if e.horizon > 1]
+    assert markets
+    for e in markets:
+        a_names, b_names = e.arrived_by(e.horizon)
+        cross = [(a, b) for a in a_names for b in b_names]
+        pair_sets = [
+            tuple(sorted(c))
+            for r in range(len(cross) + 1)
+            for c in itertools.combinations(cross, r)
+        ]
+        valid = set()
+        for periods in itertools.product(pair_sets, repeat=e.horizon):
+            m = DynamicMatching(periods)
+            try:
+                validate_matching(e, m)
+            except ValueError:
+                continue
+            valid.add(m)
+        assert set(enumerate_matchings(e)) == valid
+
+
 def test_constrained_equals_filtered_enumeration():
     rng = random.Random(3)
     for _ in range(15):
@@ -140,17 +157,19 @@ def test_available_agents_tracks_arrivals_and_matches():
         {n: Fraction(1) for n in ("a1", "a2", "a3", "b1", "b2")},
         {("a1", "b1"): Fraction(1), ("b1", "a1"): Fraction(1)},
     )
-    h0 = History(e, DynamicMatching(()))
-    assert available_agents(e, h0) == (("a1", "a2"), ("b1",))
-    h1 = History(e, DynamicMatching(((("a1", "b1"),),)))
-    assert available_agents(e, h1) == (("a2", "a3"), ("b2",))
+    after = next_economy(e, (("a1", "b1"),))
+    assert after.horizon == 1
+    assert after.arrivals == ((("a2", "a3"), ("b2",)),)
+    final = next_economy(after, ())
+    assert (final.horizon, final.arrivals) == (0, ())
+    assert enumerate_matchings(final) == (DynamicMatching(()),)
 
 
 def test_continuation_economy_after_empty_history_is_identity():
     rng = random.Random(4)
     e = random_economy(rng, max_per_side=2)
-    cont = continuation_economy(e, History(e, DynamicMatching(())))
-    assert cont.key == e.key
+    for m in enumerate_matchings(e):
+        assert continuation(e, m, 1) == (e, m)
 
 
 def test_continuation_depends_only_on_available_agents():
@@ -167,24 +186,21 @@ def test_continuation_depends_only_on_available_agents():
             ("b2", "a1"): Fraction(1),
         },
     )
-    h_one = History(e, DynamicMatching(((("a1", "b1"), ("a2", "b2")),)))
-    h_two = History(e, DynamicMatching(((("a1", "b2"), ("a2", "b1")),)))
-    assert (
-        continuation_economy(e, h_one).key == continuation_economy(e, h_two).key
-    )
+    one = next_economy(e, (("a1", "b1"), ("a2", "b2")))
+    two = next_economy(e, (("a1", "b2"), ("a2", "b1")))
+    assert one.key == two.key
 
 
-def test_restrict_and_lift_are_inverse():
+def test_tail_and_prepend_are_inverse():
     rng = random.Random(6)
     for _ in range(10):
         e = random_economy(rng, horizon=2, max_per_side=2)
         for m in enumerate_matchings(e):
-            h1 = History(e, m.prefix(2))
-            cont = restrict(e, m, h1)
-            assert lift(e, h1, cont) == m
-            cont_e = continuation_economy(e, h1)
-            validate_matching(cont_e, cont)
-            assert continuation(e, m, 2) == (cont_e, cont)
+            pairs, rest = m.pairs_at(1), m.tail()
+            assert prepend(pairs, rest) == m
+            after = next_economy(e, pairs)
+            validate_matching(after, rest)
+            assert continuation(e, m, 2) == (after, rest)
 
 
 def test_period_t_payoffs_are_period_1_payoffs_of_the_continuation():
@@ -192,23 +208,27 @@ def test_period_t_payoffs_are_period_1_payoffs_of_the_continuation():
         for m in enumerate_matchings(e):
             for t in range(1, e.horizon + 1):
                 cont, rest = continuation(e, m, t)
-                avail_a, avail_b = available_agents(e, History(e, m.prefix(t)))
+                # Available at t: arrived by t and single through t - 1.
+                avail_a, avail_b = (
+                    tuple(n for n in names if t == 1 or m.partner(n, t - 1) == n)
+                    for names in e.arrived_by(t)
+                )
                 assert cont.arrivals[0] == (avail_a, avail_b)
                 for k in (*avail_a, *avail_b):
                     assert payoff(e, m, k, t) == payoff(cont, rest, k, 1)
 
 
-def test_restrict_requires_extension():
-    e = static_economy(1, 1)
-    e2 = build_economy(
+def test_continuation_checks_its_matching_and_period():
+    e = build_economy(
         2,
-        [(("a1",), ("b1",)), ((), ())],
-        {"a1": Fraction(1), "b1": Fraction(1)},
-        {("a1", "b1"): Fraction(1), ("b1", "a1"): Fraction(1)},
+        [(("a1",), ("b1",)), ((), ("b2",))],
+        {n: Fraction(1) for n in ("a1", "b1", "b2")},
+        {},
     )
-    h1 = History(e2, DynamicMatching(((("a1", "b1"),),)))
-    with pytest.raises(NotAContinuation):
-        restrict(e2, empty_matching(2), h1)
+    doubled = DynamicMatching(((), (("a1", "b1"), ("a1", "b2"))))
+    for m, t in ((doubled, 2), (DynamicMatching(((),)), 1), (empty_matching(2), 3)):
+        with pytest.raises(ValueError):
+            continuation(e, m, t)
 
 
 def test_defer_arrivals_moves_agent_to_period_two():
@@ -241,7 +261,7 @@ def test_constraint_agent_must_be_available():
         {"a1": Fraction(1), "b1": Fraction(1)},
         {},
     )
-    with pytest.raises(InvalidHistory):
+    with pytest.raises(NotAvailable):
         enumerate_matchings(e, unmatched_now=["b1"])
 
 

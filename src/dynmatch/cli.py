@@ -1,7 +1,7 @@
 """Command-line front end: solve, check, and reproduce.
 
 Exit codes: 0 success (nonempty solution set / check passed), 1 input error
-(a bad flag or flag value included), 2 enumeration cap exceeded, 3 empty
+(a bad flag or flag value included), 2 size cap exceeded, 3 empty
 solution set, 4 check failed.  Reports go to stdout and are byte-identical
 for identical inputs and flags; timing and diagnostics go to stderr.
 """

@@ -1,7 +1,8 @@
 """The named solution concepts and the solver facade.
 
-Each concept is a conjecture family; the family memoizes its own conjecture
-and solution sets (see :class:`~dynmatch.framework.ConjectureFamily`):
+Each concept is a conjecture family; the family memoizes its own conjecture,
+solution and candidate sets, each a first period stitched onto a solved
+continuation (see :class:`~dynmatch.framework.ConjectureFamily`):
 
 - ``stable``: myopic conjectures (nobody matches again), i.e. per-period
   individual rationality plus no blocking pair.
@@ -35,16 +36,10 @@ from .framework import (
     StableFamily,
     _canonical,
     _first_witness,
-    candidate_matchings,
     candidate_set,
     consistency_failures,
 )
-from .matching import (
-    DEFAULT_MAX_MATCHINGS,
-    DynamicMatching,
-    defer_arrivals,
-    enumerate_matchings,
-)
+from .matching import DEFAULT_MAX_MATCHINGS, DynamicMatching, defer_arrivals
 from .statics import conjecture_threshold, stability_among_matched
 
 
@@ -67,16 +62,11 @@ class DSFamily(ConjectureFamily):
     name = "ds"
 
     def _root_conjectures(self, economy, k):
-        # The period-1 test is cheap; it runs first so that rejected
-        # matchings never solve their continuation economy.
-        return [
-            mbar
-            for mbar in enumerate_matchings(
-                economy, unmatched_now=[k], max_matchings=self.max_matchings
-            )
-            if stability_among_matched(economy, mbar.pairs_at(1), {})
-            and self.continues_as_solution(economy, mbar)
-        ]
+        # The period-1 test is cheap; it runs first so that rejected first
+        # periods never solve their continuation economy.
+        return self._single_now(
+            economy, k, lambda p1: stability_among_matched(economy, p1, {})
+        )
 
 
 class FixedPointFamily(ConjectureFamily):
@@ -129,13 +119,7 @@ class CVRFamily(FixedPointFamily):
     name = "cvr-ds"
 
     def _start(self, economy, k):
-        return _canonical(
-            mbar
-            for mbar in enumerate_matchings(
-                economy, unmatched_now=[k], max_matchings=self.max_matchings
-            )
-            if self.continues_as_solution(economy, mbar)
-        )
+        return self._single_now(economy, k)
 
     def _refine(self, economy, current, members):
         """``members`` filtered by the thresholds that ``current`` implies."""
@@ -242,7 +226,7 @@ class Solver:
     def solve(self, concept: str, economy: Economy) -> SolveReport:
         family = self.family(concept)
         solutions = family.solution_set(economy)
-        candidates = candidate_matchings(economy, family)
+        candidates = family.candidates(economy)
         consistency = tuple(
             (c, not fails, fails)
             for c in candidates

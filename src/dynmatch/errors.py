@@ -14,11 +14,9 @@ class NotAvailable(DynmatchError):
 
 
 class SizeLimitExceeded(DynmatchError):
-    """Exhaustive enumeration exceeded the configured cap.
-
-    Names the economy being enumerated, which may be a continuation or
-    deferred economy met inside a conjecture computation.
-    """
+    """More matchings than the configured cap were stitched in one economy,
+    which the message names: possibly a continuation or deferred economy met
+    inside a conjecture computation."""
 
     def __init__(self, cap: int, horizon: int, agents: int):
         super().__init__(

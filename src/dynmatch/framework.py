@@ -4,21 +4,21 @@ A conjecture family answers "which full matchings does agent k deem possible
 if k stays unmatched this period".  Families are defined at period 1 of an
 arbitrary economy.  A question about period t of a matching m is asked at
 period 1 of the continuation economy at t: the economy of the agents still
-available at t, with m restricted to it.  The checks walk the continuations
-forward one ``next_economy`` step per period, and both stitching routes
-(recursive solutions and recursive candidates) prepend a first period to
-the solutions of the economy it leaves, down to the horizon-0 economy.
-Payoffs depend only on partner and delay, so an available agent's payoff is
-the same from either view, and two histories with the same continuation
-share one cache entry.  Only a witness still names the original period t.
+available at t, with m restricted to it.  Payoffs depend only on partner and
+delay, so an available agent's payoff is the same from either view, and two
+histories with the same continuation share one cache entry.
 
-Only the public entry point :func:`is_phi_solution` validates its matching;
-matchings from ``enumerate_matchings`` are trusted.
+The solve path follows the recursive definitions: a solution, a conjecture
+and a candidate are each a first period stitched onto a solved continuation
+(:func:`~dynmatch.matching.stitch`), memoized per economy key.  The
+exhaustive :func:`phi_solution_set` and :func:`candidate_matchings` filter
+every full matching and are kept only as oracles.  Only
+:func:`is_phi_solution` validates its matching.
 
 A family is its concept: it holds the concept's configuration (the
-empty-conjecture policy and the enumeration cap), set once when it is built,
-and every function here takes the family and reads the configuration from
-it, so the exhaustive and recursive routes cannot disagree about it.
+empty-conjecture policy and the size cap), set once when it is built, and
+every function here reads it from the family, so the exhaustive and
+recursive routes cannot disagree about it.
 """
 
 from __future__ import annotations
@@ -34,9 +34,8 @@ from .matching import (
     continuations,
     empty_matching,
     enumerate_matchings,
-    next_economy,
     period_matchings,
-    prepend,
+    stitch,
     validate_matching,
 )
 from .statics import (
@@ -49,9 +48,9 @@ from .statics import (
 )
 
 # The horizon-0 economy, where every recursion ends, has one matching, and it
-# is a solution under every concept.  Returned before any cache lookup,
-# because an economy key hashes the whole preference profile.
-_HORIZON_0_SOLUTIONS = (DynamicMatching(()),)
+# is a solution and a candidate under every concept.  Returned before any
+# cache lookup, because an economy key hashes the whole preference profile.
+_HORIZON_0 = (DynamicMatching(()),)
 
 INDIVIDUAL_A = "IndividualA"
 INDIVIDUAL_B = "IndividualB"
@@ -81,8 +80,8 @@ class ConjectureFamily:
     Subclasses implement :meth:`_root_conjectures` for an agent available in
     period 1 of a (continuation) economy; results are cached per canonical
     economy key.  The family also holds its concept's configuration and
-    every cache the concept fills: conjecture sets, solution sets and static
-    stable sets.
+    every cache the concept fills: conjecture sets, solution sets,
+    candidate sets and static stable sets.
     """
 
     name = "?"
@@ -103,6 +102,7 @@ class ConjectureFamily:
         self.max_matchings = max_matchings
         self._cache: dict = {}
         self._solutions: dict = {}
+        self._candidates: dict = {}
         self.stable_sets: dict = {}
 
     def conjecture_set(self, economy: Economy, k: str) -> tuple[DynamicMatching, ...]:
@@ -126,17 +126,29 @@ class ConjectureFamily:
         raise NotImplementedError
 
     def solution_set(self, economy: Economy) -> tuple[DynamicMatching, ...]:
-        """The concept's solution set, memoized by economy key."""
-        if not economy.horizon:
-            return _HORIZON_0_SOLUTIONS
-        key = economy.key
-        if key not in self._solutions:
-            self._solutions[key] = phi_solution_set(economy, self)
-        return self._solutions[key]
+        """The concept's solution set, stitched and memoized by economy key."""
+        return _recursive_solutions(economy, self, self._solutions)
 
-    def continues_as_solution(self, economy: Economy, m: DynamicMatching) -> bool:
-        """Is m, from period 2 on, a solution of its continuation economy?"""
-        return m.tail() in self.solution_set(next_economy(economy, m.pairs_at(1)))
+    def candidates(self, economy: Economy) -> tuple[DynamicMatching, ...]:
+        """Stable first periods of the induced economy, each stitched onto
+        the candidates of the economy it leaves; memoized by economy key."""
+        if not economy.horizon:
+            return _HORIZON_0
+        key = economy.key
+        if key not in self._candidates:
+            self._candidates[key] = _stable_stitched(
+                economy, self.conjecture_sets(economy), self, self.candidates
+            )
+        return self._candidates[key]
+
+    def _single_now(self, economy: Economy, k: str, keep=lambda p1: True):
+        """First periods that leave k single and pass ``keep``, each stitched
+        onto the solutions of the economy it leaves."""
+        a1, b1 = economy.arrivals[0]
+        firsts = filter(keep, period_matchings(a1, b1, frozenset((k,))))
+        return _canonical(
+            stitch(economy, firsts, self.solution_set, self.max_matchings)
+        )
 
 
 class StableFamily(ConjectureFamily):
@@ -161,13 +173,7 @@ class AgreeFamily(ConjectureFamily):
     name = "agree"
 
     def _root_conjectures(self, economy, k):
-        return [
-            m
-            for m in enumerate_matchings(
-                economy, unmatched_now=[k], max_matchings=self.max_matchings
-            )
-            if self.continues_as_solution(economy, m)
-        ]
+        return self._single_now(economy, k)
 
 
 def period_witness(
@@ -233,7 +239,8 @@ def _canonical(matchings: Iterable[DynamicMatching]) -> tuple[DynamicMatching, .
 def phi_solution_set(
     economy: Economy, family: ConjectureFamily
 ) -> tuple[DynamicMatching, ...]:
-    """Exhaustive filter of all matchings by the solution conditions."""
+    """Exhaustive filter of all matchings by the solution conditions; an
+    oracle for the stitched :meth:`ConjectureFamily.solution_set`."""
     return _canonical(
         m
         for m in enumerate_matchings(economy, max_matchings=family.max_matchings)
@@ -244,12 +251,8 @@ def phi_solution_set(
 def recursive_solution_set(
     economy: Economy, family: ConjectureFamily
 ) -> tuple[DynamicMatching, ...]:
-    """Same set, computed by period-1 conditions plus solved continuations.
-
-    An independent route to :func:`phi_solution_set`, used as an oracle:
-    instead of filtering full matchings, it stitches each feasible first
-    period onto the recursively solved continuation economy.
-    """
+    """Same set, by the stitching route of
+    :meth:`ConjectureFamily.solution_set` with a fresh solution cache."""
     return _recursive_solutions(economy, family, {})
 
 
@@ -258,14 +261,15 @@ def _recursive_solutions(
 ) -> tuple[DynamicMatching, ...]:
     """:func:`recursive_solution_set`, memoized by economy key in ``cache``."""
     if not economy.horizon:
-        return _HORIZON_0_SOLUTIONS
+        return _HORIZON_0
     key = economy.key
     if key not in cache:
         a1, b1 = economy.arrivals[0]
-        stitched = (
-            prepend(p1, cont)
-            for p1 in period_matchings(a1, b1)
-            for cont in _recursive_solutions(next_economy(economy, p1), family, cache)
+        stitched = stitch(
+            economy,
+            period_matchings(a1, b1),
+            lambda cont: _recursive_solutions(cont, family, cache),
+            family.max_matchings,
         )
         cache[key] = _canonical(
             m for m in stitched if period_witness(economy, m, family) is None
@@ -290,24 +294,33 @@ def candidate_set(
     solved continuations.  ``conjectured`` maps each period-1 agent to the
     matchings backing their reservation value."""
     if economy.horizon == 0:
-        return (DynamicMatching(()),)
-    e1 = induced_one_period_economy(economy, conjectured, family.empty_policy)
-    out = []
-    for m1 in stable_set_checked(e1, family.stable_sets):
-        sols = family.solution_set(next_economy(economy, m1))
+        return _HORIZON_0
+
+    def solved(cont: Economy) -> tuple[DynamicMatching, ...]:
+        sols = family.solution_set(cont)
         if not sols:
             raise EmptyContinuationSolutions(
-                f"no continuation solutions after first period {m1}"
+                f"no continuation solutions for the arrivals {cont.arrivals}"
             )
-        out.extend(prepend(m1, cont) for cont in sols)
-    return _canonical(out)
+        return sols
+
+    return _stable_stitched(economy, conjectured, family, solved)
+
+
+def _stable_stitched(economy, conjectured, family, rest):
+    """The stable set of the period-1 economy that ``conjectured`` induces,
+    each first period stitched onto ``rest`` of the economy it leaves."""
+    e1 = induced_one_period_economy(economy, conjectured, family.empty_policy)
+    firsts = stable_set_checked(e1, family.stable_sets)
+    return _canonical(stitch(economy, firsts, rest, family.max_matchings))
 
 
 def candidate_matchings(
     economy: Economy, family: ConjectureFamily
 ) -> tuple[DynamicMatching, ...]:
     """Matchings whose newly formed pairs are stable in the induced economy
-    of every period — the non-recursive candidate set."""
+    of every period — the exhaustive candidate set, an oracle for
+    :meth:`ConjectureFamily.candidates`."""
     out = []
     for m in enumerate_matchings(economy, max_matchings=family.max_matchings):
         for cont, rest in continuations(economy, m):
@@ -352,7 +365,7 @@ def check_consistency(
     economy: Economy, m_star: DynamicMatching, family: ConjectureFamily
 ) -> ConsistencyVerdict:
     """Does every agent the candidate leaves unmatched conjecture it?"""
-    if m_star not in candidate_matchings(economy, family):
+    if m_star not in family.candidates(economy):
         raise NotACandidate("matching is not in the candidate set")
     failures = consistency_failures(economy, m_star, family)
     return ConsistencyVerdict(not failures, failures)

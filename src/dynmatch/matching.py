@@ -8,19 +8,21 @@ Because matching is irreversible, what happened before period t matters only
 through who is still free at t.  :func:`next_economy` is the one place that
 decides it: the economy from period 2 on, once a period-1 pair set formed.
 ``m.tail()`` and :func:`prepend` move a matching into and out of that
-economy.  Enumeration, :func:`continuation` and both stitching routes of the
-framework are built on this one period step, down to the horizon-0 economy,
-whose only matching is ``DynamicMatching(())``.
+economy.  :func:`stitch` is the one loop that prepends first periods: it puts
+each period-1 pair set in front of the matchings some rule picks in the
+economy it leaves, and it enforces the size cap.  Enumeration and every
+solve route (solutions, conjectures, candidates) are built on it, down to the
+horizon-0 economy, whose only matching is ``DynamicMatching(())``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .economy import Economy
-from .errors import BadMatchingSpec, NotAvailable, SizeLimitExceeded, UnknownAgent
+from .errors import BadMatchingSpec, SizeLimitExceeded, UnknownAgent
 
 DEFAULT_MAX_MATCHINGS = 10**7
 
@@ -143,6 +145,26 @@ def next_economy(economy: Economy, pairs: PeriodPairs) -> Economy:
     return Economy(economy.horizon - 1, (single, *rest), economy.profile)
 
 
+def stitch(
+    economy: Economy,
+    firsts: Iterable[PeriodPairs],
+    rest: Callable[[Economy], Iterable[DynamicMatching]],
+    cap: int,
+) -> tuple[DynamicMatching, ...]:
+    """Each period-1 pair set of ``firsts``, in order, prepended to every
+    matching that ``rest(next_economy(economy, p1))`` returns, in order.
+
+    Raises SizeLimitExceeded, naming this economy, once more than ``cap``
+    matchings are stitched.
+    """
+    out: list[DynamicMatching] = []
+    for p1 in firsts:
+        out.extend(prepend(p1, m) for m in rest(next_economy(economy, p1)))
+        if len(out) > cap:
+            raise SizeLimitExceeded(cap, economy.horizon, len(economy.members()))
+    return tuple(out)
+
+
 def continuations(
     economy: Economy, m: DynamicMatching
 ) -> Iterator[tuple[Economy, DynamicMatching]]:
@@ -219,42 +241,21 @@ def period_matchings(
 
 
 def enumerate_matchings(
-    economy: Economy,
-    unmatched_now: Iterable[str] = (),
-    max_matchings: int = DEFAULT_MAX_MATCHINGS,
+    economy: Economy, max_matchings: int = DEFAULT_MAX_MATCHINGS
 ) -> tuple[DynamicMatching, ...]:
-    """All dynamic matchings of the economy, duplicate-free and deterministic.
-
-    ``unmatched_now`` agents must stay single in period 1; they may match
-    later.  Raises SizeLimitExceeded past ``max_matchings``.
-    """
-    forbidden = frozenset(unmatched_now)
-    a1, b1 = economy.arrived_by(1)
-    for k in forbidden:
-        if k not in a1 and k not in b1:
-            raise NotAvailable(f"constraint agent {k} is not available")
-    out: list[DynamicMatching] = []
-    for m in _matchings(economy, forbidden):
-        out.append(m)
-        if len(out) > max_matchings:
-            raise SizeLimitExceeded(
-                max_matchings, economy.horizon, len(economy.members())
-            )
-    return tuple(out)
-
-
-def _matchings(
-    economy: Economy, forbidden: frozenset[str] = frozenset()
-) -> Iterator[DynamicMatching]:
-    """Each period-1 pair set, in order, prepended to each matching of the
-    economy it leaves."""
+    """All dynamic matchings of the economy, duplicate-free and deterministic:
+    each period-1 pair set, in order, stitched onto every matching of the
+    economy it leaves.  Raises SizeLimitExceeded past ``max_matchings``.
+    Exhaustive, so the solver never calls it; tests use it as an oracle."""
     if not economy.horizon:
-        yield DynamicMatching(())
-        return
+        return (DynamicMatching(()),)
     a1, b1 = economy.arrivals[0]
-    for pairs in period_matchings(a1, b1, forbidden):
-        for rest in _matchings(next_economy(economy, pairs)):
-            yield prepend(pairs, rest)
+    return stitch(
+        economy,
+        period_matchings(a1, b1),
+        lambda cont: enumerate_matchings(cont, max_matchings),
+        max_matchings,
+    )
 
 
 def parse_matching_text(economy: Economy, text: str) -> DynamicMatching:

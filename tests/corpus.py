@@ -82,7 +82,7 @@ class RandomFamily(ConjectureFamily):
         self.seed = seed
 
     def _root_conjectures(self, economy, k):
-        base = enumerate_matchings(economy, unmatched_now=[k])
+        base = [m for m in enumerate_matchings(economy) if m.partner(k, 1) == k]
         # str seeds are hashed deterministically, unlike tuples of str.
         rng = random.Random(f"{self.seed}|{economy.key}|{k}")
         size = rng.randint(1, len(base))

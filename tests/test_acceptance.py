@@ -18,7 +18,7 @@ from dynmatch.framework import (
     phi_solution_set,
     recursive_solution_set,
 )
-from dynmatch.matching import enumerate_matchings
+from dynmatch.matching import enumerate_matchings, next_economy
 from dynmatch.reproduce import (
     FIXTURE_NAMES,
     fixture_text,
@@ -147,13 +147,31 @@ def test_criterion_7_oracle_equivalences(solver, markets):
             assert recursive_solution_set(e, family) == phi_solution_set(
                 e, family
             )
-        # Constrained enumeration vs filtering the full enumeration.
-        a1, b1 = e.arrivals[0]
-        if a1 or b1:
-            k = rng.choice((*a1, *b1))
-            assert set(enumerate_matchings(e, unmatched_now=[k])) == {
-                m for m in enumerate_matchings(e) if m.partner(k, 1) == k
-            }
+        # Stitched conjectures vs filtering the full enumeration: k single in
+        # period 1, ds's period-1 test, and an exhaustively solved tail.
+        full = enumerate_matchings(e)
+        for concept in ("agree", "ds", "cvr-ds"):
+            family = solver.family(concept)
+            tails = {}
+            for m in full:
+                cont = next_economy(e, m.pairs_at(1))
+                if cont.key not in tails:
+                    tails[cont.key] = set(phi_solution_set(cont, family))
+            if concept == "cvr-ds":
+                stitched = family.iterates(e)[0]
+            else:
+                stitched = family.conjecture_sets(e)
+            for k, conjectures in stitched.items():
+                assert set(conjectures) == {
+                    m
+                    for m in full
+                    if m.partner(k, 1) == k
+                    and (
+                        concept != "ds"
+                        or stability_among_matched(e, m.pairs_at(1), {})
+                    )
+                    and m.tail() in tails[next_economy(e, m.pairs_at(1)).key]
+                }
     # Deferred acceptance lands in the exhaustive stable set, and the
     # same-unmatched-set property holds across each checked stable set.
     for _ in range(60):

@@ -1,12 +1,16 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from dynmatch import cli, is_phi_solution, parse_matching_text
 from dynmatch.framework import StableFamily
 from dynmatch.reproduce import fixture_text
+
+ROOT = Path(__file__).resolve().parent.parent
 
 ONE_PAIR = """\
 periods: 1
@@ -112,7 +116,7 @@ def test_enumeration_cap_exit_code(example1_file, capsys):
     assert code == cli.EXIT_SIZE
     assert capsys.readouterr().err == (
         "error: enumeration exceeded the cap of 5 matchings in an economy "
-        "with horizon 2 and 8 agents\n"
+        "with horizon 1 and 8 agents\n"
     )
 
 
@@ -207,11 +211,13 @@ def test_reproduce_subcommand(capsys):
 
 
 def test_installed_entry_point_runs(econ_file):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, "-m", "dynmatch.cli", "solve", econ_file,
          "--concept", "stable", "--json"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["solutions"] == ["t=1: a1-b1"]

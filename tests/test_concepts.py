@@ -4,7 +4,7 @@ import pytest
 
 from dynmatch.concepts import CONCEPT_NAMES, Solver
 from dynmatch.framework import phi_solution_set, recursive_solution_set
-from dynmatch.matching import defer_arrivals
+from dynmatch.matching import defer_arrivals, enumerate_matchings
 from dynmatch.reproduce import (
     EXAMPLE1_STAR,
     EXAMPLE2_LEFT,
@@ -115,6 +115,15 @@ def test_both_solution_routes_agree_on_random_markets(solver, concept):
     family = solver.family(concept)
     for e in corpus(54, 8, max_per_side=2):
         assert recursive_solution_set(e, family) == phi_solution_set(e, family)
+
+
+@pytest.mark.parametrize("concept", CONCEPT_NAMES)
+def test_the_full_enumeration_count_is_always_a_sufficient_cap(concept):
+    # Every economy the solver visits stitches at most as many matchings as
+    # the root economy has, so a cap that admits the full enumeration
+    # admits the solve.
+    for e in corpus(55, 30):
+        Solver(max_matchings=len(enumerate_matchings(e))).solve(concept, e)
 
 
 def test_both_solution_routes_agree_under_strict_empty_conjectures():

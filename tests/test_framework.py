@@ -1,8 +1,10 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+from dynmatch.concepts import CONCEPT_NAMES, Solver
 from dynmatch.economy import build_economy, payoff
 from dynmatch.errors import NotACandidate, NotAvailable
 from dynmatch.framework import (
@@ -192,12 +194,41 @@ def test_agree_conjecture_sets_in_the_last_period_are_unrestricted():
             break  # one history per economy keeps this cheap
 
 
-def test_candidate_routes_agree_for_the_self_referential_family():
+@pytest.mark.parametrize("concept", CONCEPT_NAMES)
+def test_candidate_routes_agree_for_every_concept(concept):
+    family = Solver().family(concept)
     for e in corpus(39, 10, max_per_side=2):
-        family = AgreeFamily()
-        non_recursive = candidate_matchings(e, family)
-        recursive = candidate_set(e, family.conjecture_sets(e), family)
-        assert non_recursive == recursive
+        exhaustive = candidate_matchings(e, family)
+        assert candidate_set(e, family.conjecture_sets(e), family) == exhaustive
+        assert family.candidates(e) == exhaustive
+
+
+def test_solver_never_calls_the_exhaustive_routes(monkeypatch):
+    markets = corpus(41, 6, max_per_side=2)
+    oracle = Solver()
+    expected = {
+        (concept, e.key): (
+            phi_solution_set(e, oracle.family(concept)),
+            candidate_matchings(e, oracle.family(concept)),
+        )
+        for concept in CONCEPT_NAMES
+        for e in markets
+    }
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the solve path called an exhaustive route")
+
+    names = ("phi_solution_set", "candidate_matchings", "enumerate_matchings")
+    for module_name, module in list(sys.modules.items()):
+        if module_name == "dynmatch" or module_name.startswith("dynmatch."):
+            for name in names:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+    solver = Solver()
+    for concept in CONCEPT_NAMES:
+        for e in markets:
+            report = solver.solve(concept, e)
+            assert (report.solutions, report.candidates) == expected[concept, e.key]
 
 
 def test_solutions_are_candidates_for_the_self_referential_family():

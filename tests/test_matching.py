@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from dynmatch.economy import build_economy, payoff
-from dynmatch.errors import BadMatchingSpec, NotAvailable, SizeLimitExceeded
+from dynmatch.errors import BadMatchingSpec, SizeLimitExceeded
 from dynmatch.matching import (
     DynamicMatching,
     continuation,
@@ -102,19 +102,6 @@ def test_enumeration_is_complete():
                 continue
             valid.add(m)
         assert set(enumerate_matchings(e)) == valid
-
-
-def test_constrained_equals_filtered_enumeration():
-    rng = random.Random(3)
-    for _ in range(15):
-        e = random_economy(rng, max_per_side=2)
-        a1, b1 = e.arrivals[0]
-        for k in (*a1, *b1):
-            constrained = enumerate_matchings(e, unmatched_now=[k])
-            filtered = tuple(
-                m for m in enumerate_matchings(e) if m.partner(k, 1) == k
-            )
-            assert set(constrained) == set(filtered)
 
 
 def test_validator_rejects_dissolved_pairs():
@@ -252,17 +239,6 @@ def test_defer_arrivals_drops_agent_in_one_period_economy():
 def test_period_matchings_respects_forbidden_agents():
     for pairs in period_matchings(("a1", "a2"), ("b1",), frozenset({"a1"})):
         assert all(a != "a1" for a, _ in pairs)
-
-
-def test_constraint_agent_must_be_available():
-    e = build_economy(
-        2,
-        [(("a1",), ()), ((), ("b1",))],
-        {"a1": Fraction(1), "b1": Fraction(1)},
-        {},
-    )
-    with pytest.raises(NotAvailable):
-        enumerate_matchings(e, unmatched_now=["b1"])
 
 
 def test_matching_text_round_trip():

@@ -154,9 +154,9 @@ def test_criterion_7_oracle_equivalences(solver, markets):
             family = solver.family(concept)
             tails = {}
             for m in full:
-                cont = next_economy(e, m.pairs_at(1))
-                if cont.key not in tails:
-                    tails[cont.key] = set(phi_solution_set(cont, family))
+                p1 = m.pairs_at(1)
+                if p1 not in tails:
+                    tails[p1] = set(phi_solution_set(next_economy(e, p1), family))
             if concept == "cvr-ds":
                 stitched = family.iterates(e)[0]
             else:
@@ -170,7 +170,7 @@ def test_criterion_7_oracle_equivalences(solver, markets):
                         concept != "ds"
                         or stability_among_matched(e, m.pairs_at(1), {})
                     )
-                    and m.tail() in tails[next_economy(e, m.pairs_at(1)).key]
+                    and m.tail() in tails[m.pairs_at(1)]
                 }
     # Deferred acceptance lands in the exhaustive stable set, and the
     # same-unmatched-set property holds across each checked stable set.

@@ -189,7 +189,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-matchings", type=positive_int, default=DEFAULT_MAX_MATCHINGS)
     p.add_argument(
         "--threads",
-        type=int,
+        type=positive_int,
         default=1,
         help="solver thread budget (currently evaluated sequentially)",
     )

@@ -11,7 +11,8 @@ Cardinal utilities are the source of truth.  Ordinal blocks are assertions:
 each block claims a strictly decreasing ranking of discounted utilities
 ``delta^delay * u(owner, partner)``, checked by :func:`validate_ordinal`.
 Partners missing from a prefs line are unacceptable (utility -1).  Rationals
-are written ``p/q`` or as integers; no decimal literals.
+are written ``p/q`` (q > 0) or as integers; no decimal literals.  A discount
+factor lies in [0, 1].
 """
 
 from __future__ import annotations
@@ -30,13 +31,13 @@ from .errors import (
     UnknownPartner,
 )
 
-_RATIONAL = re.compile(r"^-?\d+(/\d+)?$")
+_RATIONAL = re.compile(r"^-?\d+(/0*[1-9]\d*)?$")
 _NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 
 def _parse_rational(token: str, line: int) -> Fraction:
     if not _RATIONAL.match(token):
-        raise BadRational(f"expected an integer or p/q rational, got {token!r}", line)
+        raise BadRational(f"expected an integer or p/q with q > 0, got {token!r}", line)
     return Fraction(token)
 
 
@@ -118,7 +119,11 @@ def parse(text: str) -> EconomyDocument:
                 raise ArrivalOutOfRange(
                     f"agent {name} arrives at {t}, outside 1..{horizon}", lineno
                 )
-            agents.append(AgentDecl(name, side, t, _parse_rational(delta, lineno)))
+            d = _parse_rational(delta, lineno)
+            if not 0 <= d <= 1:
+                msg = f"discount factor of {name} must lie in [0,1], got {delta!r}"
+                raise BadRational(msg, lineno)
+            agents.append(AgentDecl(name, side, t, d))
             sides[name] = side
         elif line.startswith("prefs ") or line.startswith("ordinal "):
             pending.append((lineno, line))

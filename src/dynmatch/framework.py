@@ -40,22 +40,16 @@ from .matching import (
 )
 from .statics import (
     EMPTY_POLICIES,
-    StaticEconomy,
     checked_stable_set,
     conjecture_threshold,
+    first_block,
     induced_one_period_economy,
-    value_ge,
 )
 
 # The horizon-0 economy, where every recursion ends, has one matching, and it
 # is a solution and a candidate under every concept.  Returned before any
 # cache lookup, because an economy key hashes the whole preference profile.
 _HORIZON_0 = (DynamicMatching(()),)
-
-INDIVIDUAL_A = "IndividualA"
-INDIVIDUAL_B = "IndividualB"
-PAIR = "Pair"
-
 
 @dataclass(frozen=True)
 class BlockWitness:
@@ -80,8 +74,9 @@ class ConjectureFamily:
     Subclasses implement :meth:`_root_conjectures` for an agent available in
     period 1 of a (continuation) economy; results are cached per canonical
     economy key.  The family also holds its concept's configuration and
-    every cache the concept fills: conjecture sets, solution sets,
-    candidate sets and static stable sets.
+    every cache the concept fills: conjecture sets, solution sets and
+    candidate sets.  Static stable sets are not cached: stitching asks for
+    few of them twice.
     """
 
     name = "?"
@@ -103,7 +98,6 @@ class ConjectureFamily:
         self._cache: dict = {}
         self._solutions: dict = {}
         self._candidates: dict = {}
-        self.stable_sets: dict = {}
 
     def conjecture_set(self, economy: Economy, k: str) -> tuple[DynamicMatching, ...]:
         """The conjectures of k, who must be available in period 1."""
@@ -183,31 +177,20 @@ def period_witness(
     ``cont``, or None.  ``cont`` is the continuation economy at period t of
     the matching under test, and a witness names period t.
 
-    Scan order is deterministic: individual objections before pair blocks,
-    agents in declaration order.
+    The scan is :func:`~dynmatch.statics.first_block` of period-1 payoffs
+    against conjecture thresholds, agents in declaration order.
     """
+
+    def value(k):
+        return payoff(cont, rest, k, 1)
+
+    def threshold(k):
+        conjectured = family.conjecture_set(cont, k)
+        return conjecture_threshold(cont, k, conjectured, family.empty_policy)
+
     avail_a, avail_b = cont.arrivals[0]
-    for kind, names in ((INDIVIDUAL_A, avail_a), (INDIVIDUAL_B, avail_b)):
-        for k in names:
-            thr = conjecture_threshold(
-                cont, k, family.conjecture_set(cont, k), family.empty_policy
-            )
-            val = payoff(cont, rest, k, 1)
-            if not value_ge(val, thr):
-                return BlockWitness(kind, t, (k,), (val, thr))
-    for a in avail_a:
-        ua = payoff(cont, rest, a, 1)
-        for b in avail_b:
-            if cont.utility(a, b) > ua:
-                vb = payoff(cont, rest, b, 1)
-                if cont.utility(b, a) > vb:
-                    return BlockWitness(
-                        PAIR,
-                        t,
-                        (a, b),
-                        (cont.utility(a, b), ua, cont.utility(b, a), vb),
-                    )
-    return None
+    block = first_block(avail_a, avail_b, cont.utility, value, threshold)
+    return None if block is None else BlockWitness(block[0], t, *block[1:])
 
 
 def is_phi_solution(economy: Economy, m: DynamicMatching, family: ConjectureFamily):
@@ -277,14 +260,6 @@ def _recursive_solutions(
     return cache[key]
 
 
-def stable_set_checked(e1: StaticEconomy, cache: dict):
-    """Exhaustive stable set with the same-unmatched-set assertion, memoized
-    in ``cache`` (a family's ``stable_sets``)."""
-    if e1 not in cache:
-        cache[e1] = checked_stable_set(e1)
-    return cache[e1]
-
-
 def candidate_set(
     economy: Economy,
     conjectured: Mapping[str, Iterable[DynamicMatching]],
@@ -311,7 +286,7 @@ def _stable_stitched(economy, conjectured, family, rest):
     """The stable set of the period-1 economy that ``conjectured`` induces,
     each first period stitched onto ``rest`` of the economy it leaves."""
     e1 = induced_one_period_economy(economy, conjectured, family.empty_policy)
-    firsts = stable_set_checked(e1, family.stable_sets)
+    firsts = checked_stable_set(e1)
     return _canonical(stitch(economy, firsts, rest, family.max_matchings))
 
 
@@ -327,7 +302,7 @@ def candidate_matchings(
             e1 = induced_one_period_economy(
                 cont, family.conjecture_sets(cont), family.empty_policy
             )
-            if rest.pairs_at(1) not in stable_set_checked(e1, family.stable_sets):
+            if rest.pairs_at(1) not in checked_stable_set(e1):
                 break
         else:
             out.append(m)

@@ -1,19 +1,21 @@
 """One-period economies: stability, deferred acceptance, induced thresholds.
 
-A static economy carries a reservation value (threshold) per agent.  The
-value of remaining single *is* the threshold, so individual rationality and
-blocking both reduce to exact comparisons against it.  Thresholds admit two
-sentinels: ``NEG_INF`` (no constraint — any partner beats staying single)
-and ``POS_INF`` (nothing is acceptable — the agent must stay single).
+A static economy views one period of an economy with a reservation value
+(threshold) per agent.  The value of remaining single *is* the threshold, so
+individual rationality and blocking both reduce to exact comparisons against
+it, made by one scan, :func:`first_block`.  Thresholds admit two sentinels:
+``NEG_INF`` (no constraint — any partner beats staying single) and
+``POS_INF`` (nothing is acceptable — the agent must stay single).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Iterable, Mapping, Optional
 
-from .economy import UNLISTED_UTILITY, Economy, payoff
+from .economy import Economy, payoff
 from .errors import LoneWolfViolation, TiesPresent
 from .matching import DynamicMatching, PeriodPairs, period_matchings
 
@@ -27,45 +29,63 @@ EMPTY_POLICIES = ("vacuous", "strict")
 Threshold = object  # Fraction | NEG_INF | POS_INF
 
 
-def _rank(v: Threshold) -> tuple:
-    """Total order over Fractions and the two sentinels, as a sortable key."""
-    if v is NEG_INF:
-        return (0, 0)
-    if v is POS_INF:
-        return (2, 0)
-    return (1, v)
-
-
 def value_ge(x: Threshold, y: Threshold) -> bool:
-    return _rank(x) >= _rank(y)
+    """x >= y in the total order NEG_INF < every Fraction < POS_INF."""
+    if x is POS_INF or y is NEG_INF:
+        return True
+    if x is NEG_INF or y is POS_INF:
+        return False
+    return x >= y
 
 
 def value_gt(x: Threshold, y: Threshold) -> bool:
-    return _rank(x) > _rank(y)
+    return not value_ge(y, x)
 
 
-@dataclass(frozen=True)
+INDIVIDUAL_A = "IndividualA"
+INDIVIDUAL_B = "IndividualB"
+PAIR = "Pair"
+
+
+def first_block(a_names, b_names, utility, value, threshold) -> Optional[tuple]:
+    """The first (kind, agents, payoffs) violation of individual rationality
+    (side A, then side B) or pairwise stability (a-major), or None.
+    ``value(k)``, what k attains, and ``threshold(k)`` are called only when
+    the scan reaches k.  ``payoffs`` is (value, threshold) for an individual
+    kind, (u(a,b), value(a), u(b,a), value(b)) for a pair.
+    """
+    for kind, names in ((INDIVIDUAL_A, a_names), (INDIVIDUAL_B, b_names)):
+        for k in names:
+            thr = threshold(k)
+            val = value(k)
+            if not value_ge(val, thr):
+                return kind, (k,), (val, thr)
+    for a in a_names:
+        va = value(a)
+        for b in b_names:
+            uab = utility(a, b)
+            if value_gt(uab, va):
+                vb = value(b)
+                uba = utility(b, a)
+                if value_gt(uba, vb):
+                    return PAIR, (a, b), (uab, va, uba, vb)
+    return None
+
+
+@dataclass(frozen=True, eq=False)
 class StaticEconomy:
-    """Two agent sets, partner utilities in both directions, thresholds."""
+    """A view of one period of an economy: two agent sets and thresholds."""
 
+    economy: Economy
     a_names: tuple[str, ...]
     b_names: tuple[str, ...]
-    utilities: tuple[tuple[tuple[str, str], Fraction], ...]
-    thresholds: tuple[tuple[str, Threshold], ...]
-    _util_map: Mapping = field(init=False, repr=False, compare=False, default=None)
-    _thr_map: Mapping = field(init=False, repr=False, compare=False, default=None)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_util_map", dict(self.utilities))
-        object.__setattr__(self, "_thr_map", dict(self.thresholds))
+    thresholds: Mapping[str, Threshold]
 
     def utility(self, owner: str, partner: str) -> Fraction:
-        if owner == partner:
-            return Fraction(0)
-        return self._util_map.get((owner, partner), UNLISTED_UTILITY)
+        return self.economy.utility(owner, partner)
 
     def threshold(self, name: str) -> Threshold:
-        return self._thr_map.get(name, Fraction(0))
+        return self.thresholds.get(name, Fraction(0))
 
     def acceptable(self, owner: str, partner: str) -> bool:
         return value_ge(self.utility(owner, partner), self.threshold(owner))
@@ -86,17 +106,9 @@ def static_economy(
     b_names: Iterable[str],
     thresholds: Optional[Mapping[str, Threshold]] = None,
 ) -> StaticEconomy:
-    """Project a dynamic economy's profile onto one period's agents."""
-    a_names = tuple(a_names)
-    b_names = tuple(b_names)
-    utils = {}
-    for a in a_names:
-        for b in b_names:
-            utils[(a, b)] = economy.utility(a, b)
-            utils[(b, a)] = economy.utility(b, a)
-    thr = dict(thresholds) if thresholds else {}
+    """Project a dynamic economy onto one period's agents."""
     return StaticEconomy(
-        a_names, b_names, tuple(sorted(utils.items())), tuple(sorted(thr.items(), key=lambda kv: kv[0]))
+        economy, tuple(a_names), tuple(b_names), dict(thresholds or {})
     )
 
 
@@ -104,21 +116,11 @@ def is_stable(e1: StaticEconomy, pairs: PeriodPairs) -> bool:
     """Definition-4 stability relative to thresholds.
 
     Matched agents need their partner weakly above their threshold; a pair
-    blocks when both strictly beat their assigned values.
+    blocks when both strictly beat their assigned values, where a single
+    agent's value is its threshold.
     """
-    for a, b in pairs:
-        if not e1.acceptable(a, b) or not e1.acceptable(b, a):
-            return False
-    for a in e1.a_names:
-        va = e1.assignment_value(pairs, a)
-        for b in e1.b_names:
-            if (a, b) in pairs:
-                continue
-            if value_gt(e1.utility(a, b), va) and value_gt(
-                e1.utility(b, a), e1.assignment_value(pairs, b)
-            ):
-                return False
-    return True
+    value = partial(e1.assignment_value, pairs)
+    return first_block(e1.a_names, e1.b_names, e1.utility, value, e1.threshold) is None
 
 
 def stable_set(e1: StaticEconomy) -> tuple[PeriodPairs, ...]:
@@ -238,5 +240,5 @@ def stability_among_matched(
     """Stability of pairs in the static economy over exactly its matched agents."""
     a_names = tuple(a for a, _ in pairs)
     b_names = tuple(b for _, b in pairs)
-    e1 = static_economy(economy, a_names, b_names, thresholds)
+    e1 = StaticEconomy(economy, a_names, b_names, thresholds)
     return is_stable(e1, pairs)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -7,10 +8,14 @@ from pathlib import Path
 import pytest
 
 from dynmatch import cli, is_phi_solution, parse_matching_text
+from dynmatch.concepts import CONCEPT_NAMES
 from dynmatch.framework import StableFamily
-from dynmatch.reproduce import fixture_text
+from dynmatch.reproduce import FIXTURE_NAMES, fixture_text
 
 ROOT = Path(__file__).resolve().parent.parent
+# SHA-256 of every fixture x concept `solve --json` report, recorded with the
+# benchmark: the reports must stay byte-identical.
+REFERENCE_DIGESTS = json.loads((ROOT / "bench" / "reference.json").read_text())
 
 ONE_PAIR = """\
 periods: 1
@@ -45,6 +50,15 @@ def test_solve_succeeds_on_a_tiny_market(econ_file, capsys):
     assert "t=1: a1-b1" in out
 
 
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+@pytest.mark.parametrize("concept", CONCEPT_NAMES)
+def test_fixture_json_reports_match_the_reference_digests(name, concept, capsys):
+    path = ROOT / "src" / "dynmatch" / "fixtures" / f"{name}.econ"
+    assert run_cli("solve", str(path), "--concept", concept, "--json") == cli.EXIT_OK
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == REFERENCE_DIGESTS["fixtures"][f"{name}/{concept}"]
+
+
 def test_solve_json_report_is_byte_identical(econ_file, capsys):
     assert run_cli("solve", econ_file, "--concept", "re", "--json") == 0
     first = capsys.readouterr().out
@@ -65,6 +79,15 @@ def test_bad_max_matchings_is_a_usage_error(econ_file, capsys, cap):
     assert code == cli.EXIT_INPUT
     captured = capsys.readouterr()
     assert "--max-matchings" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_bad_threads_is_a_usage_error(econ_file, capsys, threads):
+    code = run_cli("solve", econ_file, "--concept", "stable", "--threads", threads)
+    assert code == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert "--threads" in captured.err
     assert captured.out == ""
 
 
@@ -107,6 +130,13 @@ def test_violated_ordinal_block_is_an_input_error(tmp_path, capsys):
     )
     assert run_cli("solve", str(path), "--concept", "stable") == cli.EXIT_INPUT
     assert "a1" in capsys.readouterr().err
+
+
+def test_out_of_range_discount_factor_names_its_line(tmp_path, capsys):
+    path = tmp_path / "delta.econ"
+    path.write_text(ONE_PAIR.replace("delta 1/2", "delta 3/2", 1))
+    assert run_cli("solve", str(path), "--concept", "stable") == cli.EXIT_INPUT
+    assert "line 2: discount factor of a1" in capsys.readouterr().err
 
 
 def test_enumeration_cap_exit_code(example1_file, capsys):

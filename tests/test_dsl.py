@@ -77,6 +77,10 @@ prefs a1: b1=3/2
         ("prefs zz: b1=1", UnknownPartner),
         ("prefs b1: b2=1", UnknownPartner),
         ("prefs b1: a1=0.5", BadRational),
+        ("prefs b1: a1=3/0", BadRational),
+        ("agent a9 side A arrives 1 delta 1/0", BadRational),
+        ("agent a9 side A arrives 1 delta 3/2", BadRational),
+        ("agent a9 side A arrives 1 delta -1/2", BadRational),
         ("agent a9 side A arrives 9 delta 1", ArrivalOutOfRange),
         ("agent a9 side C arrives 1 delta 1", DslSyntaxError),
         ("wibble", DslSyntaxError),

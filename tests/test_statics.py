@@ -2,17 +2,23 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynmatch.economy import build_economy
 from dynmatch.errors import LoneWolfViolation, TiesPresent
-from dynmatch.matching import DynamicMatching
+from dynmatch.matching import DynamicMatching, period_matchings
 from dynmatch.statics import (
+    INDIVIDUAL_A,
+    INDIVIDUAL_B,
     NEG_INF,
+    PAIR,
     POS_INF,
     assert_lone_wolf,
     checked_stable_set,
     conjecture_threshold,
     deferred_acceptance,
+    first_block,
     induced_one_period_economy,
     is_stable,
     stability_among_matched,
@@ -38,6 +44,34 @@ def test_sentinel_ordering():
     assert value_gt(POS_INF, Fraction(10**9))
     assert value_ge(NEG_INF, NEG_INF)
     assert not value_ge(NEG_INF, Fraction(-100))
+
+
+def test_first_block_reports_the_first_violation_in_scan_order():
+    u = {("a1", "b1"): 1, ("a1", "b2"): 2, ("a2", "b1"): 3}
+    u.update({(y, x): v for (x, y), v in u.items()})
+
+    def utility(owner, partner):
+        return Fraction(u.get((owner, partner), -1))
+
+    asked = []
+
+    def zero(k):
+        asked.append(k)
+        return Fraction(0)
+
+    # Everyone single at threshold 0: three pairs block, the scan is a-major.
+    a, b = ("a1", "a2"), ("b1", "b2")
+    assert first_block(a, b, utility, zero, zero) == (PAIR, ("a1", "b1"), (1, 0, 1, 0))
+    assert first_block(a, ("b2", "b1"), utility, zero, zero)[1] == ("a1", "b2")
+    # Individual objections come first, side A before side B, and the scan
+    # asks for no value or threshold past the first one.
+    thresholds = {"b1": Fraction(1), "a2": Fraction(1)}
+    asked.clear()
+    block = first_block(a, b, utility, zero, lambda k: thresholds.get(k, 0))
+    assert block == (INDIVIDUAL_A, ("a2",), (0, 1))
+    assert asked == ["a1", "a2"]
+    block = first_block((), b, utility, zero, lambda k: thresholds.get(k, 0))
+    assert block == (INDIVIDUAL_B, ("b1",), (0, 1))
 
 
 def test_empty_economy_has_only_the_empty_matching():
@@ -110,8 +144,6 @@ def test_raising_a_threshold_only_breaks_stability_through_that_agent():
     # matching that stops being stable after one agent's threshold rises
     # must fail on that agent's own individual-rationality check.
     rng = random.Random(23)
-    from dynmatch.matching import period_matchings
-
     for _ in range(40):
         e = random_static_economy(rng, max_per_side=3)
         a, b = e.arrivals[0]
@@ -199,3 +231,64 @@ def test_stability_among_matched_enforces_thresholds():
     )
     assert stability_among_matched(e, (("a1", "b1"),), {"a1": Fraction(1)})
     assert not stability_among_matched(e, (("a1", "b1"),), {"a1": Fraction(3)})
+
+
+SMALL_FRACTIONS = st.fractions(min_value=-2, max_value=3, max_denominator=3)
+THRESHOLDS = st.one_of(SMALL_FRACTIONS, st.sampled_from([NEG_INF, POS_INF]))
+
+
+@st.composite
+def one_period_markets(draw):
+    """A one-period static economy, up to 3 agents a side, some utilities
+    unlisted, and thresholds that may be sentinels or missing (0)."""
+    a = [f"a{i}" for i in range(1, draw(st.integers(0, 3)) + 1)]
+    b = [f"b{i}" for i in range(1, draw(st.integers(0, 3)) + 1)]
+    utilities = {}
+    for x in a:
+        for y in b:
+            for owner, partner in ((x, y), (y, x)):
+                u = draw(st.one_of(st.none(), SMALL_FRACTIONS))
+                if u is not None:
+                    utilities[(owner, partner)] = u
+    thresholds = {}
+    for k in a + b:
+        thr = draw(st.one_of(st.none(), THRESHOLDS))
+        if thr is not None:
+            thresholds[k] = thr
+    deltas = {k: Fraction(1, 2) for k in a + b}
+    e = build_economy(1, [(a, b)], deltas, utilities)
+    return static_economy(e, a, b, thresholds)
+
+
+def definition_4(e1, pairs):
+    """Stability of pairs relative to thresholds, written out directly:
+    matched agents weakly above their threshold, and no pair not matched
+    together with both sides strictly above their assignment values, a
+    single agent's assignment value being its threshold."""
+
+    def number(v):
+        return {NEG_INF: float("-inf"), POS_INF: float("inf")}.get(v, v)
+
+    partner = {x: y for pair in pairs for x, y in (pair, pair[::-1])}
+
+    def assignment(k):
+        if k in partner:
+            return e1.economy.utility(k, partner[k])
+        return number(e1.threshold(k))
+
+    return all(
+        e1.economy.utility(k, partner[k]) >= number(e1.threshold(k)) for k in partner
+    ) and not any(
+        partner.get(x) != y
+        and e1.economy.utility(x, y) > assignment(x)
+        and e1.economy.utility(y, x) > assignment(y)
+        for x in e1.a_names
+        for y in e1.b_names
+    )
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(one_period_markets())
+def test_is_stable_is_definition_4_with_sentinel_thresholds(e1):
+    for pairs in period_matchings(e1.a_names, e1.b_names):
+        assert is_stable(e1, pairs) == definition_4(e1, pairs)

@@ -19,8 +19,8 @@ continuation (see :class:`~dynmatch.framework.ConjectureFamily`):
   monotonically expanded with candidates that leave the owner unmatched,
   until the set is consistent.
 
-``cvr-ds`` and ``sds`` share the iteration of :class:`FixedPointFamily` and
-differ only in its start set and its step.
+``cvr-ds`` and ``sds`` share the iteration of :class:`FixedPointFamily`,
+started from the rule of ``agree`` and of ``re``; they differ in the step.
 """
 
 from __future__ import annotations
@@ -70,39 +70,29 @@ class DSFamily(ConjectureFamily):
 
 
 class FixedPointFamily(ConjectureFamily):
-    """Conjectures of all period-1 agents at once, iterated from a start set
-    until an iterate repeats.  Subclasses supply :meth:`_start` (one agent's
-    first iterate) and :meth:`_step` (the next iterate of every agent)."""
+    """Conjectures of all period-1 agents at once: the limit of iterating
+    :meth:`_step` from the per-agent rule :meth:`_root_conjectures` until an
+    iterate repeats.  The limit is the family's conjecture sets and is
+    cached with them; :meth:`iterates` recomputes the trace."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._fp_cache: dict = {}
-
-    def _root_conjectures(self, economy, k):
-        return self.fixed_point(economy)[0][k]
+    def _conjectures(self, economy):
+        return self.fixed_point(economy)[0]
 
     def iterates(self, economy: Economy) -> tuple[dict, ...]:
         return self.fixed_point(economy)[1]
 
     def fixed_point(self, economy: Economy):
         """(limit, iterates), each iterate mapping agent -> matchings."""
-        key = economy.key
-        if key not in self._fp_cache:
-            a1, b1 = economy.arrivals[0]
-            current = {k: self._start(economy, k) for k in (*a1, *b1)}
-            trace = [current]
-            while True:
-                nxt = self._step(economy, current)
-                if nxt == current:
-                    break
-                trace.append(nxt)
-                current = nxt
-            self._check_limit(economy, trace)
-            self._fp_cache[key] = (current, tuple(trace))
-        return self._fp_cache[key]
-
-    def _start(self, economy: Economy, k: str) -> tuple[DynamicMatching, ...]:
-        raise NotImplementedError
+        current = super()._conjectures(economy)
+        trace = [current]
+        while current:  # with no period-1 agent, {} is its own next iterate
+            nxt = self._step(economy, current)
+            if nxt == current:
+                break
+            trace.append(nxt)
+            current = nxt
+        self._check_limit(economy, trace)
+        return current, tuple(trace)
 
     def _step(self, economy: Economy, current: dict) -> dict:
         raise NotImplementedError
@@ -117,9 +107,7 @@ class CVRFamily(FixedPointFamily):
     decreasing iteration over all period-1 agents simultaneously."""
 
     name = "cvr-ds"
-
-    def _start(self, economy, k):
-        return self._single_now(economy, k)
+    _root_conjectures = AgreeFamily._root_conjectures
 
     def _refine(self, economy, current, members):
         """``members`` filtered by the thresholds that ``current`` implies."""
@@ -162,9 +150,7 @@ class SDSFamily(FixedPointFamily):
     leave the owner unmatched; stops at the set-inclusion fixed point."""
 
     name = "sds"
-
-    def _start(self, economy, k):
-        return _canonical(self.solution_set(defer_arrivals(economy, [k])))
+    _root_conjectures = REFamily._root_conjectures
 
     def _step(self, economy, current):
         # One Jacobi round: candidates built from the previous iterate for

@@ -95,6 +95,8 @@ class Economy:
                 for name in names:
                     if name in index:
                         raise ValueError(f"agent {name} arrives more than once")
+                    if name not in self.profile._delta_map:
+                        raise ValueError(f"agent {name} has no discount factor")
                     index[name] = (side, t)
         object.__setattr__(self, "_index", index)
 

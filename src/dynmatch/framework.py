@@ -15,10 +15,10 @@ exhaustive :func:`phi_solution_set` and :func:`candidate_matchings` filter
 every full matching and are kept only as oracles.  Only
 :func:`is_phi_solution` validates its matching.
 
-A family is its concept: it holds the concept's configuration (the
-empty-conjecture policy and the size cap), set once when it is built, and
-every function here reads it from the family, so the exhaustive and
-recursive routes cannot disagree about it.
+A family is its concept: a conjecture rule, run once per economy key, and
+the concept's configuration (the empty-conjecture policy and the size cap),
+set once when it is built.  Every function here reads it from the family, so
+the exhaustive and recursive routes cannot disagree about it.
 """
 
 from __future__ import annotations
@@ -72,11 +72,11 @@ class ConjectureFamily:
     """Base class: deterministic rule (economy, period-1 agent) -> matchings.
 
     Subclasses implement :meth:`_root_conjectures` for an agent available in
-    period 1 of a (continuation) economy; results are cached per canonical
-    economy key.  The family also holds its concept's configuration and
-    every cache the concept fills: conjecture sets, solution sets and
-    candidate sets.  Static stable sets are not cached: stitching asks for
-    few of them twice.
+    period 1 of a (continuation) economy, or :meth:`_conjectures` for all of
+    them at once; :meth:`conjecture_sets` runs it once per canonical economy
+    key.  The family also holds its concept's configuration and every cache
+    the concept fills: conjecture, solution and candidate sets.  Static
+    stable sets are not cached: stitching asks for few of them twice.
     """
 
     name = "?"
@@ -95,7 +95,7 @@ class ConjectureFamily:
             raise ValueError(f"max_matchings must be at least 1, got {max_matchings}")
         self.empty_policy = empty_policy
         self.max_matchings = max_matchings
-        self._cache: dict = {}
+        self._conjecture_sets: dict = {}
         self._solutions: dict = {}
         self._candidates: dict = {}
 
@@ -104,15 +104,21 @@ class ConjectureFamily:
         a1, b1 = economy.arrivals[0]
         if k not in a1 and k not in b1:
             raise NotAvailable(f"{k} is not available at period 1")
-        key = (economy.key, k)
-        if key not in self._cache:
-            self._cache[key] = tuple(self._root_conjectures(economy, k))
-        return self._cache[key]
+        return self.conjecture_sets(economy)[k]
 
     def conjecture_sets(self, economy: Economy) -> dict:
-        """Every period-1 agent's conjecture set, in declaration order."""
+        """Every period-1 agent's conjecture set, in declaration order;
+        the family's one conjecture cache, keyed by economy key."""
+        key = economy.key
+        if key not in self._conjecture_sets:
+            self._conjecture_sets[key] = self._conjectures(economy)
+        return self._conjecture_sets[key]
+
+    def _conjectures(self, economy: Economy) -> dict:
+        """The concept's rule: every period-1 agent's conjectures at once.
+        By default :meth:`_root_conjectures` applied to each agent."""
         a1, b1 = economy.arrivals[0]
-        return {k: self.conjecture_set(economy, k) for k in (*a1, *b1)}
+        return {k: tuple(self._root_conjectures(economy, k)) for k in (*a1, *b1)}
 
     def _root_conjectures(
         self, economy: Economy, k: str
@@ -181,12 +187,13 @@ def period_witness(
     against conjecture thresholds, agents in declaration order.
     """
 
+    conjectured = family.conjecture_sets(cont)
+
     def value(k):
         return payoff(cont, rest, k, 1)
 
     def threshold(k):
-        conjectured = family.conjecture_set(cont, k)
-        return conjecture_threshold(cont, k, conjectured, family.empty_policy)
+        return conjecture_threshold(cont, k, conjectured[k], family.empty_policy)
 
     avail_a, avail_b = cont.arrivals[0]
     block = first_block(avail_a, avail_b, cont.utility, value, threshold)
@@ -328,10 +335,8 @@ def consistency_failures(
     does not conjecture m_star."""
     failures = []
     for t, (cont, rest) in enumerate(continuations(economy, m_star), start=1):
-        a1, b1 = cont.arrivals[0]
-        for k in (*a1, *b1):
-            unmatched = rest.partner(k, 1) == k
-            if unmatched and rest not in family.conjecture_set(cont, k):
+        for k, conjectured in family.conjecture_sets(cont).items():
+            if rest.partner(k, 1) == k and rest not in conjectured:
                 failures.append((t, k))
     return tuple(failures)
 

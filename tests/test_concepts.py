@@ -1,9 +1,20 @@
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dynmatch.concepts import CONCEPT_NAMES, Solver
-from dynmatch.framework import phi_solution_set, recursive_solution_set
+from dynmatch.concepts import CONCEPT_NAMES, FAMILIES, FixedPointFamily, Solver
+from dynmatch.economy import build_economy
+from dynmatch.framework import (
+    candidate_matchings,
+    check_generalized_consistency,
+    consistency_failures,
+    phi_solution_set,
+    recursive_solution_set,
+)
 from dynmatch.matching import defer_arrivals, enumerate_matchings
 from dynmatch.reproduce import (
     EXAMPLE1_STAR,
@@ -15,7 +26,7 @@ from dynmatch.reproduce import (
 )
 from dynmatch.statics import conjecture_threshold, value_ge
 
-from corpus import corpus, random_economy
+from corpus import DELTAS, ODD_NUMERATORS, corpus, random_economy
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +143,106 @@ def test_both_solution_routes_agree_under_strict_empty_conjectures():
         family = solver.family(concept)
         for e in corpus(54, 8, max_per_side=2):
             assert recursive_solution_set(e, family) == phi_solution_set(e, family)
+
+
+@st.composite
+def strict_markets(draw):
+    """Markets drawn as :func:`corpus.random_economy` draws them: horizon
+    1-3, 1-2 agents a side arriving in any period, odd numerators over 7
+    distinct per owner, and discount factors from ``DELTAS``."""
+    horizon = draw(st.integers(1, 3))
+    a_names = [f"a{i}" for i in range(1, draw(st.integers(1, 2)) + 1)]
+    b_names = [f"b{i}" for i in range(1, draw(st.integers(1, 2)) + 1)]
+    arrival_of = {n: draw(st.integers(1, horizon)) for n in a_names + b_names}
+    arrivals = [
+        (
+            [n for n in a_names if arrival_of[n] == t],
+            [n for n in b_names if arrival_of[n] == t],
+        )
+        for t in range(1, horizon + 1)
+    ]
+    deltas = {n: draw(st.sampled_from(DELTAS)) for n in a_names + b_names}
+    utilities = {}
+    for owners, partners in ((a_names, b_names), (b_names, a_names)):
+        for owner in owners:
+            numerators = draw(
+                st.lists(
+                    st.sampled_from(ODD_NUMERATORS),
+                    min_size=len(partners),
+                    max_size=len(partners),
+                    unique=True,
+                )
+            )
+            for k, p in zip(numerators, partners):
+                utilities[(owner, p)] = Fraction(k, 7)
+    return build_economy(horizon, arrivals, deltas, utilities)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(strict_markets())
+def test_consistent_families_solve_every_strict_market(e):
+    # The paper's claim: consistency suffices for a nonempty solution set,
+    # and the cvr-ds and sds families are consistent.  Generalized
+    # consistency is not claimed for sds (example1 has an sds solution that
+    # a1, a3 and b1 do not conjecture).  A conjecture leaves its owner
+    # single now.
+    solver = Solver()
+    for concept in CONCEPT_NAMES:
+        family = solver.family(concept)
+        assert family.solution_set(e) == phi_solution_set(e, family)
+        assert family.candidates(e) == candidate_matchings(e, family)
+        for k, conjectured in family.conjecture_sets(e).items():
+            assert all(m.partner(k, 1) == k for m in conjectured)
+    for concept in ("cvr-ds", "sds"):
+        family = solver.family(concept)
+        solutions = family.solution_set(e)
+        assert solutions
+        for m_star in family.candidates(e):
+            assert consistency_failures(e, m_star, family) == ()
+            assert m_star in solutions
+
+
+@pytest.mark.parametrize("concept", CONCEPT_NAMES)
+def test_each_rule_runs_once_per_economy(monkeypatch, concept):
+    cls = FAMILIES[concept]
+    rule = cls._root_conjectures
+    calls = Counter()
+
+    def counting(self, economy, k):
+        calls[economy.key, k] += 1
+        return rule(self, economy, k)
+
+    monkeypatch.setattr(cls, "_root_conjectures", counting)
+    steps = []
+    if issubclass(cls, FixedPointFamily):
+        step = cls._step
+
+        def counting_step(self, economy, current):
+            steps.append(economy.key)
+            return step(self, economy, current)
+
+        monkeypatch.setattr(cls, "_step", counting_step)
+    for e in corpus(64, 4, max_per_side=2):
+        calls.clear()
+        solver = Solver()
+        family = solver.family(concept)
+        solver.solve(concept, e)
+        check_generalized_consistency(e, family)
+        a1, b1 = e.arrivals[0]
+        for k in (*a1, *b1):
+            family.conjecture_set(e, k)
+        assert calls and set(calls.values()) == {1}
+        if not issubclass(cls, FixedPointFamily):
+            continue
+        stepped = len(steps)
+        solver.solve(concept, e)
+        family.candidates(e)
+        family.conjecture_sets(e)
+        assert len(steps) == stepped
+        start = {"cvr-ds": "agree", "sds": "re"}[concept]
+        trace = family.iterates(e)
+        assert trace[0] == Solver().family(start).conjecture_sets(e)
+        assert trace[-1] == family.conjecture_sets(e)
 
 
 def test_solve_report_contents(solver, market1):

@@ -5,6 +5,7 @@ import pytest
 
 from dynmatch.economy import (
     Economy,
+    PreferenceProfile,
     build_economy,
     first_match_date,
     payoff,
@@ -84,6 +85,16 @@ def test_duplicate_arrival_rejected():
             {"a1": Fraction(1)},
             {},
         )
+
+
+def test_agent_without_a_discount_factor_is_rejected_at_construction():
+    schedule = [(("a1",), ("b1",))]
+    deltas = {"a1": Fraction(1, 2)}
+    utilities = {("a1", "b1"): Fraction(1), ("b1", "a1"): Fraction(1)}
+    with pytest.raises(ValueError, match="^agent b1 has no discount factor$"):
+        build_economy(1, schedule, deltas, utilities)
+    with pytest.raises(ValueError, match="^agent b1 has no discount factor$"):
+        Economy(1, (tuple(schedule[0]),), PreferenceProfile.build(deltas, utilities))
 
 
 def test_discounting_is_the_only_time_dependence():

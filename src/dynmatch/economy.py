@@ -24,13 +24,16 @@ SIDE_B = "B"
 UNLISTED_UTILITY = Fraction(-1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PreferenceProfile:
     """Per-agent discount factors and partner utilities.
 
     ``utilities`` maps (owner, partner) name pairs to exact rationals; the
     payoff of remaining single is normalized to 0 and never stored.
     Partners without an entry get :data:`UNLISTED_UTILITY`.
+
+    The profile is part of every economy key, so its hash is computed once,
+    when it is built; equality is field equality, as generated.
     """
 
     deltas: tuple[tuple[str, Fraction], ...]
@@ -41,6 +44,7 @@ class PreferenceProfile:
     _util_map: Mapping[tuple[str, str], Fraction] = field(
         init=False, repr=False, compare=False, default=None
     )
+    _hash: int = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         for name, d in self.deltas:
@@ -48,6 +52,17 @@ class PreferenceProfile:
                 raise ValueError(f"discount factor of {name} must lie in [0,1]")
         object.__setattr__(self, "_delta_map", dict(self.deltas))
         object.__setattr__(self, "_util_map", dict(self.utilities))
+        object.__setattr__(self, "_hash", hash((self.deltas, self.utilities)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.deltas, self.utilities) == (other.deltas, other.utilities)
 
     @staticmethod
     def build(
@@ -78,7 +93,8 @@ class Economy:
     ``arrivals[t-1]`` is the pair of name tuples (side A, side B) entering in
     period t, listed in declaration order.  Continuation and deferred
     economies share the root profile; the arrival schedule alone determines
-    who exists.
+    who exists.  ``key``, built once, is the canonical memoization key:
+    arrivals sorted within each period, so declaration order is ignored.
     """
 
     horizon: int
@@ -99,17 +115,10 @@ class Economy:
                         raise ValueError(f"agent {name} has no discount factor")
                     index[name] = (side, t)
         object.__setattr__(self, "_index", index)
-
-    @property
-    def key(self) -> tuple:
-        """Canonical memoization key; sorted so declaration order is ignored."""
-        return (
-            self.horizon,
-            tuple(
-                (tuple(sorted(a)), tuple(sorted(b))) for a, b in self.arrivals
-            ),
-            self.profile,
+        sorted_arrivals = tuple(
+            (tuple(sorted(a)), tuple(sorted(b))) for a, b in self.arrivals
         )
+        object.__setattr__(self, "key", (self.horizon, sorted_arrivals, self.profile))
 
     def members(self) -> tuple[str, ...]:
         return tuple(n for a, b in self.arrivals for n in (*a, *b))

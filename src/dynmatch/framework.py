@@ -18,7 +18,10 @@ every full matching and are kept only as oracles.  Only
 A family is its concept: a conjecture rule, run once per economy key, and
 the concept's configuration (the empty-conjecture policy and the size cap),
 set once when it is built.  Every function here reads it from the family, so
-the exhaustive and recursive routes cannot disagree about it.
+the exhaustive and recursive routes cannot disagree about it.  What depends
+only on the economy is cached in the family by economy key: conjecture sets,
+their thresholds (the reservation values every period check and the
+candidates compare against), solution sets and candidate sets.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .matching import (
 )
 from .statics import (
     EMPTY_POLICIES,
+    StaticEconomy,
     checked_stable_set,
     conjecture_threshold,
     first_block,
@@ -47,8 +51,8 @@ from .statics import (
 )
 
 # The horizon-0 economy, where every recursion ends, has one matching, and it
-# is a solution and a candidate under every concept.  Returned before any
-# cache lookup, because an economy key hashes the whole preference profile.
+# is a solution and a candidate under every concept.  It has no period 1 to
+# stitch from, so it is returned before any cache lookup.
 _HORIZON_0 = (DynamicMatching(()),)
 
 @dataclass(frozen=True)
@@ -75,8 +79,9 @@ class ConjectureFamily:
     period 1 of a (continuation) economy, or :meth:`_conjectures` for all of
     them at once; :meth:`conjecture_sets` runs it once per canonical economy
     key.  The family also holds its concept's configuration and every cache
-    the concept fills: conjecture, solution and candidate sets.  Static
-    stable sets are not cached: stitching asks for few of them twice.
+    the concept fills, each keyed by economy key: conjecture sets, their
+    thresholds, solution and candidate sets.  Static stable sets are not
+    cached: stitching asks for few of them twice.
     """
 
     name = "?"
@@ -96,6 +101,7 @@ class ConjectureFamily:
         self.empty_policy = empty_policy
         self.max_matchings = max_matchings
         self._conjecture_sets: dict = {}
+        self._thresholds: dict = {}
         self._solutions: dict = {}
         self._candidates: dict = {}
 
@@ -113,6 +119,18 @@ class ConjectureFamily:
         if key not in self._conjecture_sets:
             self._conjecture_sets[key] = self._conjectures(economy)
         return self._conjecture_sets[key]
+
+    def thresholds(self, economy: Economy) -> dict:
+        """Every period-1 agent's reservation value: the worst payoff among
+        their conjectures (:func:`~dynmatch.statics.conjecture_threshold`),
+        cached by economy key next to the conjecture sets."""
+        key = economy.key
+        if key not in self._thresholds:
+            self._thresholds[key] = {
+                k: conjecture_threshold(economy, k, ms, self.empty_policy)
+                for k, ms in self.conjecture_sets(economy).items()
+            }
+        return self._thresholds[key]
 
     def _conjectures(self, economy: Economy) -> dict:
         """The concept's rule: every period-1 agent's conjectures at once.
@@ -137,7 +155,7 @@ class ConjectureFamily:
         key = economy.key
         if key not in self._candidates:
             self._candidates[key] = _stable_stitched(
-                economy, self.conjecture_sets(economy), self, self.candidates
+                economy, self.thresholds(economy), self, self.candidates
             )
         return self._candidates[key]
 
@@ -184,17 +202,13 @@ def period_witness(
     the matching under test, and a witness names period t.
 
     The scan is :func:`~dynmatch.statics.first_block` of period-1 payoffs
-    against conjecture thresholds, agents in declaration order.
+    against the family's cached thresholds, agents in declaration order.
     """
-
-    conjectured = family.conjecture_sets(cont)
 
     def value(k):
         return payoff(cont, rest, k, 1)
 
-    def threshold(k):
-        return conjecture_threshold(cont, k, conjectured[k], family.empty_policy)
-
+    threshold = family.thresholds(cont).__getitem__
     avail_a, avail_b = cont.arrivals[0]
     block = first_block(avail_a, avail_b, cont.utility, value, threshold)
     return None if block is None else BlockWitness(block[0], t, *block[1:])
@@ -286,14 +300,15 @@ def candidate_set(
             )
         return sols
 
-    return _stable_stitched(economy, conjectured, family, solved)
-
-
-def _stable_stitched(economy, conjectured, family, rest):
-    """The stable set of the period-1 economy that ``conjectured`` induces,
-    each first period stitched onto ``rest`` of the economy it leaves."""
     e1 = induced_one_period_economy(economy, conjectured, family.empty_policy)
-    firsts = checked_stable_set(e1)
+    return _stable_stitched(economy, e1.thresholds, family, solved)
+
+
+def _stable_stitched(economy, thresholds, family, rest):
+    """The stable set of the period-1 economy with these thresholds, each
+    first period stitched onto ``rest`` of the economy it leaves."""
+    a1, b1 = economy.arrivals[0]
+    firsts = checked_stable_set(StaticEconomy(economy, a1, b1, thresholds))
     return _canonical(stitch(economy, firsts, rest, family.max_matchings))
 
 

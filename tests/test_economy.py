@@ -145,3 +145,31 @@ def test_economy_key_ignores_declaration_order():
     )
     e2 = Economy(1, ((("a2", "a1"), ("b1",)),), e1.profile)
     assert e1.key == e2.key
+
+
+def one_pair_profile(delta_a1=Fraction(1, 2), u_b1_a1=Fraction(1, 7)):
+    return PreferenceProfile.build(
+        {"a1": delta_a1, "b1": Fraction(3, 4)},
+        {("a1", "b1"): Fraction(4), ("b1", "a1"): u_b1_a1},
+    )
+
+
+def test_profiles_built_apart_are_equal_by_value():
+    p, q = one_pair_profile(), one_pair_profile()
+    assert p is not q
+    assert p == q and hash(p) == hash(q)
+    assert p != one_pair_profile(u_b1_a1=Fraction(3, 7))
+    assert p != one_pair_profile(delta_a1=Fraction(1, 3))
+    assert p != (p.deltas, p.utilities)
+
+
+def test_profile_repr_and_economy_key_are_as_generated():
+    # RandomFamily in tests/corpus.py seeds its conjectures from
+    # str(economy.key), which embeds the profile's repr.
+    e = Economy(1, ((("a1",), ("b1",)),), one_pair_profile())
+    assert str(e.key) == (
+        "(1, ((('a1',), ('b1',)),), PreferenceProfile("
+        "deltas=(('a1', Fraction(1, 2)), ('b1', Fraction(3, 4))), "
+        "utilities=((('a1', 'b1'), Fraction(4, 1)), (('b1', 'a1'), Fraction(1, 7)))))"
+    )
+    assert e.key is e.key

@@ -40,7 +40,7 @@ from .framework import (
     consistency_failures,
 )
 from .matching import DEFAULT_MAX_MATCHINGS, DynamicMatching, defer_arrivals
-from .statics import conjecture_threshold, stability_among_matched
+from .statics import induced_one_period_economy, stability_among_matched
 
 
 class REFamily(ConjectureFamily):
@@ -111,10 +111,7 @@ class CVRFamily(FixedPointFamily):
 
     def _refine(self, economy, current, members):
         """``members`` filtered by the thresholds that ``current`` implies."""
-        thr = {
-            j: conjecture_threshold(economy, j, current[j], self.empty_policy)
-            for j in current
-        }
+        thr = induced_one_period_economy(economy, current, self.empty_policy).thresholds
         return {
             k: tuple(
                 mbar

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from numbers import Rational
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .errors import NotAvailable, UnknownAgent
@@ -30,7 +31,9 @@ class PreferenceProfile:
 
     ``utilities`` maps (owner, partner) name pairs to exact rationals; the
     payoff of remaining single is normalized to 0 and never stored.
-    Partners without an entry get :data:`UNLISTED_UTILITY`.
+    Partners without an entry get :data:`UNLISTED_UTILITY`.  Every delta and
+    utility must be a :class:`numbers.Rational` (an int or a Fraction): a
+    float would break exactness silently, so it is rejected.
 
     The profile is part of every economy key, so its hash is computed once,
     when it is built; equality is field equality, as generated.
@@ -47,6 +50,15 @@ class PreferenceProfile:
     _hash: int = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
+        inexact = sorted(
+            {n for n, d in self.deltas if not isinstance(d, Rational)}
+            | {o for (o, _), u in self.utilities if not isinstance(u, Rational)}
+        )
+        if inexact:
+            raise ValueError(
+                "discount factors and utilities must be exact rationals "
+                f"(int or Fraction); inexact values for {', '.join(inexact)}"
+            )
         for name, d in self.deltas:
             if not (0 <= d <= 1):
                 raise ValueError(f"discount factor of {name} must lie in [0,1]")
@@ -167,29 +179,16 @@ def build_economy(
     return Economy(horizon, schedule, PreferenceProfile.build(deltas, utilities))
 
 
-def first_match_date(
-    economy: Economy, m: "DynamicMatching", k: str, t: int
-) -> int:
-    """First period s >= t at which k is matched under m; horizon if never."""
-    _require_available(economy, m, k, t)
-    for s in range(t, economy.horizon + 1):
-        if m.partner(k, s) != k:
-            return s
-    return economy.horizon
-
-
 def payoff(economy: Economy, m: "DynamicMatching", k: str, t: int) -> Fraction:
-    """Exact discounted payoff of agent k from matching m, seen from period t."""
-    date = first_match_date(economy, m, k, t)
-    partner = m.final_partner(k)
-    util = economy.utility(k, partner)
-    if util == 0:
-        return Fraction(0)
-    return economy.delta(k) ** (date - t) * util
-
-
-def _require_available(economy: Economy, m: "DynamicMatching", k: str, t: int):
+    """Exact payoff of k from m, seen from period t: ``delta_k ** (s - t) *
+    u_k(p)`` at the first period s >= t in which k has a partner p, and 0 if
+    k never matches.  Raises NotAvailable unless k is available at t."""
     if economy.arrival_period(k) > t:  # raises UnknownAgent
         raise NotAvailable(f"{k} has not arrived by period {t}")
     if t > 1 and m.partner(k, t - 1) != k:
         raise NotAvailable(f"{k} is already matched before period {t}")
+    for s in range(t, economy.horizon + 1):
+        p = m.partner(k, s)
+        if p != k:
+            return economy.delta(k) ** (s - t) * economy.utility(k, p)
+    return Fraction(0)

@@ -45,7 +45,6 @@ from .statics import (
     EMPTY_POLICIES,
     StaticEconomy,
     checked_stable_set,
-    conjecture_threshold,
     first_block,
     induced_one_period_economy,
 )
@@ -121,15 +120,14 @@ class ConjectureFamily:
         return self._conjecture_sets[key]
 
     def thresholds(self, economy: Economy) -> dict:
-        """Every period-1 agent's reservation value: the worst payoff among
-        their conjectures (:func:`~dynmatch.statics.conjecture_threshold`),
-        cached by economy key next to the conjecture sets."""
+        """Every period-1 agent's reservation value, the worst payoff among
+        their conjectures: the thresholds of the economy the conjecture sets
+        induce (:func:`~dynmatch.statics.induced_one_period_economy`)."""
         key = economy.key
         if key not in self._thresholds:
-            self._thresholds[key] = {
-                k: conjecture_threshold(economy, k, ms, self.empty_policy)
-                for k, ms in self.conjecture_sets(economy).items()
-            }
+            self._thresholds[key] = induced_one_period_economy(
+                economy, self.conjecture_sets(economy), self.empty_policy
+            ).thresholds
         return self._thresholds[key]
 
     def _conjectures(self, economy: Economy) -> dict:

@@ -210,10 +210,10 @@ def conjecture_threshold(
     empty_policy: str = "vacuous",
 ) -> Threshold:
     """Worst (minimum) period-1 payoff of owner over the conjectured matchings."""
+    if empty_policy not in EMPTY_POLICIES:
+        raise ValueError(f"unknown empty-conjecture policy {empty_policy!r}")
     values = [payoff(economy, m, owner, 1) for m in conjectured]
     if not values:
-        if empty_policy not in EMPTY_POLICIES:
-            raise ValueError(f"unknown empty-conjecture policy {empty_policy!r}")
         return NEG_INF if empty_policy == "vacuous" else POS_INF
     return min(values)
 

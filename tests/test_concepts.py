@@ -1,21 +1,24 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynmatch.concepts import CONCEPT_NAMES, FAMILIES, FixedPointFamily, Solver
+from dynmatch.dsl import parse
 from dynmatch.economy import build_economy
 from dynmatch.framework import (
+    ConjectureFamily,
     candidate_matchings,
     check_generalized_consistency,
     consistency_failures,
     phi_solution_set,
     recursive_solution_set,
 )
-from dynmatch.matching import defer_arrivals, enumerate_matchings
+from dynmatch.matching import defer_arrivals, enumerate_matchings, matching_text
 from dynmatch.reproduce import (
     EXAMPLE1_STAR,
     EXAMPLE2_LEFT,
@@ -24,7 +27,12 @@ from dynmatch.reproduce import (
     run_example1,
     run_example2,
 )
-from dynmatch.statics import EMPTY_POLICIES, conjecture_threshold, value_ge
+from dynmatch.statics import (
+    EMPTY_POLICIES,
+    conjecture_threshold,
+    induced_one_period_economy,
+    value_ge,
+)
 
 from corpus import DELTAS, ODD_NUMERATORS, corpus, random_economy
 
@@ -42,6 +50,11 @@ def market1(solver):
 @pytest.fixture(scope="module")
 def market2(solver):
     return load_fixture("example2")[0]
+
+
+@pytest.fixture(scope="module")
+def stepping_market():
+    return parse((Path(__file__).parent / "sds_step.econ").read_text()).to_economy()
 
 
 def test_all_named_claims_hold(solver):
@@ -259,35 +272,63 @@ def test_each_rule_runs_once_per_economy(monkeypatch, concept):
 @pytest.mark.parametrize("policy", EMPTY_POLICIES)
 @pytest.mark.parametrize("concept", CONCEPT_NAMES)
 def test_cached_thresholds_are_those_of_the_conjecture_sets(
-    monkeypatch, market1, market2, concept, policy
+    monkeypatch, market1, market2, stepping_market, concept, policy
 ):
-    # A cache of cvr-ds's start thresholds instead of its limit's fails
-    # here.  example1 makes sds step past its start too, but that step adds
-    # conjectures without moving any threshold.
-    import dynmatch.framework
-
-    real = dynmatch.framework.conjecture_threshold
-    calls = Counter()
+    # A cache of cvr-ds's or sds's start thresholds instead of its limit's
+    # fails here: the stepping market's sds step moves a threshold.
+    real = ConjectureFamily.thresholds
+    computed = {}
     economies = {}
 
-    def counting(economy, k, conjectured, empty_policy):
-        calls[economy.key, k] += 1
+    def recording(self, economy):
+        result = real(self, economy)
+        computed.setdefault(economy.key, []).append(result)
         economies[economy.key] = economy
-        return real(economy, k, conjectured, empty_policy)
+        return result
 
-    monkeypatch.setattr(dynmatch.framework, "conjecture_threshold", counting)
-    for e in (*corpus(66, 6, max_per_side=2), market1, market2):
-        calls.clear()
+    monkeypatch.setattr(ConjectureFamily, "thresholds", recording)
+    for e in (*corpus(66, 6, max_per_side=2), market1, market2, stepping_market):
+        computed.clear()
         economies.clear()
         solver = Solver(policy)
         family = solver.family(concept)
         solver.solve(concept, e)
         check_generalized_consistency(e, family)
-        assert calls and max(calls.values()) == 1
+        assert computed
+        # A cache miss builds a new mapping; every key gets at most one.
+        for results in computed.values():
+            assert all(r is results[0] for r in results)
         for cont in economies.values():
             for k, threshold in family.thresholds(cont).items():
                 conjectured = family.conjecture_set(cont, k)
-                assert threshold == real(cont, k, conjectured, policy)
+                assert threshold == conjecture_threshold(cont, k, conjectured, policy)
+
+
+@pytest.mark.parametrize("policy", EMPTY_POLICIES)
+def test_the_sds_step_moves_a_threshold_of_the_stepping_market(
+    stepping_market, policy
+):
+    solver = Solver(policy)
+    texts = {
+        c: [matching_text(m) for m in solver.solution_set(c, stepping_market)]
+        for c in ("re", "sds", "cvr-ds")
+    }
+    deferred = "t=1: a2-b3 | t=2: a1-b1 a3-b2"
+    assert texts["re"] == [deferred]
+    assert texts["sds"] == texts["cvr-ds"] == ["t=1: a1-b3 | t=2: a3-b2", deferred]
+    trace = solver.family("sds").iterates(stepping_market)
+    assert len(trace) == 2
+    start, limit = (
+        induced_one_period_economy(stepping_market, it, policy).thresholds
+        for it in trace
+    )
+    assert start == {
+        "a1": Fraction(5, 42),
+        "a2": Fraction(1, 10),
+        "b3": Fraction(9, 10),
+    }
+    assert limit == {**start, "a2": Fraction(0)}
+    assert solver.family("sds").thresholds(stepping_market) == limit
 
 
 def test_solve_report_contents(solver, market1):

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynmatch.dsl import canonical_text, parse, serialize, validate_ordinal
 from dynmatch.errors import (
@@ -175,3 +177,70 @@ def test_static_rankings_survive_one_period_of_delay():
             values = [v for _, v in entries]
             for hi, lo in zip(values, values[1:]):
                 assert e.delta(owner) * hi > lo
+
+
+def rational_token(draw, lo, hi):
+    """An integer or p/q literal for a value in [lo, hi], not always in
+    lowest terms, with the Fraction it stands for."""
+    q = draw(st.integers(1, 6))
+    p = draw(st.integers(lo * q, hi * q))
+    if q == 1 and draw(st.booleans()):
+        return str(p), Fraction(p)
+    return f"{p}/{q}", Fraction(p, q)
+
+
+@st.composite
+def econ_texts(draw):
+    """``.econ`` texts with integer and p/q values (negative utilities too),
+    partners left out of prefs lines, ordinal blocks, and statements after
+    the header in any order.  Returns the text and its utilities."""
+    horizon = draw(st.integers(1, 3))
+    sides = {
+        "A": [f"a{i}" for i in range(1, draw(st.integers(1, 3)) + 1)],
+        "B": [f"b{i}" for i in range(1, draw(st.integers(1, 3)) + 1)],
+    }
+    statements = []
+    utilities = {}
+    for side, other in (("A", "B"), ("B", "A")):
+        for name in sides[side]:
+            arrives = draw(st.integers(1, horizon))
+            delta, _ = rational_token(draw, 0, 1)
+            statements.append(
+                f"agent {name} side {side} arrives {arrives} delta {delta}"
+            )
+            partners = sides[other]
+            if draw(st.booleans()):
+                listed = draw(st.lists(st.sampled_from(partners), unique=True))
+                entries = []
+                for partner in listed:
+                    token, value = rational_token(draw, -3, 3)
+                    utilities[name, partner] = value
+                    entries.append(f"{partner}={token}")
+                statements.append(f"prefs {name}: {' '.join(entries)}")
+            if draw(st.booleans()):
+                block = draw(
+                    st.lists(
+                        st.tuples(st.sampled_from(partners), st.integers(0, 2)),
+                        min_size=1,
+                        max_size=3,
+                    )
+                )
+                body = " ".join(f"({p},{d})" for p, d in block)
+                statements.append(f"ordinal {name}: {body}")
+    # A prefs or ordinal line may come before the agents it names: the
+    # parser checks those lines once it has read every declaration.
+    statements = draw(st.permutations(statements))
+    return "\n".join([f"periods: {horizon}", *statements]) + "\n", utilities
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(econ_texts())
+def test_parse_inverts_serialize_on_generated_documents(generated):
+    text, utilities = generated
+    doc = parse(text)
+    once = serialize(doc)
+    assert parse(once) == doc
+    assert serialize(parse(once)) == once
+    e = doc.to_economy()
+    for (owner, partner), value in utilities.items():
+        assert e.utility(owner, partner) == value

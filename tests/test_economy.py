@@ -7,7 +7,6 @@ from dynmatch.economy import (
     Economy,
     PreferenceProfile,
     build_economy,
-    first_match_date,
     payoff,
 )
 from dynmatch.errors import NotAvailable, UnknownAgent
@@ -30,17 +29,19 @@ def two_period_pair():
     )
 
 
-def test_first_match_date_never_matched_returns_horizon():
+def test_payoff_is_zero_from_any_period_when_never_matched():
     e = two_period_pair()
-    assert first_match_date(e, empty_matching(2), "a1", 1) == 2
+    never = empty_matching(2)
+    assert payoff(e, never, "a1", 1) == payoff(e, never, "a1", 2) == 0
+    assert payoff(e, never, "b2", 2) == 0
 
 
-def test_first_match_date_is_first_period_with_partner():
+def test_payoff_discounts_from_first_period_with_partner():
     e = two_period_pair()
     late = DynamicMatching.from_formed([[], [("a1", "b2")]])
-    assert first_match_date(e, late, "a1", 1) == 2
+    assert payoff(e, late, "a1", 1) == Fraction(1, 2) * 10  # delta * u
     early = DynamicMatching.from_formed([[("a1", "b1")], []])
-    assert first_match_date(e, early, "a1", 1) == 1
+    assert payoff(e, early, "a1", 1) == Fraction(4)  # u, undiscounted
 
 
 def test_payoff_discounts_by_delay():
@@ -64,6 +65,21 @@ def test_payoff_requires_availability():
         payoff(e, empty_matching(2), "b2", 1)  # arrives in period 2
     with pytest.raises(UnknownAgent):
         payoff(e, empty_matching(2), "zz", 1)
+
+
+def test_inexact_numbers_are_rejected_naming_their_agents():
+    schedule = [(("a1",), ("b1",)), ((), ("b2",))]
+    deltas = {"a1": Fraction(1, 10), "b1": 1, "b2": Fraction(3, 4)}
+    utilities = {("a1", "b2"): 3, ("b1", "a1"): Fraction(1), ("b2", "a1"): 2}
+    # Ints and Fractions are exact, so they pass.
+    e = build_economy(2, schedule, deltas, utilities)
+    late = DynamicMatching.from_formed([[], [("a1", "b2")]])
+    assert payoff(e, late, "a1", 1) == Fraction(3, 10)
+    with pytest.raises(ValueError, match=r"inexact values for a1$"):
+        build_economy(2, schedule, {**deltas, "a1": 0.1}, utilities)
+    floats = {("a1", "b2"): 3.0, ("b2", "a1"): 2.0}
+    with pytest.raises(ValueError, match=r"inexact values for a1, b2$"):
+        build_economy(2, schedule, deltas, {**utilities, **floats})
 
 
 def test_unlisted_partner_has_negative_utility():
@@ -104,12 +120,12 @@ def test_discounting_is_the_only_time_dependence():
         for m in enumerate_matchings(e):
             for k in e.members():
                 t0 = e.arrival_period(k)
-                date = first_match_date(e, m, k, t0)
-                expected = e.delta(k) ** (date - t0) * e.utility(
-                    k, m.final_partner(k)
-                )
-                if m.final_partner(k) == k:
-                    expected = Fraction(0)
+                dates = [s for s in range(t0, e.horizon + 1) if m.partner(k, s) != k]
+                expected = Fraction(0)
+                if dates:
+                    expected = e.delta(k) ** (dates[0] - t0) * e.utility(
+                        k, m.final_partner(k)
+                    )
                 assert payoff(e, m, k, t0) == expected
 
 

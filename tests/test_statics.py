@@ -189,6 +189,11 @@ def test_empty_conjecture_policies():
     assert conjecture_threshold(e, "a1", [], "strict") is POS_INF
     with pytest.raises(ValueError):
         conjecture_threshold(e, "a1", [], "bogus")
+    # The policy is checked whether or not it is needed.
+    single = DynamicMatching.from_formed([[]])
+    assert conjecture_threshold(e, "a1", [single], "strict") == 0
+    with pytest.raises(ValueError, match="unknown empty-conjecture policy"):
+        conjecture_threshold(e, "a1", [single], "bogus")
 
 
 def test_induced_economy_with_singleton_idle_conjectures_is_plain_ir():

@@ -48,6 +48,7 @@ class REFamily(ConjectureFamily):
     late (with a one-period horizon, where k is absent altogether)."""
 
     name = "re"
+    _threshold_rule = AgreeFamily._threshold_rule
 
     def _root_conjectures(self, economy, k):
         # A matching of the deferred economy is literally a matching of the
@@ -60,6 +61,7 @@ class DSFamily(ConjectureFamily):
     continuation recursively in the solution set."""
 
     name = "ds"
+    _threshold_rule = AgreeFamily._threshold_rule
 
     def _root_conjectures(self, economy, k):
         # The period-1 test is cheap; it runs first so that rejected first
@@ -108,6 +110,7 @@ class CVRFamily(FixedPointFamily):
 
     name = "cvr-ds"
     _root_conjectures = AgreeFamily._root_conjectures
+    _threshold_rule = AgreeFamily._threshold_rule
 
     def _refine(self, economy, current, members):
         """``members`` filtered by the thresholds that ``current`` implies."""
@@ -148,6 +151,7 @@ class SDSFamily(FixedPointFamily):
 
     name = "sds"
     _root_conjectures = REFamily._root_conjectures
+    _threshold_rule = AgreeFamily._threshold_rule
 
     def _step(self, economy, current):
         # One Jacobi round: candidates built from the previous iterate for

@@ -27,6 +27,7 @@ candidates compare against), solution sets and candidate sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
 from .economy import Economy, payoff
@@ -121,14 +122,21 @@ class ConjectureFamily:
 
     def thresholds(self, economy: Economy) -> dict:
         """Every period-1 agent's reservation value, the worst payoff among
-        their conjectures: the thresholds of the economy the conjecture sets
-        induce (:func:`~dynmatch.statics.induced_one_period_economy`)."""
+        their conjectures; :meth:`_threshold_rule` computes them once per
+        economy key."""
         key = economy.key
         if key not in self._thresholds:
-            self._thresholds[key] = induced_one_period_economy(
-                economy, self.conjecture_sets(economy), self.empty_policy
-            ).thresholds
+            self._thresholds[key] = self._threshold_rule(economy)
         return self._thresholds[key]
+
+    def _threshold_rule(self, economy: Economy) -> dict:
+        """The thresholds of the economy the conjecture sets induce
+        (:func:`~dynmatch.statics.induced_one_period_economy`).  A family
+        whose thresholds are known without its conjecture sets overrides
+        this, as :meth:`AgreeFamily._threshold_rule` does."""
+        return induced_one_period_economy(
+            economy, self.conjecture_sets(economy), self.empty_policy
+        ).thresholds
 
     def _conjectures(self, economy: Economy) -> dict:
         """The concept's rule: every period-1 agent's conjectures at once.
@@ -190,6 +198,36 @@ class AgreeFamily(ConjectureFamily):
 
     def _root_conjectures(self, economy, k):
         return self._single_now(economy, k)
+
+    def _threshold_rule(self, economy):
+        """Zero at the last period: with a one-period horizon every
+        period-1 agent's threshold is 0, returned without building any
+        conjecture set; at any other horizon, the default rule.
+
+        ``agree``, ``ds``, ``re``, ``cvr-ds`` and ``sds`` take this rule.
+        Each of their conjectures leaves its owner single in period 1,
+        which at horizon 1 is the only period, so it pays its owner 0.  A
+        threshold is the minimum over a conjecture set, so it is 0 as soon
+        as the set is nonempty, and no set of these rules is empty:
+
+        - ``agree`` and ``ds`` contain the first period in which nobody
+          matches (it is stable among its matched agents, of whom there
+          are none), stitched onto the one horizon-0 matching;
+        - ``cvr-ds`` starts from ``agree``'s sets, and its refinement keeps
+          that all-single matching, which is stable among its matched
+          agents whatever the thresholds;
+        - ``re``'s set for k is the solution set of the one-period market
+          without k.  By induction on the number of agents its thresholds
+          are 0, so it is that market's stable set with staying single
+          worth 0, which is nonempty (Gale & Shapley 1962);
+        - ``sds`` starts from ``re``'s sets and only adds to them.
+
+        ``stable`` keeps the default: its one conjecture costs one payoff.
+        """
+        if economy.horizon != 1:
+            return ConjectureFamily._threshold_rule(self, economy)
+        a1, b1 = economy.arrivals[0]
+        return {k: Fraction(0) for k in (*a1, *b1)}
 
 
 def period_witness(

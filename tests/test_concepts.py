@@ -226,6 +226,12 @@ def test_consistent_families_solve_strict_markets_three_a_side(e):
     check_consistent_families(e)
 
 
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(strict_markets(max_per_side=4))
+def test_consistent_families_solve_strict_markets_four_a_side(e):
+    check_consistent_families(e)
+
+
 @pytest.mark.parametrize("concept", CONCEPT_NAMES)
 def test_each_rule_runs_once_per_economy(monkeypatch, concept):
     cls = FAMILIES[concept]
@@ -269,6 +275,24 @@ def test_each_rule_runs_once_per_economy(monkeypatch, concept):
         assert trace[-1] == family.conjecture_sets(e)
 
 
+@pytest.mark.parametrize("concept", ("agree", "re", "ds", "cvr-ds", "sds"))
+def test_last_period_thresholds_build_no_conjecture_sets(market1, market2, concept):
+    # Their horizon-1 thresholds are 0 without asking for a conjecture set.
+    misses = Counter()
+    for e in (market1, market2):
+        solver = Solver()
+        family = solver.family(concept)
+        rule = family._conjectures
+
+        def counting(economy):
+            misses[economy.horizon] += 1
+            return rule(economy)
+
+        family._conjectures = counting
+        solver.solution_set(concept, e)
+    assert misses and misses[1] == 0
+
+
 @pytest.mark.parametrize("policy", EMPTY_POLICIES)
 @pytest.mark.parametrize("concept", CONCEPT_NAMES)
 def test_cached_thresholds_are_those_of_the_conjecture_sets(
@@ -287,7 +311,14 @@ def test_cached_thresholds_are_those_of_the_conjecture_sets(
         return result
 
     monkeypatch.setattr(ConjectureFamily, "thresholds", recording)
-    for e in (*corpus(66, 6, max_per_side=2), market1, market2, stepping_market):
+    markets = (
+        *corpus(66, 6, max_per_side=2),
+        *corpus(5, 40, max_per_side=4, horizon=1),
+        market1,
+        market2,
+        stepping_market,
+    )
+    for e in markets:
         computed.clear()
         economies.clear()
         solver = Solver(policy)
@@ -298,10 +329,14 @@ def test_cached_thresholds_are_those_of_the_conjecture_sets(
         # A cache miss builds a new mapping; every key gets at most one.
         for results in computed.values():
             assert all(r is results[0] for r in results)
-        for cont in economies.values():
+        # Building a conjecture set the solve skipped records more economies.
+        for cont in list(economies.values()):
             for k, threshold in family.thresholds(cont).items():
                 conjectured = family.conjecture_set(cont, k)
                 assert threshold == conjecture_threshold(cont, k, conjectured, policy)
+                # Every conjecture leaves its owner single in the only period.
+                if cont.horizon == 1:
+                    assert threshold == 0
 
 
 @pytest.mark.parametrize("policy", EMPTY_POLICIES)

@@ -63,7 +63,7 @@ def _witness_text(w) -> str:
     )
 
 
-def _report_dict(report: SolveReport, digest: str, threads: int) -> dict:
+def _report_dict(report: SolveReport, digest: str) -> dict:
     return {
         "schema": SCHEMA,
         "economy_digest": digest,
@@ -71,7 +71,8 @@ def _report_dict(report: SolveReport, digest: str, threads: int) -> dict:
         "flags": {
             "empty_conjectures": report.empty_policy,
             "max_matchings": report.max_matchings,
-            "threads": threads,
+            # The solver is sequential; solve-report/1 keeps the field.
+            "threads": 1,
         },
         "solutions": [matching_text(m) for m in report.solutions],
         "candidates": [matching_text(m) for m in report.candidates],
@@ -120,7 +121,7 @@ def cmd_solve(args) -> int:
     elapsed = time.perf_counter() - start
     print(f"solved in {elapsed:.3f}s", file=sys.stderr)
     if args.json:
-        print(json.dumps(_report_dict(report, digest, args.threads), indent=2, sort_keys=True))
+        print(json.dumps(_report_dict(report, digest), indent=2, sort_keys=True))
     else:
         _print_report(report)
     return EXIT_OK if report.solutions else EXIT_EMPTY
@@ -187,12 +188,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         help="how an empty conjecture set constrains its owner",
     )
     p.add_argument("--max-matchings", type=positive_int, default=DEFAULT_MAX_MATCHINGS)
-    p.add_argument(
-        "--threads",
-        type=positive_int,
-        default=1,
-        help="solver thread budget (currently evaluated sequentially)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:

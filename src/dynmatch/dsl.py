@@ -81,8 +81,6 @@ def parse(text: str) -> EconomyDocument:
     sides: dict[str, str] = {}
     prefs: dict[str, tuple[tuple[str, Fraction], ...]] = {}
     ordinals: dict[str, tuple[tuple[str, int], ...]] = {}
-    pref_owners: list[str] = []
-    ordinal_owners: list[str] = []
     pending: list[tuple[int, str]] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -168,7 +166,6 @@ def parse(text: str) -> EconomyDocument:
             # Canonical order: utility descending, then partner name.
             entries.sort(key=lambda e: (-e[1], e[0]))
             prefs[owner] = tuple(entries)
-            pref_owners.append(owner)
         else:
             mt = re.match(r"^ordinal\s+(\S+?):\s*(.*)$", line)
             if not mt:
@@ -189,14 +186,13 @@ def parse(text: str) -> EconomyDocument:
                 check_partner(owner, partner, lineno)
                 entries.append((partner, int(delay)))
             ordinals[owner] = tuple(entries)
-            ordinal_owners.append(owner)
 
     order = {d.name: i for i, d in enumerate(agents)}
     return EconomyDocument(
         horizon=horizon,
         agents=tuple(agents),
-        prefs=tuple((o, prefs[o]) for o in sorted(pref_owners, key=order.get)),
-        ordinals=tuple((o, ordinals[o]) for o in sorted(ordinal_owners, key=order.get)),
+        prefs=tuple((o, prefs[o]) for o in sorted(prefs, key=order.get)),
+        ordinals=tuple((o, ordinals[o]) for o in sorted(ordinals, key=order.get)),
     )
 
 

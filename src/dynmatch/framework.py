@@ -10,18 +10,19 @@ histories with the same continuation share one cache entry.
 
 The solve path follows the recursive definitions: a solution, a conjecture
 and a candidate are each a first period stitched onto a solved continuation
-(:func:`~dynmatch.matching.stitch`), memoized per economy key.  The
-exhaustive :func:`phi_solution_set` and :func:`candidate_matchings` filter
-every full matching and are kept only as oracles.  Only
-:func:`is_phi_solution` validates its matching.
+by one family method, :meth:`ConjectureFamily._stitched`.  The exhaustive
+:func:`phi_solution_set` and :func:`candidate_matchings` filter every full
+matching and are kept only as oracles.  Only :func:`is_phi_solution`
+validates its matching.
 
-A family is its concept: a conjecture rule, run once per economy key, and
-the concept's configuration (the empty-conjecture policy and the size cap),
-set once when it is built.  Every function here reads it from the family, so
-the exhaustive and recursive routes cannot disagree about it.  What depends
-only on the economy is cached in the family by economy key: conjecture sets,
-their thresholds (the reservation values every period check and the
-candidates compare against), solution sets and candidate sets.
+A family is its concept: a conjecture rule and the concept's configuration
+(the empty-conjecture policy and the size cap), set once when it is built.
+Every function here reads the configuration from the family, so the
+exhaustive and stitched routes cannot disagree about it.  What depends only
+on the economy lives in the family's one memo, keyed by economy key:
+conjecture sets, their thresholds (the reservation values every period
+check and the candidates compare against), solution sets and candidate
+sets.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .statics import (
 
 # The horizon-0 economy, where every recursion ends, has one matching, and it
 # is a solution and a candidate under every concept.  It has no period 1 to
-# stitch from, so it is returned before any cache lookup.
+# stitch from, so it is returned before any memo lookup.
 _HORIZON_0 = (DynamicMatching(()),)
 
 @dataclass(frozen=True)
@@ -77,11 +78,12 @@ class ConjectureFamily:
 
     Subclasses implement :meth:`_root_conjectures` for an agent available in
     period 1 of a (continuation) economy, or :meth:`_conjectures` for all of
-    them at once; :meth:`conjecture_sets` runs it once per canonical economy
-    key.  The family also holds its concept's configuration and every cache
-    the concept fills, each keyed by economy key: conjecture sets, their
-    thresholds, solution and candidate sets.  Static stable sets are not
-    cached: stitching asks for few of them twice.
+    them at once, and may override :meth:`_threshold_rule`; these rule hooks
+    are all that tells one concept from another.  The family also holds its
+    concept's configuration and one memo: :meth:`_once` computes each of
+    conjecture sets, thresholds, solution and candidate sets once per
+    economy key.  Static stable sets are not memoized: stitching asks for
+    few of them twice.
     """
 
     name = "?"
@@ -100,10 +102,20 @@ class ConjectureFamily:
             raise ValueError(f"max_matchings must be at least 1, got {max_matchings}")
         self.empty_policy = empty_policy
         self.max_matchings = max_matchings
-        self._conjecture_sets: dict = {}
-        self._thresholds: dict = {}
-        self._solutions: dict = {}
-        self._candidates: dict = {}
+        kinds = ("conjectures", "thresholds", "solutions", "candidates")
+        self._memo: dict = {kind: {} for kind in kinds}
+
+    def _once(self, kind: str, economy: Economy, compute):
+        """``compute(economy)``, memoized under ``kind`` by economy key; a
+        hit is one lookup of the key.  A miss computes outside the handler,
+        so a failure deep in the recursion chains no KeyError."""
+        cache = self._memo[kind]
+        try:
+            return cache[economy.key]
+        except KeyError:
+            pass
+        value = cache[economy.key] = compute(economy)
+        return value
 
     def conjecture_set(self, economy: Economy, k: str) -> tuple[DynamicMatching, ...]:
         """The conjectures of k, who must be available in period 1."""
@@ -114,20 +126,14 @@ class ConjectureFamily:
 
     def conjecture_sets(self, economy: Economy) -> dict:
         """Every period-1 agent's conjecture set, in declaration order;
-        the family's one conjecture cache, keyed by economy key."""
-        key = economy.key
-        if key not in self._conjecture_sets:
-            self._conjecture_sets[key] = self._conjectures(economy)
-        return self._conjecture_sets[key]
+        :meth:`_conjectures` computes them once per economy key."""
+        return self._once("conjectures", economy, self._conjectures)
 
     def thresholds(self, economy: Economy) -> dict:
         """Every period-1 agent's reservation value, the worst payoff among
         their conjectures; :meth:`_threshold_rule` computes them once per
         economy key."""
-        key = economy.key
-        if key not in self._thresholds:
-            self._thresholds[key] = self._threshold_rule(economy)
-        return self._thresholds[key]
+        return self._once("thresholds", economy, self._threshold_rule)
 
     def _threshold_rule(self, economy: Economy) -> dict:
         """The thresholds of the economy the conjecture sets induce
@@ -150,29 +156,48 @@ class ConjectureFamily:
         raise NotImplementedError
 
     def solution_set(self, economy: Economy) -> tuple[DynamicMatching, ...]:
-        """The concept's solution set, stitched and memoized by economy key."""
-        return _recursive_solutions(economy, self, self._solutions)
+        """The concept's solution set, computed by :meth:`_solutions` once
+        per economy key."""
+        if not economy.horizon:
+            return _HORIZON_0
+        return self._once("solutions", economy, self._solutions)
+
+    def _solutions(self, economy: Economy) -> tuple[DynamicMatching, ...]:
+        """Every first period stitched onto the solutions of the economy it
+        leaves, keeping the matchings with no period-1 witness."""
+        a1, b1 = economy.arrivals[0]
+        stitched = self._stitched(economy, period_matchings(a1, b1), self.solution_set)
+        return tuple(m for m in stitched if period_witness(economy, m, self) is None)
 
     def candidates(self, economy: Economy) -> tuple[DynamicMatching, ...]:
         """Stable first periods of the induced economy, each stitched onto
         the candidates of the economy it leaves; memoized by economy key."""
         if not economy.horizon:
             return _HORIZON_0
-        key = economy.key
-        if key not in self._candidates:
-            self._candidates[key] = _stable_stitched(
-                economy, self.thresholds(economy), self, self.candidates
-            )
-        return self._candidates[key]
+        return self._once("candidates", economy, self._candidates)
+
+    def _candidates(self, economy: Economy) -> tuple[DynamicMatching, ...]:
+        return self._stable_stitched(economy, self.thresholds(economy), self.candidates)
+
+    def _stable_stitched(self, economy: Economy, thresholds: Mapping, rest):
+        """The stable set of the period-1 economy with these thresholds, each
+        first period stitched onto ``rest`` of the economy it leaves."""
+        a1, b1 = economy.arrivals[0]
+        firsts = checked_stable_set(StaticEconomy(economy, a1, b1, thresholds))
+        return self._stitched(economy, firsts, rest)
 
     def _single_now(self, economy: Economy, k: str, keep=lambda p1: True):
         """First periods that leave k single and pass ``keep``, each stitched
         onto the solutions of the economy it leaves."""
         a1, b1 = economy.arrivals[0]
         firsts = filter(keep, period_matchings(a1, b1, frozenset((k,))))
-        return _canonical(
-            stitch(economy, firsts, self.solution_set, self.max_matchings)
-        )
+        return self._stitched(economy, firsts, self.solution_set)
+
+    def _stitched(self, economy: Economy, firsts, rest) -> tuple[DynamicMatching, ...]:
+        """Each period-1 pair set of ``firsts`` stitched onto every matching
+        ``rest`` returns for the economy it leaves, in canonical order; the
+        family's size cap bounds the count."""
+        return _canonical(stitch(economy, firsts, rest, self.max_matchings))
 
 
 class StableFamily(ConjectureFamily):
@@ -291,30 +316,10 @@ def phi_solution_set(
 def recursive_solution_set(
     economy: Economy, family: ConjectureFamily
 ) -> tuple[DynamicMatching, ...]:
-    """Same set, by the stitching route of
-    :meth:`ConjectureFamily.solution_set` with a fresh solution cache."""
-    return _recursive_solutions(economy, family, {})
-
-
-def _recursive_solutions(
-    economy: Economy, family: ConjectureFamily, cache: dict
-) -> tuple[DynamicMatching, ...]:
-    """:func:`recursive_solution_set`, memoized by economy key in ``cache``."""
-    if not economy.horizon:
-        return _HORIZON_0
-    key = economy.key
-    if key not in cache:
-        a1, b1 = economy.arrivals[0]
-        stitched = stitch(
-            economy,
-            period_matchings(a1, b1),
-            lambda cont: _recursive_solutions(cont, family, cache),
-            family.max_matchings,
-        )
-        cache[key] = _canonical(
-            m for m in stitched if period_witness(economy, m, family) is None
-        )
-    return cache[key]
+    """The same set by the stitching route: the family's memoized
+    :meth:`ConjectureFamily.solution_set`.  :func:`phi_solution_set` is its
+    independent oracle."""
+    return family.solution_set(economy)
 
 
 def candidate_set(
@@ -337,15 +342,7 @@ def candidate_set(
         return sols
 
     e1 = induced_one_period_economy(economy, conjectured, family.empty_policy)
-    return _stable_stitched(economy, e1.thresholds, family, solved)
-
-
-def _stable_stitched(economy, thresholds, family, rest):
-    """The stable set of the period-1 economy with these thresholds, each
-    first period stitched onto ``rest`` of the economy it leaves."""
-    a1, b1 = economy.arrivals[0]
-    firsts = checked_stable_set(StaticEconomy(economy, a1, b1, thresholds))
-    return _canonical(stitch(economy, firsts, rest, family.max_matchings))
+    return family._stable_stitched(economy, e1.thresholds, solved)
 
 
 def candidate_matchings(

@@ -82,7 +82,7 @@ def test_bad_max_matchings_is_a_usage_error(econ_file, capsys, cap):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("threads", ["0", "-3"])
+@pytest.mark.parametrize("threads", ["0", "-3", "1"])
 def test_bad_threads_is_a_usage_error(econ_file, capsys, threads):
     code = run_cli("solve", econ_file, "--concept", "stable", "--threads", threads)
     assert code == cli.EXIT_INPUT

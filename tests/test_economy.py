@@ -67,6 +67,13 @@ def test_payoff_requires_availability():
         payoff(e, empty_matching(2), "zz", 1)
 
 
+@pytest.mark.parametrize("t", [0, 3, 4])
+def test_payoff_rejects_a_period_outside_the_horizon(t):
+    e = two_period_pair()
+    with pytest.raises(ValueError, match=rf"^period {t} outside 1\.\.2$"):
+        payoff(e, empty_matching(2), "a1", t)
+
+
 def test_inexact_numbers_are_rejected_naming_their_agents():
     schedule = [(("a1",), ("b1",)), ((), ("b2",))]
     deltas = {"a1": Fraction(1, 10), "b1": 1, "b2": Fraction(3, 4)}

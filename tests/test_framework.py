@@ -353,11 +353,41 @@ def test_family_rejects_a_bad_configuration(config):
         StableFamily(**config)
 
 
-def test_family_memoizes_solution_sets_by_economy_key():
-    e = random_economy(random.Random(42), max_per_side=2)
-    family = StableFamily()
-    first = family.solution_set(e)
-    assert family.solution_set(e) is first
+def two_a_side(arrivals):
+    # Strict preferences, as in corpus.py: odd/even deltas, odd/7 utilities.
+    return build_economy(
+        2,
+        arrivals,
+        {
+            "a1": Fraction(1, 2),
+            "a2": Fraction(3, 4),
+            "b1": Fraction(5, 8),
+            "b2": Fraction(9, 10),
+        },
+        {
+            ("a1", "b1"): Fraction(3, 7),
+            ("a1", "b2"): Fraction(5, 7),
+            ("a2", "b1"): Fraction(1, 7),
+            ("a2", "b2"): Fraction(9, 7),
+            ("b1", "a1"): Fraction(11, 7),
+            ("b1", "a2"): Fraction(13, 7),
+            ("b2", "a1"): Fraction(15, 7),
+            ("b2", "a2"): Fraction(-1, 7),
+        },
+    )
+
+
+@pytest.mark.parametrize("concept", CONCEPT_NAMES)
+def test_family_memoizes_every_view_by_economy_key(concept):
+    # Built apart, with the arrivals declared in another order: equal keys.
+    e = two_a_side([(("a1", "a2"), ("b1",)), ((), ("b2",))])
+    twin = two_a_side([(("a2", "a1"), ("b1",)), ((), ("b2",))])
+    assert twin is not e and twin.arrivals != e.arrivals and twin.key == e.key
+    family = Solver().family(concept)
+    for view in ("conjecture_sets", "thresholds", "solution_set", "candidates"):
+        first = getattr(family, view)(e)
+        assert first  # an empty tuple is a singleton and would pass below
+        assert getattr(family, view)(twin) is first
 
 
 def test_oracle_routes_are_exported_from_the_package():

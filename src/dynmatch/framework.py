@@ -32,13 +32,19 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
 from .economy import Economy, payoff
-from .errors import EmptyContinuationSolutions, NotACandidate, NotAvailable
+from .errors import (
+    EmptyContinuationSolutions,
+    NotACandidate,
+    NotAvailable,
+    SizeLimitExceeded,
+)
 from .matching import (
     DEFAULT_MAX_MATCHINGS,
     DynamicMatching,
     continuations,
     empty_matching,
     enumerate_matchings,
+    pair_set_count,
     period_matchings,
     stitch,
     validate_matching,
@@ -49,6 +55,7 @@ from .statics import (
     checked_stable_set,
     first_block,
     induced_one_period_economy,
+    stable_set,
 )
 
 # The horizon-0 economy, where every recursion ends, has one matching, and it
@@ -164,8 +171,26 @@ class ConjectureFamily:
 
     def _solutions(self, economy: Economy) -> tuple[DynamicMatching, ...]:
         """Every first period stitched onto the solutions of the economy it
-        leaves, keeping the matchings with no period-1 witness."""
+        leaves, keeping the matchings with no period-1 witness.
+
+        At the last period, with every threshold 0, that is the static
+        stable set with staying single worth 0, stitched onto the horizon-0
+        matching: a period-1 payoff is then the partner's utility, or 0 for
+        a single agent, which is the static value of the same pair set.
+        The set comes from the unchecked
+        :func:`~dynmatch.statics.stable_set`, so this route, like the
+        filter, makes no lone-wolf check.  The cap counts the pair sets
+        scanned, which is the number the filter would stitch, and trips
+        before any threshold is computed, as stitching does.
+        """
         a1, b1 = economy.arrivals[0]
+        if economy.horizon == 1:
+            if pair_set_count(len(a1), len(b1)) > self.max_matchings:
+                raise SizeLimitExceeded(self.max_matchings, 1, len(a1) + len(b1))
+            thresholds = self.thresholds(economy)
+            if all(v == 0 for v in thresholds.values()):
+                firsts = stable_set(StaticEconomy(economy, a1, b1, thresholds))
+                return self._stitched(economy, firsts, self.solution_set)
         stitched = self._stitched(economy, period_matchings(a1, b1), self.solution_set)
         return tuple(m for m in stitched if period_witness(economy, m, self) is None)
 
@@ -248,6 +273,8 @@ class AgreeFamily(ConjectureFamily):
         - ``sds`` starts from ``re``'s sets and only adds to them.
 
         ``stable`` keeps the default: its one conjecture costs one payoff.
+        :meth:`ConjectureFamily._solutions` relies on these zeros to solve
+        the last period as a static market.
         """
         if economy.horizon != 1:
             return ConjectureFamily._threshold_rule(self, economy)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
+from math import comb, factorial
 from typing import Callable, Iterable, Iterator
 
 from .economy import Economy
@@ -238,6 +239,12 @@ def period_matchings(
 
     for pairs in rec(0, frozenset()):
         yield canonical_pairs(pairs)
+
+
+def pair_set_count(m: int, n: int) -> int:
+    """How many pair sets :func:`period_matchings` yields over m A-side and
+    n B-side agents: sum over k of C(m, k) * C(n, k) * k!."""
+    return sum(comb(m, k) * comb(n, k) * factorial(k) for k in range(min(m, n) + 1))
 
 
 def enumerate_matchings(

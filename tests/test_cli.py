@@ -139,9 +139,10 @@ def test_out_of_range_discount_factor_names_its_line(tmp_path, capsys):
     assert "line 2: discount factor of a1" in capsys.readouterr().err
 
 
-def test_enumeration_cap_exit_code(example1_file, capsys):
+@pytest.mark.parametrize("concept", CONCEPT_NAMES)
+def test_enumeration_cap_exit_code(example1_file, capsys, concept):
     code = run_cli(
-        "solve", example1_file, "--concept", "stable", "--max-matchings", "5"
+        "solve", example1_file, "--concept", concept, "--max-matchings", "5"
     )
     assert code == cli.EXIT_SIZE
     assert capsys.readouterr().err == (

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dynmatch import framework
 from dynmatch.concepts import CONCEPT_NAMES, FAMILIES, FixedPointFamily, Solver
 from dynmatch.dsl import parse
 from dynmatch.economy import build_economy
@@ -291,6 +292,25 @@ def test_last_period_thresholds_build_no_conjecture_sets(market1, market2, conce
         family._conjectures = counting
         solver.solution_set(concept, e)
     assert misses and misses[1] == 0
+
+
+@pytest.mark.parametrize("concept", CONCEPT_NAMES)
+def test_last_period_solutions_run_no_period_witness(
+    monkeypatch, market1, market2, concept
+):
+    # Horizon-1 thresholds are 0, so a last-period solution set is the static
+    # stable set: no stitched horizon-1 matching goes through the filter.
+    horizons = Counter()
+    real = framework.period_witness
+
+    def counting(cont, rest, family, t=1):
+        horizons[cont.horizon] += 1
+        return real(cont, rest, family, t)
+
+    monkeypatch.setattr(framework, "period_witness", counting)
+    for e in (market1, market2):
+        Solver().family(concept).solution_set(e)
+    assert horizons and horizons[1] == 0
 
 
 @pytest.mark.parametrize("policy", EMPTY_POLICIES)

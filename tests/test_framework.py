@@ -6,7 +6,7 @@ import pytest
 
 from dynmatch.concepts import CONCEPT_NAMES, Solver
 from dynmatch.economy import build_economy, payoff
-from dynmatch.errors import NotACandidate, NotAvailable
+from dynmatch.errors import NotACandidate, NotAvailable, SizeLimitExceeded
 from dynmatch.framework import (
     AgreeFamily,
     BlockWitness,
@@ -347,6 +347,25 @@ def test_empty_conjecture_policies_change_the_solution_set():
         )
 
 
+@pytest.mark.parametrize("concept", CONCEPT_NAMES)
+def test_tied_last_period_solutions_run_no_lone_wolf_check(concept):
+    # a1 is indifferent between b1 and b2: both pairings are stable and leave
+    # different agents single, which a lone-wolf check would reject.
+    e = build_economy(
+        1,
+        [(("a1",), ("b1", "b2"))],
+        {n: Fraction(1, 2) for n in ("a1", "b1", "b2")},
+        {
+            (x, y): Fraction(1)
+            for x, y in (("a1", "b1"), ("a1", "b2"), ("b1", "a1"), ("b2", "a1"))
+        },
+    )
+    family = Solver().family(concept)
+    solutions = family.solution_set(e)
+    assert solutions == phi_solution_set(e, family)
+    assert len(solutions) == 2
+
+
 @pytest.mark.parametrize("config", [{"empty_policy": "bogus"}, {"max_matchings": 0}])
 def test_family_rejects_a_bad_configuration(config):
     with pytest.raises(ValueError):
@@ -356,7 +375,7 @@ def test_family_rejects_a_bad_configuration(config):
 def two_a_side(arrivals):
     # Strict preferences, as in corpus.py: odd/even deltas, odd/7 utilities.
     return build_economy(
-        2,
+        len(arrivals),
         arrivals,
         {
             "a1": Fraction(1, 2),
@@ -388,6 +407,19 @@ def test_family_memoizes_every_view_by_economy_key(concept):
         first = getattr(family, view)(e)
         assert first  # an empty tuple is a singleton and would pass below
         assert getattr(family, view)(twin) is first
+
+
+@pytest.mark.parametrize("concept", CONCEPT_NAMES)
+def test_last_period_cap_counts_its_pair_sets(concept):
+    # A 2x2 period has 7 pair sets: a cap of 7 solves, a cap of 6 trips here.
+    e = two_a_side([(("a1", "a2"), ("b1", "b2"))])
+    assert Solver(max_matchings=7).solve(concept, e).solutions
+    with pytest.raises(SizeLimitExceeded) as exc:
+        Solver(max_matchings=6).solve(concept, e)
+    assert str(exc.value) == (
+        "enumeration exceeded the cap of 6 matchings in an economy "
+        "with horizon 1 and 4 agents"
+    )
 
 
 def test_oracle_routes_are_exported_from_the_package():

@@ -15,6 +15,7 @@ from dynmatch.matching import (
     enumerate_matchings,
     matching_text,
     next_economy,
+    pair_set_count,
     parse_matching_text,
     period_matchings,
     prepend,
@@ -44,6 +45,14 @@ def partial_injection_count(n):
 def test_static_enumeration_matches_combinatorial_count(n):
     e = static_economy(n, n)
     assert len(enumerate_matchings(e)) == partial_injection_count(n)
+
+
+def test_pair_set_count_counts_period_matchings():
+    for m in range(6):
+        for n in range(6):
+            a = tuple(f"a{i}" for i in range(m))
+            b = tuple(f"b{i}" for i in range(n))
+            assert pair_set_count(m, n) == len(list(period_matchings(a, b)))
 
 
 def test_one_pair_one_period_has_two_matchings():

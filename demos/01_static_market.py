@@ -8,7 +8,7 @@ side.  Run with ``python3 demos/01_static_market.py``.
 from fractions import Fraction
 
 from dynmatch import build_economy
-from dynmatch.statics import deferred_acceptance, stable_set, static_economy
+from dynmatch.statics import StaticEconomy, deferred_acceptance, stable_set
 
 a_side = ("a1", "a2", "a3")
 b_side = ("b1", "b2", "b3")
@@ -33,7 +33,9 @@ economy = build_economy(
     },
 )
 
-market = static_economy(economy, a_side, b_side)
+# A static market is a view of one period.  No thresholds are given, so
+# staying single is worth 0 to everyone.
+market = StaticEconomy(economy, a_side, b_side)
 
 print("stable matchings (exhaustive enumeration):")
 for pairs in stable_set(market):

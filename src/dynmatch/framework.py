@@ -132,8 +132,10 @@ class ConjectureFamily:
         return self.conjecture_sets(economy)[k]
 
     def conjecture_sets(self, economy: Economy) -> dict:
-        """Every period-1 agent's conjecture set, in declaration order;
-        :meth:`_conjectures` computes them once per economy key."""
+        """Every period-1 agent's conjecture set, by agent;
+        :meth:`_conjectures` computes them once per economy key.  Economies
+        with one key may declare their agents in different orders, so the
+        keys come in the order of the first such economy asked."""
         return self._once("conjectures", economy, self._conjectures)
 
     def thresholds(self, economy: Economy) -> dict:
@@ -214,8 +216,8 @@ class ConjectureFamily:
     def _single_now(self, economy: Economy, k: str, keep=lambda p1: True):
         """First periods that leave k single and pass ``keep``, each stitched
         onto the solutions of the economy it leaves."""
-        a1, b1 = economy.arrivals[0]
-        firsts = filter(keep, period_matchings(a1, b1, frozenset((k,))))
+        a1, b1 = (tuple(n for n in side if n != k) for side in economy.arrivals[0])
+        firsts = filter(keep, period_matchings(a1, b1))
         return self._stitched(economy, firsts, self.solution_set)
 
     def _stitched(self, economy: Economy, firsts, rest) -> tuple[DynamicMatching, ...]:
@@ -407,11 +409,15 @@ def consistency_failures(
     economy: Economy, m_star: DynamicMatching, family: ConjectureFamily
 ) -> tuple[tuple[int, str], ...]:
     """Every (period, agent) where an available agent m_star leaves unmatched
-    does not conjecture m_star."""
+    does not conjecture m_star.  Within a period, agents come in the
+    declaration order of ``economy``'s continuation, whichever economy with
+    its key filled the conjecture memo."""
     failures = []
     for t, (cont, rest) in enumerate(continuations(economy, m_star), start=1):
-        for k, conjectured in family.conjecture_sets(cont).items():
-            if rest.partner(k, 1) == k and rest not in conjectured:
+        conjectured = family.conjecture_sets(cont)
+        a1, b1 = cont.arrivals[0]
+        for k in (*a1, *b1):
+            if rest.partner(k, 1) == k and rest not in conjectured[k]:
                 failures.append((t, k))
     return tuple(failures)
 

@@ -213,25 +213,18 @@ def defer_arrivals(economy: Economy, names: Iterable[str]) -> Economy:
 
 
 def period_matchings(
-    a_names: tuple[str, ...],
-    b_names: tuple[str, ...],
-    forbidden: frozenset[str] = frozenset(),
+    a_names: tuple[str, ...], b_names: tuple[str, ...]
 ) -> Iterator[PeriodPairs]:
-    """All pair sets over the given agents, lexicographic in declaration order.
-
-    Agents in ``forbidden`` stay unmatched.
-    """
-    a_free = tuple(n for n in a_names if n not in forbidden)
-    b_free = tuple(n for n in b_names if n not in forbidden)
+    """All pair sets over the given agents, lexicographic in declaration order."""
 
     def rec(i: int, used_b: frozenset[str]) -> Iterator[tuple[Pair, ...]]:
-        if i == len(a_free):
+        if i == len(a_names):
             yield ()
             return
-        a = a_free[i]
+        a = a_names[i]
         for tail in rec(i + 1, used_b):
             yield tail
-        for b in b_free:
+        for b in b_names:
             if b in used_b:
                 continue
             for tail in rec(i + 1, used_b | {b}):

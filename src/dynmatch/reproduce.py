@@ -13,7 +13,7 @@ from .dsl import EconomyDocument, parse
 from .economy import Economy
 from .framework import check_generalized_consistency
 from .matching import DynamicMatching, defer_arrivals
-from .statics import deferred_acceptance, static_economy, stable_set
+from .statics import StaticEconomy, deferred_acceptance, stable_set
 
 Claim = tuple[str, bool, str]
 
@@ -58,7 +58,7 @@ def run_example1(solver: Solver | None = None) -> tuple[Claim, ...]:
     claims: list[Claim] = []
 
     # (a) the static market over all eight agents has one stable matching.
-    everyone = static_economy(
+    everyone = StaticEconomy(
         economy, ("a1", "a2", "a3", "a4"), ("b1", "b2", "b3", "b4")
     )
     expected = (("a1", "b2"), ("a2", "b4"), ("a3", "b3"), ("a4", "b1"))
@@ -74,10 +74,10 @@ def run_example1(solver: Solver | None = None) -> tuple[Claim, ...]:
 
     # (b) the two side-A proposing deferred-acceptance runs.
     da1 = deferred_acceptance(
-        static_economy(economy, ("a2", "a3", "a4"), ("b1", "b3", "b4")), "A"
+        StaticEconomy(economy, ("a2", "a3", "a4"), ("b1", "b3", "b4")), "A"
     )
     da2 = deferred_acceptance(
-        static_economy(economy, ("a1", "a3", "a4"), ("b1", "b3", "b4")), "A"
+        StaticEconomy(economy, ("a1", "a3", "a4"), ("b1", "b3", "b4")), "A"
     )
     claims.append(
         (

@@ -3,43 +3,45 @@
 A static economy views one period of an economy with a reservation value
 (threshold) per agent.  The value of remaining single *is* the threshold, so
 individual rationality and blocking both reduce to exact comparisons against
-it, made by one scan, :func:`first_block`.  Thresholds admit two sentinels:
-``NEG_INF`` (no constraint — any partner beats staying single) and
-``POS_INF`` (nothing is acceptable — the agent must stay single).
+it, made by one scan, :func:`first_block`.  Thresholds admit two sentinels,
+ordered below and above every number: ``NEG_INF`` (no constraint — any
+partner beats staying single) and ``POS_INF`` (nothing is acceptable — the
+agent must stay single).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import total_ordering
 from typing import Iterable, Mapping, Optional
 
 from .economy import Economy, payoff
 from .errors import LoneWolfViolation, TiesPresent
 from .matching import DynamicMatching, PeriodPairs, period_matchings
 
-NEG_INF = "-inf"
-POS_INF = "+inf"
+
+@total_ordering
+class Infinity:
+    """An end of the value order: ``NEG_INF`` lies below and ``POS_INF``
+    above every ``int`` and ``Fraction``.  Each equals only itself."""
+
+    def __init__(self, text: str):
+        self.text = text
+
+    def __lt__(self, other) -> bool:
+        return self is NEG_INF and other is not NEG_INF
+
+    def __repr__(self) -> str:
+        return self.text
+
+
+NEG_INF = Infinity("-inf")
+POS_INF = Infinity("+inf")
 
 # How an empty conjecture set constrains its owner: not at all (threshold
 # NEG_INF) or completely (threshold POS_INF).
 EMPTY_POLICIES = ("vacuous", "strict")
-
-Threshold = object  # Fraction | NEG_INF | POS_INF
-
-
-def value_ge(x: Threshold, y: Threshold) -> bool:
-    """x >= y in the total order NEG_INF < every Fraction < POS_INF."""
-    if x is POS_INF or y is NEG_INF:
-        return True
-    if x is NEG_INF or y is POS_INF:
-        return False
-    return x >= y
-
-
-def value_gt(x: Threshold, y: Threshold) -> bool:
-    return not value_ge(y, x)
 
 
 INDIVIDUAL_A = "IndividualA"
@@ -58,58 +60,35 @@ def first_block(a_names, b_names, utility, value, threshold) -> Optional[tuple]:
         for k in names:
             thr = threshold(k)
             val = value(k)
-            if not value_ge(val, thr):
+            if val < thr:
                 return kind, (k,), (val, thr)
     for a in a_names:
         va = value(a)
         for b in b_names:
             uab = utility(a, b)
-            if value_gt(uab, va):
+            if uab > va:
                 vb = value(b)
                 uba = utility(b, a)
-                if value_gt(uba, vb):
+                if uba > vb:
                     return PAIR, (a, b), (uab, va, uba, vb)
     return None
 
 
 @dataclass(frozen=True, eq=False)
 class StaticEconomy:
-    """A view of one period of an economy: two agent sets and thresholds."""
+    """A view of one period of an economy: two agent sets and thresholds,
+    0 for an agent the mapping leaves out."""
 
     economy: Economy
     a_names: tuple[str, ...]
     b_names: tuple[str, ...]
-    thresholds: Mapping[str, Threshold]
+    thresholds: Mapping[str, Fraction | Infinity] = field(default_factory=dict)
 
     def utility(self, owner: str, partner: str) -> Fraction:
         return self.economy.utility(owner, partner)
 
-    def threshold(self, name: str) -> Threshold:
+    def threshold(self, name: str) -> Fraction | Infinity:
         return self.thresholds.get(name, Fraction(0))
-
-    def acceptable(self, owner: str, partner: str) -> bool:
-        return value_ge(self.utility(owner, partner), self.threshold(owner))
-
-    def assignment_value(self, pairs: PeriodPairs, name: str) -> Threshold:
-        """Utility of name's partner under pairs; the threshold if single."""
-        for a, b in pairs:
-            if a == name:
-                return self.utility(a, b)
-            if b == name:
-                return self.utility(b, a)
-        return self.threshold(name)
-
-
-def static_economy(
-    economy: Economy,
-    a_names: Iterable[str],
-    b_names: Iterable[str],
-    thresholds: Optional[Mapping[str, Threshold]] = None,
-) -> StaticEconomy:
-    """Project a dynamic economy onto one period's agents."""
-    return StaticEconomy(
-        economy, tuple(a_names), tuple(b_names), dict(thresholds or {})
-    )
 
 
 def is_stable(e1: StaticEconomy, pairs: PeriodPairs) -> bool:
@@ -119,7 +98,11 @@ def is_stable(e1: StaticEconomy, pairs: PeriodPairs) -> bool:
     blocks when both strictly beat their assigned values, where a single
     agent's value is its threshold.
     """
-    value = partial(e1.assignment_value, pairs)
+    partner = {k: p for a, b in pairs for k, p in ((a, b), (b, a))}
+
+    def value(k):
+        return e1.utility(k, partner[k]) if k in partner else e1.threshold(k)
+
     return first_block(e1.a_names, e1.b_names, e1.utility, value, e1.threshold) is None
 
 
@@ -137,8 +120,7 @@ def assert_lone_wolf(e1: StaticEconomy, matchings: Iterable[PeriodPairs]) -> Non
     unmatched_sets = set()
     everyone = set(e1.a_names) | set(e1.b_names)
     for pairs in matchings:
-        touched = {n for p in pairs for n in p}
-        unmatched_sets.add(frozenset(everyone - touched))
+        unmatched_sets.add(frozenset(everyone.difference(*pairs)))
         if len(unmatched_sets) > 1:
             raise LoneWolfViolation(
                 "stable matchings with different unmatched agents: "
@@ -152,76 +134,69 @@ def checked_stable_set(e1: StaticEconomy) -> tuple[PeriodPairs, ...]:
     return out
 
 
+def _rankings(e1: StaticEconomy, owners, partners) -> dict[str, dict[str, int]]:
+    """Each owner's partners at or above its threshold, best first, mapped
+    to their rank.  Raises TiesPresent at the first owner indifferent
+    between two of them."""
+    rankings = {}
+    for k in owners:
+        thr = e1.threshold(k)
+        options = [p for p in partners if e1.utility(k, p) >= thr]
+        if len({e1.utility(k, p) for p in options}) != len(options):
+            raise TiesPresent(f"{k} is indifferent between acceptable partners")
+        options.sort(key=lambda p: e1.utility(k, p), reverse=True)
+        rankings[k] = {p: rank for rank, p in enumerate(options)}
+    return rankings
+
+
 def deferred_acceptance(e1: StaticEconomy, proposing: str = "A") -> PeriodPairs:
     """Gale–Shapley with the given proposing side; requires strict rankings.
 
-    Ties among acceptable partners (on either side) raise TiesPresent
-    rather than being broken arbitrarily.
+    Ties among acceptable partners raise TiesPresent rather than being
+    broken arbitrarily, the proposers' checked before the receivers'.
     """
-    if proposing == "A":
-        proposers, receivers = e1.a_names, e1.b_names
-    elif proposing == "B":
-        proposers, receivers = e1.b_names, e1.a_names
-    else:
+    sides = {"A": (e1.a_names, e1.b_names), "B": (e1.b_names, e1.a_names)}
+    if proposing not in sides:
         raise ValueError(f"proposing side must be 'A' or 'B', got {proposing!r}")
+    proposers, receivers = sides[proposing]
+    prefs = _rankings(e1, proposers, receivers)
+    ranks = _rankings(e1, receivers, proposers)
+    offers = {p: iter(prefs[p]) for p in proposers}
 
-    prefs: dict[str, list[str]] = {}
-    for p in proposers:
-        options = [r for r in receivers if e1.acceptable(p, r)]
-        utils = [e1.utility(p, r) for r in options]
-        if len(set(utils)) != len(utils):
-            raise TiesPresent(f"{p} is indifferent between acceptable partners")
-        prefs[p] = sorted(options, key=lambda r: e1.utility(p, r), reverse=True)
-    for r in receivers:
-        utils = [e1.utility(r, p) for p in proposers if e1.acceptable(r, p)]
-        if len(set(utils)) != len(utils):
-            raise TiesPresent(f"{r} is indifferent between acceptable partners")
-
-    held: dict[str, str] = {}
-    nxt = {p: 0 for p in proposers}
-    free = [p for p in proposers if prefs[p]]
+    held: dict[str, str] = {}  # receiver -> the proposer it holds
+    free = list(proposers)
     while free:
-        p = free.pop(0)
-        if nxt[p] >= len(prefs[p]):
-            continue
-        r = prefs[p][nxt[p]]
-        nxt[p] += 1
-        if not e1.acceptable(r, p):
-            free.append(p)
-            continue
-        cur = held.get(r)
-        if cur is None:
-            held[r] = p
-        elif e1.utility(r, p) > e1.utility(r, cur):
-            held[r] = p
-            free.append(cur)
-        else:
-            free.append(p)
+        p = free.pop()
+        for r in offers[p]:
+            cur = held.get(r)
+            if p in ranks[r] and (cur is None or ranks[r][p] < ranks[r][cur]):
+                held[r] = p
+                if cur is not None:
+                    free.append(cur)
+                break
 
     if proposing == "A":
         return tuple(sorted((p, r) for r, p in held.items()))
-    return tuple(sorted((r, p) for r, p in held.items()))
+    return tuple(sorted(held.items()))
 
 
 def conjecture_threshold(
     economy: Economy,
     owner: str,
     conjectured: Iterable[DynamicMatching],
-    empty_policy: str = "vacuous",
-) -> Threshold:
+    empty_policy: str,
+) -> Fraction | Infinity:
     """Worst (minimum) period-1 payoff of owner over the conjectured matchings."""
     if empty_policy not in EMPTY_POLICIES:
         raise ValueError(f"unknown empty-conjecture policy {empty_policy!r}")
-    values = [payoff(economy, m, owner, 1) for m in conjectured]
-    if not values:
-        return NEG_INF if empty_policy == "vacuous" else POS_INF
-    return min(values)
+    empty = NEG_INF if empty_policy == "vacuous" else POS_INF
+    return min((payoff(economy, m, owner, 1) for m in conjectured), default=empty)
 
 
 def induced_one_period_economy(
     economy: Economy,
     conjectured: Mapping[str, Iterable[DynamicMatching]],
-    empty_policy: str = "vacuous",
+    empty_policy: str,
 ) -> StaticEconomy:
     """Static economy over the period-1 agents with worst-conjecture thresholds."""
     a1, b1 = economy.arrivals[0]
@@ -229,13 +204,13 @@ def induced_one_period_economy(
         k: conjecture_threshold(economy, k, conjectured[k], empty_policy)
         for k in (*a1, *b1)
     }
-    return static_economy(economy, a1, b1, thr)
+    return StaticEconomy(economy, a1, b1, thr)
 
 
 def stability_among_matched(
     economy: Economy,
     pairs: PeriodPairs,
-    thresholds: Mapping[str, Threshold],
+    thresholds: Mapping[str, Fraction | Infinity],
 ) -> bool:
     """Stability of pairs in the static economy over exactly its matched agents."""
     a_names = tuple(a for a, _ in pairs)

@@ -27,12 +27,12 @@ from dynmatch.reproduce import (
     run_example2,
 )
 from dynmatch.statics import (
+    StaticEconomy,
     checked_stable_set,
     conjecture_threshold,
     deferred_acceptance,
     stability_among_matched,
     stable_set,
-    static_economy,
 )
 
 from corpus import RandomFamily, corpus, random_economy
@@ -74,7 +74,7 @@ def test_criterion_3_one_period_solutions_equal_the_stable_set():
         e = random_economy(rng, horizon=1, max_per_side=4)
         a, b = e.arrivals[0]
         expected = {
-            (pairs,) for pairs in stable_set(static_economy(e, a, b))
+            (pairs,) for pairs in stable_set(StaticEconomy(e, a, b))
         }
         for seed in (1, 2, 3):
             family = RandomFamily(seed)
@@ -107,7 +107,7 @@ def test_criterion_5_value_respecting_refinement(solver, markets):
         # Fixed-point identity: filtering the base by the limit's own
         # thresholds reproduces the limit.
         thresholds = {
-            k: conjecture_threshold(e, k, limit[k]) for k in limit
+            k: conjecture_threshold(e, k, limit[k], family.empty_policy) for k in limit
         }
         for k in limit:
             assert limit[k] == tuple(
@@ -177,7 +177,7 @@ def test_criterion_7_oracle_equivalences(solver, markets):
     for _ in range(60):
         e = random_economy(rng, horizon=1, max_per_side=4)
         a, b = e.arrivals[0]
-        e1 = static_economy(e, a, b)
+        e1 = StaticEconomy(e, a, b)
         full = checked_stable_set(e1)  # asserts identical unmatched sets
         assert deferred_acceptance(e1, "A") in full
         assert deferred_acceptance(e1, "B") in full

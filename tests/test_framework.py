@@ -24,14 +24,15 @@ from dynmatch.framework import (
 from dynmatch.matching import (
     DynamicMatching,
     continuation,
+    defer_arrivals,
     enumerate_matchings,
     next_economy,
 )
 from dynmatch.statics import (
     EMPTY_POLICIES,
+    StaticEconomy,
     induced_one_period_economy,
     stable_set,
-    static_economy,
 )
 
 from corpus import RandomFamily, corpus, random_economy
@@ -46,7 +47,7 @@ def test_one_period_solutions_under_idle_conjectures_are_the_stable_set():
     for _ in range(40):
         e = random_economy(rng, horizon=1, max_per_side=3)
         a, b = e.arrivals[0]
-        expected = {as_dynamic(p) for p in stable_set(static_economy(e, a, b))}
+        expected = {as_dynamic(p) for p in stable_set(StaticEconomy(e, a, b))}
         assert set(phi_solution_set(e, StableFamily())) == expected
 
 
@@ -60,7 +61,7 @@ def test_one_period_solutions_under_random_conjectures_are_still_stable():
             e = random_economy(rng, horizon=1, max_per_side=3)
             a, b = e.arrivals[0]
             expected = {
-                as_dynamic(p) for p in stable_set(static_economy(e, a, b))
+                as_dynamic(p) for p in stable_set(StaticEconomy(e, a, b))
             }
             assert set(phi_solution_set(e, family)) == expected
 
@@ -251,7 +252,7 @@ def test_induced_economy_exposes_available_agents_only():
         {n: Fraction(1, 2) for n in ("a1", "a2", "b1")},
         {("a1", "b1"): Fraction(1), ("b1", "a1"): Fraction(1)},
     )
-    e1 = induced_one_period_economy(e, StableFamily().conjecture_sets(e))
+    e1 = induced_one_period_economy(e, StableFamily().conjecture_sets(e), "vacuous")
     assert e1.a_names == ("a1",) and e1.b_names == ("b1",)
 
 
@@ -303,6 +304,23 @@ def test_consistency_fails_when_the_conjecture_omits_the_matching():
         (1, "a1"),
         (1, "b1"),
     )
+
+
+def test_consistency_report_does_not_depend_on_earlier_queries():
+    # a1 and a2 arrive in period 1, b1 in period 3.  The economies that
+    # defer a1 or a2 have continuations with the key of e's period-2
+    # continuation that declare a2 before a1.  Solving them first fills the
+    # conjecture memo in that order, and the report must not follow it.
+    e = corpus(7, 2, max_per_side=3, max_periods=3)[1]
+    assert e.arrivals == ((("a1", "a2"), ()), ((), ()), ((), ("b1",)))
+    cold = Solver().solve("stable", e)
+    warm = Solver()
+    for k in e.arrivals[0][0]:
+        warm.solve("stable", defer_arrivals(e, [k]))
+    assert warm.solve("stable", e) == cold
+    ((_, passed, failures),) = cold.consistency
+    assert not passed
+    assert failures == ((1, "a1"), (1, "a2"), (2, "a1"), (2, "a2"), (3, "a1"))
 
 
 def test_generalized_consistency_holds_for_one_period_agree():

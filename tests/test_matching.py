@@ -245,11 +245,6 @@ def test_defer_arrivals_drops_agent_in_one_period_economy():
     assert d.arrivals == ((("a1",), ("b1",)),)
 
 
-def test_period_matchings_respects_forbidden_agents():
-    for pairs in period_matchings(("a1", "a2"), ("b1",), frozenset({"a1"})):
-        assert all(a != "a1" for a, _ in pairs)
-
-
 def test_matching_text_round_trip():
     rng = random.Random(8)
     for _ in range(10):

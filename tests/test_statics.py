@@ -14,6 +14,7 @@ from dynmatch.statics import (
     NEG_INF,
     PAIR,
     POS_INF,
+    StaticEconomy,
     assert_lone_wolf,
     checked_stable_set,
     conjecture_threshold,
@@ -23,9 +24,6 @@ from dynmatch.statics import (
     is_stable,
     stability_among_matched,
     stable_set,
-    static_economy,
-    value_ge,
-    value_gt,
 )
 
 from corpus import random_static_economy
@@ -36,14 +34,26 @@ def tiny(utils, thresholds=None):
     b = sorted({x for x, _ in utils if x.startswith("b")})
     deltas = {n: Fraction(1, 2) for n in a + b}
     e = build_economy(1, [(a, b)], deltas, {k: Fraction(v) for k, v in utils.items()})
-    return static_economy(e, a, b, thresholds)
+    return StaticEconomy(e, tuple(a), tuple(b), thresholds or {})
 
 
 def test_sentinel_ordering():
-    assert value_gt(Fraction(0), NEG_INF)
-    assert value_gt(POS_INF, Fraction(10**9))
-    assert value_ge(NEG_INF, NEG_INF)
-    assert not value_ge(NEG_INF, Fraction(-100))
+    # Native comparisons, with the sentinel on either side of the operator.
+    for x in (0, -(10**9), 10**9, Fraction(-100), Fraction(10**9, 7)):
+        assert NEG_INF < x and x > NEG_INF and NEG_INF <= x and x >= NEG_INF
+        assert x < POS_INF and POS_INF > x and x <= POS_INF and POS_INF >= x
+        assert not (x < NEG_INF or NEG_INF > x or x <= NEG_INF or NEG_INF >= x)
+        assert not (POS_INF < x or x > POS_INF or POS_INF <= x or x >= POS_INF)
+        assert NEG_INF != x and x != NEG_INF and POS_INF != x and x != POS_INF
+        assert min(x, NEG_INF, POS_INF) is NEG_INF and max(POS_INF, x) is POS_INF
+    assert NEG_INF < POS_INF and POS_INF > NEG_INF
+    assert not (NEG_INF < NEG_INF or POS_INF > POS_INF or POS_INF < NEG_INF)
+    assert NEG_INF <= NEG_INF and NEG_INF >= NEG_INF and POS_INF <= POS_INF
+    # Each equals only itself, so a sentinel can key a dict.
+    assert NEG_INF == NEG_INF and POS_INF == POS_INF and NEG_INF != POS_INF
+    assert {NEG_INF: "low", POS_INF: "high"}[NEG_INF] == "low"
+    # Witnesses print thresholds with str().
+    assert (str(NEG_INF), str(POS_INF)) == ("-inf", "+inf")
 
 
 def test_first_block_reports_the_first_violation_in_scan_order():
@@ -76,7 +86,7 @@ def test_first_block_reports_the_first_violation_in_scan_order():
 
 def test_empty_economy_has_only_the_empty_matching():
     e = build_economy(1, [((), ())], {}, {})
-    e1 = static_economy(e, (), ())
+    e1 = StaticEconomy(e, (), ())
     assert stable_set(e1) == ((),)
 
 
@@ -90,15 +100,23 @@ def test_mutually_unacceptable_pair_stays_single():
     assert stable_set(e1) == ((),)
 
 
+def random_thresholds(rng, names):
+    """Some of the names, each with a threshold that may equal one of its
+    utilities (odd sevenths) or be a sentinel."""
+    choices = [Fraction(k, 7) for k in range(-14, 22)] + [NEG_INF, POS_INF]
+    return {k: rng.choice(choices) for k in names if rng.random() < 0.6}
+
+
 def test_da_agrees_with_exhaustive_stable_set():
-    rng = random.Random(21)
+    rng, thresholds_rng = random.Random(21), random.Random(121)
     for _ in range(60):
         e = random_static_economy(rng, max_per_side=4)
         a, b = e.arrivals[0]
-        e1 = static_economy(e, a, b)
-        stable = stable_set(e1)
-        assert deferred_acceptance(e1, "A") in stable
-        assert deferred_acceptance(e1, "B") in stable
+        for thresholds in ({}, random_thresholds(thresholds_rng, a + b)):
+            e1 = StaticEconomy(e, a, b, thresholds)
+            stable = stable_set(e1)
+            assert deferred_acceptance(e1, "A") in stable
+            assert deferred_acceptance(e1, "B") in stable
 
 
 def test_da_rejects_ties():
@@ -114,9 +132,27 @@ def test_da_rejects_ties():
         deferred_acceptance(e1, "A")
 
 
+def test_da_names_the_tied_receiver_and_checks_proposers_first():
+    # b1 ties a1 and a2; every A-side ranking is strict.
+    receiver_tie = {("a1", "b1"): 2, ("a2", "b1"): 1, ("b1", "a1"): 1, ("b1", "a2"): 1}
+    with pytest.raises(TiesPresent, match="^b1 is indifferent"):
+        deferred_acceptance(tiny(receiver_tie), "A")
+    with pytest.raises(TiesPresent, match="^b1 is indifferent"):
+        deferred_acceptance(tiny(receiver_tie), "B")
+    # With a tie on each side, the proposing side's is the one named.
+    both_ties = {**receiver_tie, ("a1", "b2"): 2, ("b2", "a1"): 1}
+    with pytest.raises(TiesPresent, match="^a1 is indifferent"):
+        deferred_acceptance(tiny(both_ties), "A")
+    with pytest.raises(TiesPresent, match="^b1 is indifferent"):
+        deferred_acceptance(tiny(both_ties), "B")
+    # A threshold that leaves one of the tied partners unacceptable breaks
+    # the tie.
+    assert deferred_acceptance(tiny(receiver_tie, {"b1": POS_INF}), "A") == ()
+
+
 def test_da_empty_economy():
     e = build_economy(1, [((), ())], {}, {})
-    assert deferred_acceptance(static_economy(e, (), ()), "A") == ()
+    assert deferred_acceptance(StaticEconomy(e, (), ()), "A") == ()
 
 
 def test_lone_wolf_assertion_fires_on_manufactured_violation():
@@ -130,7 +166,7 @@ def test_lone_wolf_holds_on_random_strict_economies():
     for _ in range(60):
         e = random_static_economy(rng, max_per_side=4)
         a, b = e.arrivals[0]
-        checked_stable_set(static_economy(e, a, b))
+        checked_stable_set(StaticEconomy(e, a, b))
 
 
 def test_thresholds_prune_partners():
@@ -147,15 +183,15 @@ def test_raising_a_threshold_only_breaks_stability_through_that_agent():
     for _ in range(40):
         e = random_static_economy(rng, max_per_side=3)
         a, b = e.arrivals[0]
-        plain = static_economy(e, a, b)
+        plain = StaticEconomy(e, a, b)
         agent = rng.choice(a + b)
-        bumped = static_economy(e, a, b, {agent: Fraction(rng.randint(0, 3))})
+        bumped = StaticEconomy(e, a, b, {agent: Fraction(rng.randint(0, 3))})
         for pairs in period_matchings(a, b):
             if is_stable(plain, pairs) and not is_stable(bumped, pairs):
                 partner = next(
                     (y if x == agent else x) for x, y in pairs if agent in (x, y)
                 )
-                assert not bumped.acceptable(agent, partner)
+                assert e.utility(agent, partner) < bumped.threshold(agent)
 
 
 def test_conjecture_threshold_is_worst_case_payoff():
@@ -172,9 +208,9 @@ def test_conjecture_threshold_is_worst_case_payoff():
     )
     stay_single = DynamicMatching.from_formed([[], []])
     match_late = DynamicMatching.from_formed([[], [("a1", "b2")]])
-    thr = conjecture_threshold(e, "a1", [stay_single, match_late])
+    thr = conjecture_threshold(e, "a1", [stay_single, match_late], "vacuous")
     assert thr == Fraction(0)
-    thr = conjecture_threshold(e, "a1", [match_late])
+    thr = conjecture_threshold(e, "a1", [match_late], "vacuous")
     assert thr == Fraction(5)
 
 
@@ -204,7 +240,7 @@ def test_induced_economy_with_singleton_idle_conjectures_is_plain_ir():
         {("a1", "b1"): Fraction(2), ("b1", "a1"): Fraction(3)},
     )
     idle = DynamicMatching.from_formed([[]])
-    e1 = induced_one_period_economy(e, {"a1": [idle], "b1": [idle]})
+    e1 = induced_one_period_economy(e, {"a1": [idle], "b1": [idle]}, "vacuous")
     assert e1.threshold("a1") == 0
     assert e1.threshold("b1") == 0
     assert stable_set(e1) == (((("a1", "b1")),),)
@@ -262,7 +298,7 @@ def one_period_markets(draw):
             thresholds[k] = thr
     deltas = {k: Fraction(1, 2) for k in a + b}
     e = build_economy(1, [(a, b)], deltas, utilities)
-    return static_economy(e, a, b, thresholds)
+    return StaticEconomy(e, tuple(a), tuple(b), thresholds)
 
 
 def definition_4(e1, pairs):

@@ -75,7 +75,8 @@ class FixedPointFamily(ConjectureFamily):
     """Conjectures of all period-1 agents at once: the limit of iterating
     :meth:`_step` from the per-agent rule :meth:`_root_conjectures` until an
     iterate repeats.  The limit is the family's conjecture sets and is
-    cached with them; :meth:`iterates` recomputes the trace."""
+    cached with them; :meth:`iterates` recomputes the trace, agents in the
+    asked economy's declaration order."""
 
     def _conjectures(self, economy):
         return self.fixed_point(economy)[0]

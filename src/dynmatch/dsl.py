@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .economy import Economy, PreferenceProfile
+from .economy import Economy, build_economy
 from .errors import (
     ArrivalOutOfRange,
     BadRational,
@@ -59,20 +59,12 @@ class EconomyDocument:
     ordinals: tuple[tuple[str, tuple[tuple[str, int], ...]], ...]
 
     def to_economy(self) -> Economy:
-        arrivals = []
-        for t in range(1, self.horizon + 1):
-            a_t = tuple(d.name for d in self.agents if d.side == "A" and d.arrives == t)
-            b_t = tuple(d.name for d in self.agents if d.side == "B" and d.arrives == t)
-            arrivals.append((a_t, b_t))
+        arrivals = [([], []) for _ in range(self.horizon)]
+        for d in self.agents:
+            arrivals[d.arrives - 1]["AB".index(d.side)].append(d.name)
         deltas = {d.name: d.delta for d in self.agents}
-        utilities = {
-            (owner, partner): value
-            for owner, entries in self.prefs
-            for partner, value in entries
-        }
-        return Economy(
-            self.horizon, tuple(arrivals), PreferenceProfile.build(deltas, utilities)
-        )
+        utilities = {(o, p): v for o, entries in self.prefs for p, v in entries}
+        return build_economy(self.horizon, arrivals, deltas, utilities)
 
 
 def parse(text: str) -> EconomyDocument:

@@ -24,6 +24,9 @@ SIDE_B = "B"
 # below the payoff of remaining single, above nothing that is listed.
 UNLISTED_UTILITY = Fraction(-1)
 
+# The payoff of remaining single, shared rather than built on every read.
+ZERO = Fraction(0)
+
 
 @dataclass(frozen=True, eq=False)
 class PreferenceProfile:
@@ -94,7 +97,7 @@ class PreferenceProfile:
 
     def utility(self, owner: str, partner: str) -> Fraction:
         if owner == partner:
-            return Fraction(0)
+            return ZERO
         return self._util_map.get((owner, partner), UNLISTED_UTILITY)
 
 
@@ -147,15 +150,6 @@ class Economy:
     def arrival_period(self, name: str) -> int:
         return self._entry(name)[1]
 
-    def arrived_by(self, t: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
-        """Cumulative arrivals through period t, in declaration order."""
-        a_acc: list[str] = []
-        b_acc: list[str] = []
-        for a_names, b_names in self.arrivals[:t]:
-            a_acc.extend(a_names)
-            b_acc.extend(b_names)
-        return tuple(a_acc), tuple(b_acc)
-
     def utility(self, owner: str, partner: str) -> Fraction:
         """Static utility of ``owner`` for ``partner`` (0 for self)."""
         side_o = self.side_of(owner)
@@ -194,4 +188,4 @@ def payoff(economy: Economy, m: "DynamicMatching", k: str, t: int) -> Fraction:
         p = m.partner(k, s)
         if p != k:
             return economy.delta(k) ** (s - t) * economy.utility(k, p)
-    return Fraction(0)
+    return ZERO

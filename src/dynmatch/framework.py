@@ -28,10 +28,9 @@ sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
-from .economy import Economy, payoff
+from .economy import ZERO, Economy, payoff
 from .errors import (
     EmptyContinuationSolutions,
     NotACandidate,
@@ -115,13 +114,20 @@ class ConjectureFamily:
     def _once(self, kind: str, economy: Economy, compute):
         """``compute(economy)``, memoized under ``kind`` by economy key; a
         hit is one lookup of the key.  A miss computes outside the handler,
-        so a failure deep in the recursion chains no KeyError."""
+        so a failure deep in the recursion chains no KeyError.  A dict by
+        period-1 agent is stored in key order (names sorted, side A first),
+        so its order does not depend on which economy with the key was
+        asked first."""
         cache = self._memo[kind]
         try:
             return cache[economy.key]
         except KeyError:
             pass
-        value = cache[economy.key] = compute(economy)
+        value = compute(economy)
+        if isinstance(value, dict):
+            a1, b1 = economy.key[1][0]  # period 1 of the sorted schedule
+            value = {k: value[k] for k in (*a1, *b1)}
+        cache[economy.key] = value
         return value
 
     def conjecture_set(self, economy: Economy, k: str) -> tuple[DynamicMatching, ...]:
@@ -132,16 +138,14 @@ class ConjectureFamily:
         return self.conjecture_sets(economy)[k]
 
     def conjecture_sets(self, economy: Economy) -> dict:
-        """Every period-1 agent's conjecture set, by agent;
-        :meth:`_conjectures` computes them once per economy key.  Economies
-        with one key may declare their agents in different orders, so the
-        keys come in the order of the first such economy asked."""
+        """Every period-1 agent's conjecture set, by agent in key order;
+        :meth:`_conjectures` computes them once per economy key."""
         return self._once("conjectures", economy, self._conjectures)
 
     def thresholds(self, economy: Economy) -> dict:
         """Every period-1 agent's reservation value, the worst payoff among
-        their conjectures; :meth:`_threshold_rule` computes them once per
-        economy key."""
+        their conjectures, by agent in key order; :meth:`_threshold_rule`
+        computes them once per economy key."""
         return self._once("thresholds", economy, self._threshold_rule)
 
     def _threshold_rule(self, economy: Economy) -> dict:
@@ -204,14 +208,14 @@ class ConjectureFamily:
         return self._once("candidates", economy, self._candidates)
 
     def _candidates(self, economy: Economy) -> tuple[DynamicMatching, ...]:
-        return self._stable_stitched(economy, self.thresholds(economy), self.candidates)
-
-    def _stable_stitched(self, economy: Economy, thresholds: Mapping, rest):
-        """The stable set of the period-1 economy with these thresholds, each
-        first period stitched onto ``rest`` of the economy it leaves."""
         a1, b1 = economy.arrivals[0]
-        firsts = checked_stable_set(StaticEconomy(economy, a1, b1, thresholds))
-        return self._stitched(economy, firsts, rest)
+        e1 = StaticEconomy(economy, a1, b1, self.thresholds(economy))
+        return self._stable_stitched(e1, self.candidates)
+
+    def _stable_stitched(self, e1: StaticEconomy, rest):
+        """The stable set of the period-1 market e1, each first period
+        stitched onto ``rest`` of the economy it leaves."""
+        return self._stitched(e1.economy, checked_stable_set(e1), rest)
 
     def _single_now(self, economy: Economy, k: str, keep=lambda p1: True):
         """First periods that leave k single and pass ``keep``, each stitched
@@ -281,7 +285,7 @@ class AgreeFamily(ConjectureFamily):
         if economy.horizon != 1:
             return ConjectureFamily._threshold_rule(self, economy)
         a1, b1 = economy.arrivals[0]
-        return {k: Fraction(0) for k in (*a1, *b1)}
+        return dict.fromkeys((*a1, *b1), ZERO)
 
 
 def period_witness(
@@ -371,7 +375,7 @@ def candidate_set(
         return sols
 
     e1 = induced_one_period_economy(economy, conjectured, family.empty_policy)
-    return family._stable_stitched(economy, e1.thresholds, solved)
+    return family._stable_stitched(e1, solved)
 
 
 def candidate_matchings(
@@ -410,8 +414,7 @@ def consistency_failures(
 ) -> tuple[tuple[int, str], ...]:
     """Every (period, agent) where an available agent m_star leaves unmatched
     does not conjecture m_star.  Within a period, agents come in the
-    declaration order of ``economy``'s continuation, whichever economy with
-    its key filled the conjecture memo."""
+    declaration order of ``economy``'s continuation."""
     failures = []
     for t, (cont, rest) in enumerate(continuations(economy, m_star), start=1):
         conjectured = family.conjecture_sets(cont)

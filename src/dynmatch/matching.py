@@ -22,7 +22,7 @@ from itertools import islice
 from math import comb, factorial
 from typing import Callable, Iterable, Iterator
 
-from .economy import Economy
+from .economy import SIDE_A, SIDE_B, Economy
 from .errors import BadMatchingSpec, SizeLimitExceeded, UnknownAgent
 
 DEFAULT_MAX_MATCHINGS = 10**7
@@ -73,11 +73,6 @@ class DynamicMatching:
             return k
         return self.partner(k, self.horizon)
 
-    def formed_at(self, t: int) -> PeriodPairs:
-        """Pairs that first appear in period t."""
-        prev = set(self.periods[t - 2]) if t >= 2 else set()
-        return tuple(p for p in self.pairs_at(t) if p not in prev)
-
     def tail(self) -> "DynamicMatching":
         """m from period 2 on, with the period-1 pairs left out: m as a
         matching of ``next_economy(economy, m.pairs_at(1))``."""
@@ -102,22 +97,23 @@ def empty_matching(horizon: int) -> DynamicMatching:
 def validate_matching(economy: Economy, m: DynamicMatching) -> None:
     """Check feasibility and irreversibility; raises ValueError on failure.
 
-    Deliberately independent of the enumerator: it re-derives arrivals and
-    partner multiplicity from scratch.
+    Deliberately independent of the enumerator: it checks each pair's
+    agents against the economy's index and counts partners from scratch.
     """
     if m.horizon != economy.horizon:
         raise ValueError("matching horizon differs from the economy's")
     prev: set[Pair] = set()
     for t in range(1, m.horizon + 1):
-        a_arrived, b_arrived = economy.arrived_by(t)
-        a_set, b_set = set(a_arrived), set(b_arrived)
         touched: set[str] = set()
         pairs = set(m.pairs_at(t))
         for a, b in pairs:
-            if a not in a_set:
-                raise ValueError(f"{a} is not a side-A agent arrived by {t}")
-            if b not in b_set:
-                raise ValueError(f"{b} is not a side-B agent arrived by {t}")
+            for k, side in ((a, SIDE_A), (b, SIDE_B)):
+                try:
+                    ok = economy.side_of(k) == side and economy.arrival_period(k) <= t
+                except UnknownAgent:
+                    ok = False
+                if not ok:
+                    raise ValueError(f"{k} is not a side-{side} agent arrived by {t}")
             if a in touched or b in touched:
                 raise ValueError(f"agent matched twice in period {t}")
             touched.update((a, b))
@@ -301,10 +297,11 @@ def parse_matching_text(economy: Economy, text: str) -> DynamicMatching:
 
 
 def matching_text(m: DynamicMatching) -> str:
-    """Canonical one-line rendering; pairs listed at their formation period."""
+    """Canonical one-line rendering; pairs listed at their formation period,
+    which is period 1 of the matching's successive tails."""
     chunks = []
     for t in range(1, m.horizon + 1):
-        formed = m.formed_at(t)
-        body = " ".join(f"{a}-{b}" for a, b in formed) if formed else "-"
-        chunks.append(f"t={t}: {body}")
-    return " | ".join(chunks) if chunks else "(empty horizon)"
+        formed = " ".join(f"{a}-{b}" for a, b in m.pairs_at(1))
+        chunks.append(f"t={t}: {formed or '-'}")
+        m = m.tail()
+    return " | ".join(chunks) or "(empty horizon)"

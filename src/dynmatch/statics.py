@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import total_ordering
 from typing import Iterable, Mapping, Optional
 
-from .economy import Economy, payoff
+from .economy import ZERO, Economy, payoff
 from .errors import LoneWolfViolation, TiesPresent
 from .matching import DynamicMatching, PeriodPairs, period_matchings
 
@@ -77,18 +77,16 @@ def first_block(a_names, b_names, utility, value, threshold) -> Optional[tuple]:
 @dataclass(frozen=True, eq=False)
 class StaticEconomy:
     """A view of one period of an economy: two agent sets and thresholds,
-    0 for an agent the mapping leaves out."""
+    0 for an agent the mapping leaves out.  Utilities are read from
+    ``economy``."""
 
     economy: Economy
     a_names: tuple[str, ...]
     b_names: tuple[str, ...]
     thresholds: Mapping[str, Fraction | Infinity] = field(default_factory=dict)
 
-    def utility(self, owner: str, partner: str) -> Fraction:
-        return self.economy.utility(owner, partner)
-
     def threshold(self, name: str) -> Fraction | Infinity:
-        return self.thresholds.get(name, Fraction(0))
+        return self.thresholds.get(name, ZERO)
 
 
 def is_stable(e1: StaticEconomy, pairs: PeriodPairs) -> bool:
@@ -99,11 +97,12 @@ def is_stable(e1: StaticEconomy, pairs: PeriodPairs) -> bool:
     agent's value is its threshold.
     """
     partner = {k: p for a, b in pairs for k, p in ((a, b), (b, a))}
+    utility = e1.economy.utility
 
     def value(k):
-        return e1.utility(k, partner[k]) if k in partner else e1.threshold(k)
+        return utility(k, partner[k]) if k in partner else e1.threshold(k)
 
-    return first_block(e1.a_names, e1.b_names, e1.utility, value, e1.threshold) is None
+    return first_block(e1.a_names, e1.b_names, utility, value, e1.threshold) is None
 
 
 def stable_set(e1: StaticEconomy) -> tuple[PeriodPairs, ...]:
@@ -139,12 +138,13 @@ def _rankings(e1: StaticEconomy, owners, partners) -> dict[str, dict[str, int]]:
     to their rank.  Raises TiesPresent at the first owner indifferent
     between two of them."""
     rankings = {}
+    utility = e1.economy.utility
     for k in owners:
         thr = e1.threshold(k)
-        options = [p for p in partners if e1.utility(k, p) >= thr]
-        if len({e1.utility(k, p) for p in options}) != len(options):
+        options = [p for p in partners if utility(k, p) >= thr]
+        if len({utility(k, p) for p in options}) != len(options):
             raise TiesPresent(f"{k} is indifferent between acceptable partners")
-        options.sort(key=lambda p: e1.utility(k, p), reverse=True)
+        options.sort(key=lambda p: utility(k, p), reverse=True)
         rankings[k] = {p: rank for rank, p in enumerate(options)}
     return rankings
 

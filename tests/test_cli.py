@@ -198,6 +198,29 @@ def test_witness_lines_name_the_block_and_its_payoffs(econ_file, capsys):
     assert f"rejected t=1: -: {expected}\n" in capsys.readouterr().out
 
 
+def test_the_stepping_market_reports_its_witness(capsys):
+    # Under re, the stepping market's one candidate is not a solution: a2,
+    # single in period 1, gets 0 against a threshold of 1/10.
+    path = str(ROOT / "tests" / "sds_step.econ")
+    rejected = "t=1: a1-b3 | t=2: a3-b2"
+    assert run_cli("solve", path, "--concept", "re", "--json") == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["witnesses"] == [
+        {
+            "matching": rejected,
+            "kind": "IndividualA",
+            "period": 1,
+            "agents": ["a2"],
+            "payoffs": ["0", "1/10"],
+        }
+    ]
+    assert run_cli("solve", path, "--concept", "re") == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert f"  {rejected}  [inconsistent at (t=1, a2)]" in lines
+    assert lines[-1] == (
+        f"rejected {rejected}: IndividualA block at t=1 by a2 (payoffs 0, 1/10)"
+    )
+
+
 def test_check_requires_matching_argument(econ_file, capsys):
     assert run_cli("check", econ_file, "--concept", "stable") == cli.EXIT_INPUT
 

@@ -212,6 +212,12 @@ def check_consistent_families(e):
         for m_star in family.candidates(e):
             assert consistency_failures(e, m_star, family) == ()
             assert m_star in solutions
+    # The refinement chain: every concept's solutions are stable ones,
+    # cvr-ds's and sds's are ds's, and re's are sds's.
+    solved = {c: set(solver.solution_set(c, e)) for c in CONCEPT_NAMES}
+    assert all(solved[c] <= solved["stable"] for c in CONCEPT_NAMES)
+    assert solved["cvr-ds"] <= solved["ds"] and solved["sds"] <= solved["ds"]
+    assert solved["re"] <= solved["sds"]
 
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)

@@ -88,6 +88,13 @@ prefs a1: b1=3/2
         ("wibble", DslSyntaxError),
         ("ordinal a1: b1", DslSyntaxError),
         ("ordinal a1: (zz,0)", UnknownPartner),
+        ("agent a9 side A", DslSyntaxError),
+        ("agent 9a side A arrives 1 delta 1", DslSyntaxError),
+        ("prefs b1 a1=1", DslSyntaxError),
+        ("prefs b1: a1", DslSyntaxError),
+        ("prefs b1: a1=1 a1=2", DuplicateAgent),
+        ("ordinal a1 (b1,0)", DslSyntaxError),
+        ("ordinal zz: (b1,0)", UnknownPartner),
     ],
 )
 def test_bad_statements_raise_with_line_numbers(mutation, error):
@@ -99,6 +106,23 @@ def test_bad_statements_raise_with_line_numbers(mutation, error):
 def test_missing_header():
     with pytest.raises(DslSyntaxError):
         parse("agent a1 side A arrives 1 delta 1\n")
+
+
+def test_a_file_of_comments_has_no_header():
+    with pytest.raises(DslSyntaxError, match=r"^line 1: missing 'periods:' header$"):
+        parse("# nothing but a comment\n\n")
+
+
+def test_zero_periods_rejected():
+    with pytest.raises(DslSyntaxError, match=r"^line 2: periods must be at least 1$"):
+        parse("# empty market\nperiods: 0\n")
+
+
+def test_duplicate_ordinal_block_rejected():
+    text = MUTABLE + "ordinal a1: (b1,0)\nordinal a1: (b2,0)\n"
+    message = r"^line 7: ordinal block for a1 given twice$"
+    with pytest.raises(DuplicateAgent, match=message):
+        parse(text)
 
 
 def test_decimal_literals_rejected():

@@ -100,6 +100,18 @@ def test_unlisted_partner_has_negative_utility():
     assert e.utility("a1", "a1") == 0
 
 
+def test_utility_between_agents_of_one_side_is_rejected():
+    e = two_period_pair()
+    with pytest.raises(ValueError, match="^b1 and b2 are on the same side$"):
+        e.utility("b1", "b2")
+
+
+def test_discount_factor_above_one_is_rejected():
+    message = r"^discount factor of a1 must lie in \[0,1\]$"
+    with pytest.raises(ValueError, match=message):
+        build_economy(1, [(("a1",), ())], {"a1": Fraction(3, 2)}, {})
+
+
 def test_duplicate_arrival_rejected():
     with pytest.raises(ValueError):
         build_economy(

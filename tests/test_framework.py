@@ -104,6 +104,12 @@ def test_witnesses_replay():
                 assert val < thr
 
 
+def test_a_witness_is_falsy():
+    # is_phi_solution returns True or a witness, so `if result:` reads as
+    # "is a solution".
+    assert not BlockWitness("IndividualA", 1, ("a1",), (0, 1))
+
+
 def test_witness_reports_the_earliest_failing_period():
     for i, e in enumerate(corpus(36, 10, max_per_side=2)):
         if e.horizon < 2:
@@ -321,6 +327,24 @@ def test_consistency_report_does_not_depend_on_earlier_queries():
     ((_, passed, failures),) = cold.consistency
     assert not passed
     assert failures == ((1, "a1"), (1, "a2"), (2, "a1"), (2, "a2"), (3, "a1"))
+
+
+@pytest.mark.parametrize("concept", CONCEPT_NAMES)
+def test_memoized_dicts_do_not_depend_on_earlier_queries(concept):
+    # The market above: solving the deferred economies first fills the memo
+    # entry of e's period-2 continuation from a twin that declares a2 before
+    # a1.  The memo lists agents in key order all the same.
+    e = corpus(7, 2, max_per_side=3, max_periods=3)[1]
+    warm = Solver()
+    for k in e.arrivals[0][0]:
+        warm.solve(concept, defer_arrivals(e, [k]))
+    warm.solve(concept, e)
+    cont = next_economy(e, ())
+    assert cont.arrivals[0] == (("a1", "a2"), ())
+    cold = Solver().family(concept)
+    for view in ("conjecture_sets", "thresholds"):
+        filled = getattr(warm.family(concept), view)(cont)
+        assert list(filled) == list(getattr(cold, view)(cont)) == ["a1", "a2"]
 
 
 def test_generalized_consistency_holds_for_one_period_agree():

@@ -95,7 +95,7 @@ def test_enumeration_is_complete():
     markets = [e for e in corpus(12, 12, max_per_side=2) if e.horizon > 1]
     assert markets
     for e in markets:
-        a_names, b_names = e.arrived_by(e.horizon)
+        a_names, b_names = (sum(side, ()) for side in zip(*e.arrivals))
         cross = [(a, b) for a in a_names for b in b_names]
         pair_sets = [
             tuple(sorted(c))
@@ -207,7 +207,7 @@ def test_period_t_payoffs_are_period_1_payoffs_of_the_continuation():
                 # Available at t: arrived by t and single through t - 1.
                 avail_a, avail_b = (
                     tuple(n for n in names if t == 1 or m.partner(n, t - 1) == n)
-                    for names in e.arrived_by(t)
+                    for names in (sum(side, ()) for side in zip(*e.arrivals[:t]))
                 )
                 assert cont.arrivals[0] == (avail_a, avail_b)
                 for k in (*avail_a, *avail_b):
@@ -243,6 +243,30 @@ def test_defer_arrivals_drops_agent_in_one_period_economy():
     e = static_economy(2, 1)
     d = defer_arrivals(e, ["a2"])
     assert d.arrivals == ((("a1",), ("b1",)),)
+
+
+def late_b2():
+    """a1 and b1 arrive in period 1, b2 in period 2."""
+    return build_economy(
+        2,
+        [(("a1",), ("b1",)), ((), ("b2",))],
+        {n: Fraction(1) for n in ("a1", "b1", "b2")},
+        {},
+    )
+
+
+def test_defer_arrivals_requires_a_period_one_arrival():
+    with pytest.raises(ValueError, match="^b2 does not arrive in period 1$"):
+        defer_arrivals(late_b2(), ["b2"])
+
+
+def test_parse_matching_text_rejects_bad_chunks_and_infeasible_matchings():
+    e = late_b2()
+    with pytest.raises(BadMatchingSpec, match="^expected 2 period chunks, got 1$"):
+        parse_matching_text(e, "t=1: a1-b1")
+    message = "^b2 is not a side-B agent arrived by 1$"
+    with pytest.raises(BadMatchingSpec, match=message):
+        parse_matching_text(e, "t=1: a1-b2 | t=2: -")
 
 
 def test_matching_text_round_trip():

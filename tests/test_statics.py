@@ -150,6 +150,13 @@ def test_da_names_the_tied_receiver_and_checks_proposers_first():
     assert deferred_acceptance(tiny(receiver_tie, {"b1": POS_INF}), "A") == ()
 
 
+def test_da_rejects_an_unknown_proposing_side():
+    e1 = tiny({("a1", "b1"): 1, ("b1", "a1"): 1})
+    message = "^proposing side must be 'A' or 'B', got 'C'$"
+    with pytest.raises(ValueError, match=message):
+        deferred_acceptance(e1, "C")
+
+
 def test_da_empty_economy():
     e = build_economy(1, [((), ())], {}, {})
     assert deferred_acceptance(StaticEconomy(e, (), ()), "A") == ()

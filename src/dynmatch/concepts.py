@@ -94,14 +94,10 @@ class FixedPointFamily(ConjectureFamily):
                 break
             trace.append(nxt)
             current = nxt
-        self._check_limit(economy, trace)
         return current, tuple(trace)
 
     def _step(self, economy: Economy, current: dict) -> dict:
         raise NotImplementedError
-
-    def _check_limit(self, economy: Economy, trace: list) -> None:
-        """Hook: raise if the limit ``trace[-1]`` is unacceptable."""
 
 
 class CVRFamily(FixedPointFamily):
@@ -128,21 +124,22 @@ class CVRFamily(FixedPointFamily):
     def _step(self, economy, current):
         return self._refine(economy, current, current)
 
-    def _check_limit(self, economy, trace):
-        limit = trace[-1]
+    def fixed_point(self, economy):
+        """The shared iteration; no limit set may be empty, and filtering the
+        first iterate by the limit's own thresholds must give the limit."""
+        limit, trace = super().fixed_point(economy)
         for k, ms in limit.items():
             if not ms:
                 raise EmptyFixedPoint(
                     f"conjecture iteration for {k} converged to the empty set"
                 )
-        # One-shot identity check: filtering the full base by the limit's own
-        # thresholds must reproduce the limit exactly.
         recomputed = self._refine(economy, limit, trace[0])
         for k in limit:
             if recomputed[k] != limit[k]:
                 raise DynmatchError(
                     f"threshold fixed-point identity violated for {k}"
                 )
+        return limit, trace
 
 
 class SDSFamily(FixedPointFamily):

@@ -28,7 +28,7 @@ UNLISTED_UTILITY = Fraction(-1)
 ZERO = Fraction(0)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class PreferenceProfile:
     """Per-agent discount factors and partner utilities.
 
@@ -71,13 +71,6 @@ class PreferenceProfile:
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.deltas, self.utilities) == (other.deltas, other.utilities)
 
     @staticmethod
     def build(
@@ -168,9 +161,19 @@ def build_economy(
     deltas: Mapping[str, Fraction],
     utilities: Mapping[tuple[str, str], Fraction],
 ) -> Economy:
-    """Convenience constructor used by tests and the DSL."""
+    """Convenience constructor used by tests and the DSL; rejects stray entries."""
     schedule = tuple((tuple(a), tuple(b)) for a, b in arrivals)
-    return Economy(horizon, schedule, PreferenceProfile.build(deltas, utilities))
+    economy = Economy(horizon, schedule, PreferenceProfile.build(deltas, utilities))
+    side = {name: s for name, (s, _) in economy._index.items()}
+    for name in deltas:
+        if name not in side:
+            raise ValueError(f"discount factor for {name}, who is not scheduled")
+    for owner, partner in utilities:
+        stray = [n for n in (owner, partner) if n not in side]
+        if stray or side[owner] == side[partner]:
+            why = f"{stray[0]} is not scheduled" if stray else "they are on one side"
+            raise ValueError(f"utility of {owner} for {partner}: {why}")
+    return economy
 
 
 def payoff(economy: Economy, m: "DynamicMatching", k: str, t: int) -> Fraction:

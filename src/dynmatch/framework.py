@@ -210,12 +210,7 @@ class ConjectureFamily:
     def _candidates(self, economy: Economy) -> tuple[DynamicMatching, ...]:
         a1, b1 = economy.arrivals[0]
         e1 = StaticEconomy(economy, a1, b1, self.thresholds(economy))
-        return self._stable_stitched(e1, self.candidates)
-
-    def _stable_stitched(self, e1: StaticEconomy, rest):
-        """The stable set of the period-1 market e1, each first period
-        stitched onto ``rest`` of the economy it leaves."""
-        return self._stitched(e1.economy, checked_stable_set(e1), rest)
+        return self._stitched(economy, checked_stable_set(e1), self.candidates)
 
     def _single_now(self, economy: Economy, k: str, keep=lambda p1: True):
         """First periods that leave k single and pass ``keep``, each stitched
@@ -375,7 +370,7 @@ def candidate_set(
         return sols
 
     e1 = induced_one_period_economy(economy, conjectured, family.empty_policy)
-    return family._stable_stitched(e1, solved)
+    return family._stitched(economy, checked_stable_set(e1), solved)
 
 
 def candidate_matchings(

@@ -9,7 +9,7 @@ from __future__ import annotations
 from importlib import resources
 
 from .concepts import Solver
-from .dsl import EconomyDocument, parse
+from .dsl import EconomyDocument, parse, validate_ordinal
 from .economy import Economy
 from .framework import check_generalized_consistency
 from .matching import DynamicMatching, defer_arrivals
@@ -28,7 +28,9 @@ def fixture_text(name: str) -> str:
 
 def load_fixture(name: str) -> tuple[Economy, EconomyDocument]:
     doc = parse(fixture_text(name))
-    return doc.to_economy(), doc
+    economy = doc.to_economy()
+    validate_ordinal(economy, doc)
+    return economy, doc
 
 
 # The matchings discussed alongside the fixtures, by formation period.

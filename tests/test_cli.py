@@ -242,6 +242,12 @@ def test_check_consistency_on_the_reference_market(example1_file, capsys):
     assert code == cli.EXIT_CHECK_FAILED
     out = capsys.readouterr().out
     assert "not conjectured by a3 at t=1" in out
+    code = run_cli(
+        "check", example1_file, "--concept", "sds", "--check", "cc",
+        "--matching", "t=1: a1-b1 a2-b2 | t=2: a3-b3 a4-b4",
+    )
+    assert code == cli.EXIT_OK
+    assert capsys.readouterr().out == "consistency: pass\n"
 
 
 def test_check_non_candidate_is_an_input_error(example1_file, capsys):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dynmatch import reproduce
 from dynmatch.dsl import canonical_text, parse, serialize, validate_ordinal
 from dynmatch.errors import (
     ArrivalOutOfRange,
@@ -170,6 +171,17 @@ def test_fixture_ordinal_blocks_pass_the_oracle(name):
     validate_ordinal(doc.to_economy(), doc)
     # Every agent's full preference list is annotated.
     assert {o for o, _ in doc.ordinals} == {d.name for d in doc.agents}
+
+
+def test_load_fixture_checks_ordinal_blocks(monkeypatch):
+    good = "ordinal a1: (b4,0) (b2,0)"
+    text = fixture_text("example1")
+    assert good in text
+    broken = text.replace(good, "ordinal a1: (b2,0) (b4,0)")
+    monkeypatch.setattr(reproduce, "fixture_text", lambda name: broken)
+    message = r"^ordinal list of a1: entry \('b2', 0\)"
+    with pytest.raises(OrdinalViolation, match=message):
+        reproduce.load_fixture("example1")
 
 
 def test_fixture_arrival_schedules():

@@ -132,6 +132,31 @@ def test_agent_without_a_discount_factor_is_rejected_at_construction():
         Economy(1, (tuple(schedule[0]),), PreferenceProfile.build(deltas, utilities))
 
 
+@pytest.mark.parametrize(
+    "deltas, utilities, message",
+    [
+        ({}, {("a1", "zz"): 1}, "^utility of a1 for zz: zz is not scheduled$"),
+        ({}, {("a1", "a2"): 1}, "^utility of a1 for a2: they are on one side$"),
+        ({"zz": 1}, {}, "^discount factor for zz, who is not scheduled$"),
+    ],
+    ids=["unscheduled-partner", "same-side-pair", "unscheduled-delta"],
+)
+def test_build_economy_rejects_entries_it_would_ignore(deltas, utilities, message):
+    schedule = [(("a1", "a2"), ("b1",))]
+    base = {"a1": Fraction(1), "a2": Fraction(1), "b1": Fraction(1)}
+    with pytest.raises(ValueError, match=message):
+        build_economy(1, schedule, {**base, **deltas}, utilities)
+
+
+def test_unknown_delta_and_short_schedule_are_rejected():
+    profile = one_pair_profile()
+    with pytest.raises(UnknownAgent, match="^zz$"):
+        profile.delta("zz")
+    message = "^arrival schedule length must equal the horizon$"
+    with pytest.raises(ValueError, match=message):
+        Economy(2, ((("a1",), ("b1",)),), profile)
+
+
 def test_discounting_is_the_only_time_dependence():
     rng = random.Random(5)
     for _ in range(20):

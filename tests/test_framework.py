@@ -215,6 +215,11 @@ def test_candidate_routes_agree_for_every_concept(concept):
             assert candidate_set(e, family.conjecture_sets(e), family) == exhaustive
 
 
+def test_horizon_0_candidate_set_is_the_empty_matching():
+    e = build_economy(0, [], {}, {})
+    assert candidate_set(e, {}, StableFamily()) == (DynamicMatching(()),)
+
+
 def test_solver_never_calls_the_exhaustive_routes(monkeypatch):
     markets = corpus(41, 6, max_per_side=2)
     oracle = Solver()

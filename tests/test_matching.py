@@ -146,6 +146,20 @@ def test_validator_rejects_double_matching():
         validate_matching(e, doubled)
 
 
+def test_validator_rejects_an_unknown_agent():
+    e = static_economy(1, 1)
+    with pytest.raises(ValueError, match="^zz is not a side-A agent arrived by 1$"):
+        validate_matching(e, DynamicMatching(((("zz", "b1"),),)))
+
+
+def test_period_lookups_at_the_edges():
+    m = DynamicMatching(((("a1", "b1"),),))
+    with pytest.raises(IndexError, match=r"^period 0 outside 1\.\.1$"):
+        m.pairs_at(0)
+    assert DynamicMatching(()).final_partner("a1") == "a1"
+    assert m.final_partner("a1") == "b1"
+
+
 def test_available_agents_tracks_arrivals_and_matches():
     e = build_economy(
         2,

@@ -3,7 +3,7 @@ markets: payoffs, enumeration, static stability, conjecture-based solution
 concepts, candidate construction, and consistency checking."""
 
 from .concepts import CONCEPT_NAMES, Solver, SolveReport
-from .dsl import parse, serialize, validate_ordinal
+from .dsl import load, parse, serialize, validate_ordinal
 from .economy import Economy, PreferenceProfile, build_economy, payoff
 from .framework import (
     BlockWitness,
@@ -38,6 +38,7 @@ __all__ = [
     "deferred_acceptance",
     "enumerate_matchings",
     "is_phi_solution",
+    "load",
     "matching_text",
     "parse",
     "parse_matching_text",

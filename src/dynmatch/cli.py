@@ -15,7 +15,7 @@ import sys
 import time
 
 from .concepts import CONCEPT_NAMES, SolveReport, Solver
-from .dsl import parse, serialize, validate_ordinal
+from .dsl import load, serialize
 from .economy import Economy
 from .errors import DynmatchError, SizeLimitExceeded
 from .framework import check_consistency, check_generalized_consistency, is_phi_solution
@@ -37,12 +37,10 @@ EXIT_CHECK_FAILED = 4
 
 
 def _load(path: str) -> tuple[Economy, str]:
-    """Parse an economy file and check its ordinal blocks; returns the
+    """Load an economy file (see :func:`~dynmatch.dsl.load`); returns the
     economy and the digest of its canonical text."""
     with open(path, encoding="utf-8") as fh:
-        doc = parse(fh.read())
-    economy = doc.to_economy()
-    validate_ordinal(economy, doc)
+        economy, doc = load(fh.read())
     return economy, hashlib.sha256(serialize(doc).encode()).hexdigest()
 
 

@@ -217,13 +217,13 @@ class Solver:
             for c in candidates
             for fails in (consistency_failures(economy, c, family),)
         )
+        # The solution set is exactly the witness-free matchings.
         solved = set(solutions)
-        witnesses = []
-        for c in candidates:
-            if c not in solved:
-                w = _first_witness(economy, c, family)
-                if w is not None:
-                    witnesses.append((c, w))
+        witnesses = tuple(
+            (c, _first_witness(economy, c, family))
+            for c in candidates
+            if c not in solved
+        )
         return SolveReport(
             concept=concept,
             empty_policy=family.empty_policy,
@@ -231,5 +231,5 @@ class Solver:
             solutions=solutions,
             candidates=candidates,
             consistency=consistency,
-            witnesses=tuple(witnesses),
+            witnesses=witnesses,
         )

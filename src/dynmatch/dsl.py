@@ -203,10 +203,6 @@ def serialize(doc: EconomyDocument) -> str:
     return "\n".join(lines) + "\n"
 
 
-def canonical_text(text: str) -> str:
-    return serialize(parse(text))
-
-
 def validate_ordinal(economy: Economy, doc: EconomyDocument) -> None:
     """Assert each ordinal block's strictly decreasing discounted utilities."""
     for owner, entries in doc.ordinals:
@@ -216,3 +212,12 @@ def validate_ordinal(economy: Economy, doc: EconomyDocument) -> None:
             rhs = delta**d2 * economy.utility(owner, p2)
             if not lhs > rhs:
                 raise OrdinalViolation(owner, (p1, d1), (p2, d2), lhs, rhs)
+
+
+def load(text: str) -> tuple[Economy, EconomyDocument]:
+    """The economy of an ``.econ`` text and its document, once every
+    ordinal block has passed :func:`validate_ordinal`."""
+    doc = parse(text)
+    economy = doc.to_economy()
+    validate_ordinal(economy, doc)
+    return economy, doc

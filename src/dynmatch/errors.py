@@ -23,7 +23,6 @@ class SizeLimitExceeded(DynmatchError):
             f"enumeration exceeded the cap of {cap} matchings in an economy "
             f"with horizon {horizon} and {agents} agents"
         )
-        self.cap = cap
 
 
 class TiesPresent(DynmatchError):
@@ -92,8 +91,3 @@ class OrdinalViolation(DynmatchError):
             f"ordinal list of {owner}: entry {first} (value {lhs}) does not "
             f"strictly beat entry {second} (value {rhs})"
         )
-        self.owner = owner
-        self.first = first
-        self.second = second
-        self.lhs = lhs
-        self.rhs = rhs

@@ -9,7 +9,7 @@ from __future__ import annotations
 from importlib import resources
 
 from .concepts import Solver
-from .dsl import EconomyDocument, parse, validate_ordinal
+from .dsl import EconomyDocument, load
 from .economy import Economy
 from .framework import check_generalized_consistency
 from .matching import DynamicMatching, defer_arrivals
@@ -27,10 +27,7 @@ def fixture_text(name: str) -> str:
 
 
 def load_fixture(name: str) -> tuple[Economy, EconomyDocument]:
-    doc = parse(fixture_text(name))
-    economy = doc.to_economy()
-    validate_ordinal(economy, doc)
-    return economy, doc
+    return load(fixture_text(name))
 
 
 # The matchings discussed alongside the fixtures, by formation period.

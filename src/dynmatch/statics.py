@@ -114,13 +114,32 @@ def stable_set(e1: StaticEconomy) -> tuple[PeriodPairs, ...]:
     )
 
 
+def _is_strict(e1: StaticEconomy) -> bool:
+    """No agent gives one value to two partners it accepts (utility at or
+    above its threshold), or to an accepted partner and its threshold.
+    Unlisted partners share one value, so two accepted ones tie."""
+    utility = e1.economy.utility
+    for owners, partners in ((e1.a_names, e1.b_names), (e1.b_names, e1.a_names)):
+        for k in owners:
+            thr = e1.threshold(k)
+            values = [v for v in (utility(k, p) for p in partners) if v >= thr]
+            if thr in values or len(set(values)) != len(values):
+                return False
+    return True
+
+
 def assert_lone_wolf(e1: StaticEconomy, matchings: Iterable[PeriodPairs]) -> None:
-    """Every stable matching must leave the same agents unmatched."""
+    """In a strict market (:func:`_is_strict`), every stable matching must
+    leave the same agents unmatched (McVitie & Wilson 1971; Roth 1984).
+    With ties the theorem does not hold, so the check stops there; the
+    strictness test runs only once two unmatched sets differ."""
     unmatched_sets = set()
     everyone = set(e1.a_names) | set(e1.b_names)
     for pairs in matchings:
         unmatched_sets.add(frozenset(everyone.difference(*pairs)))
         if len(unmatched_sets) > 1:
+            if not _is_strict(e1):
+                return
             raise LoneWolfViolation(
                 "stable matchings with different unmatched agents: "
                 f"{sorted(sorted(s) for s in unmatched_sets)}"

@@ -132,6 +132,24 @@ def test_violated_ordinal_block_is_an_input_error(tmp_path, capsys):
     assert "a1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("concept", CONCEPT_NAMES)
+def test_a_tied_market_solves(tmp_path, capsys, concept):
+    # a1 is indifferent between b1 and b2, who both want a1.
+    path = tmp_path / "tied.econ"
+    path.write_text(
+        "periods: 1\n"
+        "agent a1 side A arrives 1 delta 1/2\n"
+        "agent b1 side B arrives 1 delta 1/2\n"
+        "agent b2 side B arrives 1 delta 1/2\n"
+        "prefs a1: b1=1 b2=1\n"
+        "prefs b1: a1=1\n"
+        "prefs b2: a1=1\n"
+    )
+    assert run_cli("solve", str(path), "--concept", concept) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert "solutions (2):\n  t=1: a1-b1\n  t=1: a1-b2\n" in out
+
+
 def test_out_of_range_discount_factor_names_its_line(tmp_path, capsys):
     path = tmp_path / "delta.econ"
     path.write_text(ONE_PAIR.replace("delta 1/2", "delta 3/2", 1))

@@ -8,18 +8,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynmatch import framework
-from dynmatch.concepts import CONCEPT_NAMES, FAMILIES, FixedPointFamily, Solver
+from dynmatch.concepts import (
+    CONCEPT_NAMES,
+    FAMILIES,
+    CVRFamily,
+    FixedPointFamily,
+    Solver,
+)
 from dynmatch.dsl import parse
 from dynmatch.economy import build_economy
+from dynmatch.errors import DynmatchError, EmptyContinuationSolutions, EmptyFixedPoint
 from dynmatch.framework import (
     ConjectureFamily,
+    StableFamily,
     candidate_matchings,
+    candidate_set,
     check_generalized_consistency,
     consistency_failures,
     phi_solution_set,
     recursive_solution_set,
 )
-from dynmatch.matching import defer_arrivals, enumerate_matchings, matching_text
+from dynmatch.matching import (
+    defer_arrivals,
+    enumerate_matchings,
+    matching_text,
+    next_economy,
+)
 from dynmatch.reproduce import (
     EXAMPLE1_STAR,
     EXAMPLE2_LEFT,
@@ -159,11 +173,11 @@ def test_both_solution_routes_agree_under_strict_empty_conjectures():
 
 
 @st.composite
-def strict_markets(draw, max_per_side=2):
-    """Markets drawn as :func:`corpus.random_economy` draws them: horizon
-    1-3, 1 to ``max_per_side`` agents a side arriving in any period, odd
-    numerators over 7 distinct per owner, and discount factors from
-    ``DELTAS``."""
+def markets(draw, max_per_side, deltas, values, unique):
+    """Horizon 1-3, 1 to ``max_per_side`` agents a side arriving in any
+    period, discount factors from ``deltas`` and, for every owner and every
+    partner on the other side, a utility from ``values``, distinct per owner
+    when ``unique``."""
     horizon = draw(st.integers(1, 3))
     a_names = [f"a{i}" for i in range(1, draw(st.integers(1, max_per_side)) + 1)]
     b_names = [f"b{i}" for i in range(1, draw(st.integers(1, max_per_side)) + 1)]
@@ -175,21 +189,36 @@ def strict_markets(draw, max_per_side=2):
         )
         for t in range(1, horizon + 1)
     ]
-    deltas = {n: draw(st.sampled_from(DELTAS)) for n in a_names + b_names}
+    deltas = {n: draw(st.sampled_from(deltas)) for n in a_names + b_names}
     utilities = {}
     for owners, partners in ((a_names, b_names), (b_names, a_names)):
         for owner in owners:
-            numerators = draw(
+            drawn = draw(
                 st.lists(
-                    st.sampled_from(ODD_NUMERATORS),
+                    st.sampled_from(values),
                     min_size=len(partners),
                     max_size=len(partners),
-                    unique=True,
+                    unique=unique,
                 )
             )
-            for k, p in zip(numerators, partners):
-                utilities[(owner, p)] = Fraction(k, 7)
+            utilities.update(((owner, p), u) for u, p in zip(drawn, partners))
     return build_economy(horizon, arrivals, deltas, utilities)
+
+
+def strict_markets(max_per_side=2):
+    """Markets drawn as :func:`corpus.random_economy` draws them: odd
+    numerators over 7 distinct per owner, and discount factors from
+    ``DELTAS``, so no agent is ever indifferent."""
+    values = tuple(Fraction(k, 7) for k in ODD_NUMERATORS)
+    return markets(max_per_side, DELTAS, values, unique=True)
+
+
+def tied_markets():
+    """Markets with ties: up to 3 agents a side, utilities from -1, 0, 1
+    and 2 (0 ties with staying single, -1 with every unlisted partner) and
+    discount factors 1/2 or 1."""
+    values = tuple(Fraction(u) for u in (-1, 0, 1, 2))
+    return markets(3, (Fraction(1, 2), Fraction(1)), values, unique=False)
 
 
 def check_consistent_families(e):
@@ -236,6 +265,79 @@ def test_consistent_families_solve_strict_markets_three_a_side(e):
 @given(strict_markets(max_per_side=4))
 def test_consistent_families_solve_strict_markets_four_a_side(e):
     check_consistent_families(e)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(tied_markets())
+def test_tied_markets_solve_under_every_concept(e):
+    # Ties void the lone-wolf theorem, so its check does not run on them:
+    # every concept solves, and both routes still agree.
+    solver = Solver()
+    for concept in CONCEPT_NAMES:
+        family = solver.family(concept)
+        report = solver.solve(concept, e)
+        assert report.solutions == phi_solution_set(e, family)
+        assert report.candidates == candidate_matchings(e, family)
+
+
+@settings(max_examples=25, derandomize=True, database=None, deadline=None)
+@given(strict_markets(max_per_side=3))
+def test_reports_and_memo_order_do_not_depend_on_earlier_queries(e):
+    # Solving each period-1 agent's deferred economy first fills the memo
+    # with economies that share keys with e's continuations.
+    a1, b1 = e.arrivals[0]
+    for concept in CONCEPT_NAMES:
+        warm = Solver()
+        for k in (*a1, *b1):
+            warm.solve(concept, defer_arrivals(e, [k]))
+        assert warm.solve(concept, e) == Solver().solve(concept, e)
+        if e.horizon > 1:
+            cont = next_economy(e, ())
+            ca, cb = cont.arrivals[0]
+            key_order = [*sorted(ca), *sorted(cb)]
+            family = warm.family(concept)
+            assert list(family.conjecture_sets(cont)) == key_order
+            assert list(family.thresholds(cont)) == key_order
+
+
+class EmptyingCVRFamily(CVRFamily):
+    def _step(self, economy, current):
+        return {k: () for k in current}
+
+
+class FirstConjectureCVRFamily(CVRFamily):
+    def _step(self, economy, current):
+        return {k: ms[:1] for k, ms in current.items()}
+
+
+class UnsolvableFamily(StableFamily):
+    def solution_set(self, economy):
+        return ()
+
+
+def test_an_empty_fixed_point_is_rejected(market1):
+    message = "^conjecture iteration for a1 converged to the empty set$"
+    with pytest.raises(EmptyFixedPoint, match=message):
+        EmptyingCVRFamily().conjecture_sets(market1)
+
+
+def test_a_limit_that_its_own_thresholds_do_not_reproduce_is_rejected(market1):
+    # Keeping only the first conjecture drops some that the limit's
+    # thresholds would keep, so refining the start by them differs.
+    message = "^threshold fixed-point identity violated for a1$"
+    with pytest.raises(DynmatchError, match=message) as info:
+        FirstConjectureCVRFamily().conjecture_sets(market1)
+    assert type(info.value) is DynmatchError
+
+
+def test_candidates_need_solved_continuations(market1):
+    family = UnsolvableFamily()
+    message = (
+        r"^no continuation solutions for the arrivals "
+        r"\(\(\('a3', 'a4'\), \('b3', 'b4'\)\),\)$"
+    )
+    with pytest.raises(EmptyContinuationSolutions, match=message):
+        candidate_set(market1, family.conjecture_sets(market1), family)
 
 
 @pytest.mark.parametrize("concept", CONCEPT_NAMES)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynmatch import reproduce
-from dynmatch.dsl import canonical_text, parse, serialize, validate_ordinal
+from dynmatch.dsl import load, parse, serialize, validate_ordinal
 from dynmatch.errors import (
     ArrivalOutOfRange,
     BadRational,
@@ -40,8 +40,8 @@ def test_serialize_parse_round_trip_on_documents():
 
 
 def test_canonical_text_is_a_fixed_point():
-    text = canonical_text(MINIMAL)
-    assert canonical_text(text) == text
+    text = serialize(parse(MINIMAL))
+    assert serialize(parse(text)) == text
 
 
 def test_comments_and_blank_lines_are_ignored():
@@ -132,29 +132,27 @@ def test_decimal_literals_rejected():
 
 
 def test_ordinal_oracle_passes_on_valid_block():
-    doc = parse(
-        MINIMAL
-        + """\
-ordinal a1: (b1,0) (b1,1)
-"""
-    )
+    text = MINIMAL + "ordinal a1: (b1,0) (b1,1)\n"
+    doc = parse(text)
     validate_ordinal(doc.to_economy(), doc)
+    assert load(text) == (doc.to_economy(), doc)
 
 
 def test_ordinal_oracle_rejects_non_decreasing_entries():
     # delta 1 makes delayed and immediate matching equally good: not a
     # strict decrease.
-    doc = parse(
-        """\
+    text = """\
 periods: 1
 agent a1 side A arrives 1 delta 1
 agent b1 side B arrives 1 delta 1
 prefs a1: b1=2
 ordinal a1: (b1,0) (b1,1)
 """
-    )
+    doc = parse(text)
     with pytest.raises(OrdinalViolation):
         validate_ordinal(doc.to_economy(), doc)
+    with pytest.raises(OrdinalViolation, match="^ordinal list of a1: "):
+        load(text)
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
@@ -162,7 +160,7 @@ def test_fixture_round_trips(name):
     text = fixture_text(name)
     doc = parse(text)
     assert parse(serialize(doc)) == doc
-    assert canonical_text(serialize(doc)) == serialize(doc)
+    assert serialize(parse(serialize(doc))) == serialize(doc)
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)

@@ -394,23 +394,45 @@ def test_empty_conjecture_policies_change_the_solution_set():
         )
 
 
-@pytest.mark.parametrize("concept", CONCEPT_NAMES)
-def test_tied_last_period_solutions_run_no_lone_wolf_check(concept):
-    # a1 is indifferent between b1 and b2: both pairings are stable and leave
-    # different agents single, which a lone-wolf check would reject.
-    e = build_economy(
-        1,
-        [(("a1",), ("b1", "b2"))],
-        {n: Fraction(1, 2) for n in ("a1", "b1", "b2")},
+def tied_market(arrivals):
+    # a1 is indifferent between b1 and b2, and both want a1; anyone else is
+    # unlisted.
+    return build_economy(
+        len(arrivals),
+        arrivals,
+        {n: Fraction(1, 2) for side in arrivals for n in (*side[0], *side[1])},
         {
             (x, y): Fraction(1)
             for x, y in (("a1", "b1"), ("a1", "b2"), ("b1", "a1"), ("b2", "a1"))
         },
     )
-    family = Solver().family(concept)
+
+
+@pytest.mark.parametrize("concept", CONCEPT_NAMES)
+def test_tied_last_period_solutions_run_no_lone_wolf_check(concept):
+    # Both pairings are stable and leave different agents single, which the
+    # lone-wolf theorem rules out only in strict markets.
+    e = tied_market([(("a1",), ("b1", "b2"))])
+    solver = Solver()
+    family = solver.family(concept)
     solutions = family.solution_set(e)
     assert solutions == phi_solution_set(e, family)
     assert len(solutions) == 2
+    report = solver.solve(concept, e)
+    assert report.solutions == solutions
+    assert report.candidates == candidate_matchings(e, family)
+
+
+@pytest.mark.parametrize("concept", CONCEPT_NAMES)
+def test_a_tie_before_a_later_arrival_solves(concept):
+    # The tie of the market above, with a2 arriving in period 2: the sds
+    # step builds candidates from the tied first period.
+    e = tied_market([(("a1",), ("b1", "b2")), (("a2",), ())])
+    solver = Solver()
+    family = solver.family(concept)
+    report = solver.solve(concept, e)
+    assert report.solutions == phi_solution_set(e, family)
+    assert report.candidates == candidate_matchings(e, family)
 
 
 @pytest.mark.parametrize("config", [{"empty_policy": "bogus"}, {"max_matchings": 0}])

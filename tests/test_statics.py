@@ -168,6 +168,24 @@ def test_lone_wolf_assertion_fires_on_manufactured_violation():
         assert_lone_wolf(e1, [(), (("a1", "b1"),)])
 
 
+def test_lone_wolf_check_skips_markets_with_ties():
+    # Each of b1 and b2 is a1's best partner, so the two stable matchings
+    # leave different agents single.
+    tied = {("a1", "b1"): 1, ("a1", "b2"): 1, ("b1", "a1"): 1, ("b2", "a1"): 1}
+    stable = ((("a1", "b1"),), (("a1", "b2"),))
+    assert checked_stable_set(tiny(tied)) == stable
+    # A partner valued at the threshold ties with staying single.
+    at_threshold = {("a1", "b1"): 1, ("b1", "a1"): 1}
+    assert_lone_wolf(tiny(at_threshold, {"a1": Fraction(1)}), [(), (("a1", "b1"),)])
+    # a1 leaves b2 and b3 unlisted.  Below a1's threshold they do not
+    # count, and the market is strict; under NEG_INF they are acceptable
+    # and share one value.
+    unlisted = {**at_threshold, ("b2", "a1"): 1, ("b3", "a1"): 1}
+    with pytest.raises(LoneWolfViolation):
+        assert_lone_wolf(tiny(unlisted), [(), (("a1", "b1"),)])
+    assert_lone_wolf(tiny(unlisted, {"a1": NEG_INF}), [(), (("a1", "b1"),)])
+
+
 def test_lone_wolf_holds_on_random_strict_economies():
     rng = random.Random(22)
     for _ in range(60):

@@ -110,14 +110,14 @@ class CVRFamily(FixedPointFamily):
     _threshold_rule = AgreeFamily._threshold_rule
 
     def _refine(self, economy, current, members):
-        """``members`` filtered by the thresholds that ``current`` implies."""
+        """``members`` filtered by the thresholds that ``current`` implies.
+        The test reads only a member's first period, and agents' conjectures
+        share first periods, so it runs once per distinct first period."""
         thr = induced_one_period_economy(economy, current, self.empty_policy).thresholds
+        firsts = {m.pairs_at(1) for ms in members.values() for m in ms}
+        stable = {p1 for p1 in firsts if stability_among_matched(economy, p1, thr)}
         return {
-            k: tuple(
-                mbar
-                for mbar in ms
-                if stability_among_matched(economy, mbar.pairs_at(1), thr)
-            )
+            k: tuple(m for m in ms if m.pairs_at(1) in stable)
             for k, ms in members.items()
         }
 

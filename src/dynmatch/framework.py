@@ -104,6 +104,8 @@ class ConjectureFamily:
                 f"unknown empty-conjecture policy {empty_policy!r}; "
                 f"expected one of {EMPTY_POLICIES}"
             )
+        if not isinstance(max_matchings, int) or isinstance(max_matchings, bool):
+            raise ValueError(f"max_matchings must be an int, got {max_matchings!r}")
         if max_matchings < 1:
             raise ValueError(f"max_matchings must be at least 1, got {max_matchings}")
         self.empty_policy = empty_policy

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynmatch import framework
+from dynmatch import concepts, framework
 from dynmatch.concepts import (
     CONCEPT_NAMES,
     FAMILIES,
@@ -46,6 +46,7 @@ from dynmatch.statics import (
     EMPTY_POLICIES,
     conjecture_threshold,
     induced_one_period_economy,
+    stability_among_matched,
 )
 
 from corpus import DELTAS, ODD_NUMERATORS, corpus, random_economy
@@ -66,9 +67,18 @@ def market2(solver):
     return load_fixture("example2")[0]
 
 
+def econ_market(name):
+    return parse((Path(__file__).parent / f"{name}.econ").read_text()).to_economy()
+
+
 @pytest.fixture(scope="module")
 def stepping_market():
-    return parse((Path(__file__).parent / "sds_step.econ").read_text()).to_economy()
+    return econ_market("sds_step")
+
+
+@pytest.fixture(scope="module")
+def agree_ds_market():
+    return econ_market("agree_ds")
 
 
 def test_all_named_claims_hold(solver):
@@ -280,6 +290,31 @@ def test_tied_markets_solve_under_every_concept(e):
         assert report.candidates == candidate_matchings(e, family)
 
 
+def check_solution_first_periods_are_stable(e):
+    # Every solution's first period is stable among those it matches, under
+    # the family's own root thresholds: a pruning of first periods by this
+    # test loses no solution.
+    for policy in EMPTY_POLICIES:
+        solver = Solver(policy)
+        for concept in CONCEPT_NAMES:
+            family = solver.family(concept)
+            thresholds = family.thresholds(e)
+            for m in family.solution_set(e):
+                assert stability_among_matched(e, m.pairs_at(1), thresholds)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(strict_markets(max_per_side=3))
+def test_solution_first_periods_are_stable_on_strict_markets(e):
+    check_solution_first_periods_are_stable(e)
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(tied_markets())
+def test_solution_first_periods_are_stable_on_tied_markets(e):
+    check_solution_first_periods_are_stable(e)
+
+
 @settings(max_examples=25, derandomize=True, database=None, deadline=None)
 @given(strict_markets(max_per_side=3))
 def test_reports_and_memo_order_do_not_depend_on_earlier_queries(e):
@@ -381,6 +416,34 @@ def test_each_rule_runs_once_per_economy(monkeypatch, concept):
         trace = family.iterates(e)
         assert trace[0] == Solver().family(start).conjecture_sets(e)
         assert trace[-1] == family.conjecture_sets(e)
+
+
+def test_value_respecting_refinement_tests_each_first_period_once(
+    monkeypatch, market1, market2, stepping_market
+):
+    refine = CVRFamily._refine
+    test = concepts.stability_among_matched
+    open_calls = []  # the Counter of the _refine call running now
+    counts = []  # one Counter of (economy key, first period) per _refine call
+
+    def counting_refine(self, economy, current, members):
+        open_calls.append(Counter())
+        try:
+            return refine(self, economy, current, members)
+        finally:
+            counts.append(open_calls.pop())
+
+    def counting_test(economy, pairs, thresholds):
+        if open_calls:
+            open_calls[-1][economy.key, pairs] += 1
+        return test(economy, pairs, thresholds)
+
+    monkeypatch.setattr(CVRFamily, "_refine", counting_refine)
+    monkeypatch.setattr(concepts, "stability_among_matched", counting_test)
+    for e in (market1, market2, stepping_market):
+        Solver().solve("cvr-ds", e)
+    assert sum(map(len, counts)) > len(counts)
+    assert all(n == 1 for c in counts for n in c.values())
 
 
 @pytest.mark.parametrize("concept", ("agree", "re", "ds", "cvr-ds", "sds"))
@@ -491,6 +554,22 @@ def test_the_sds_step_moves_a_threshold_of_the_stepping_market(
     }
     assert limit == {**start, "a2": Fraction(0)}
     assert solver.family("sds").thresholds(stepping_market) == limit
+
+
+@pytest.mark.parametrize("policy", EMPTY_POLICIES)
+def test_ds_refines_agree_strictly_on_the_separating_market(agree_ds_market, policy):
+    solver = Solver(policy)
+    solved = {c: solver.solution_set(c, agree_ds_market) for c in CONCEPT_NAMES}
+    texts = {c: [matching_text(m) for m in ms] for c, ms in solved.items()}
+    dynamic = "t=1: - | t=2: a1-b1 a2-b3 a4-b2"
+    early = "t=1: a1-b4 | t=2: a2-b3 a4-b2"
+    assert texts["stable"] == texts["agree"] == [dynamic, early]
+    for concept in ("ds", "re", "cvr-ds", "sds"):
+        assert texts[concept] == [dynamic]
+    assert set(solved["ds"]) < set(solved["agree"])
+    for concept in CONCEPT_NAMES:
+        family = solver.family(concept)
+        assert solved[concept] == phi_solution_set(agree_ds_market, family)
 
 
 def test_solve_report_contents(solver, market1):

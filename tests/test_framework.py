@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from dynmatch.matching import (
     enumerate_matchings,
     next_economy,
 )
+from dynmatch.reproduce import load_fixture
 from dynmatch.statics import (
     EMPTY_POLICIES,
     StaticEconomy,
@@ -439,6 +441,21 @@ def test_a_tie_before_a_later_arrival_solves(concept):
 def test_family_rejects_a_bad_configuration(config):
     with pytest.raises(ValueError):
         StableFamily(**config)
+
+
+@pytest.mark.parametrize("cap", [10.0**7, True, False, "5"])
+def test_a_cap_that_is_not_an_int_is_rejected(cap):
+    message = re.escape(f"max_matchings must be an int, got {cap!r}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Solver(max_matchings=cap)
+
+
+def test_an_int_cap_solves():
+    e = load_fixture("example1")[0]
+    solver = Solver(max_matchings=10**7)
+    for concept in CONCEPT_NAMES:
+        report = solver.solve(concept, e)
+        assert report.solutions and report.max_matchings == 10**7
 
 
 def two_a_side(arrivals):

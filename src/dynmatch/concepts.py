@@ -20,7 +20,8 @@ continuation (see :class:`~dynmatch.framework.ConjectureFamily`):
   until the set is consistent.
 
 ``cvr-ds`` and ``sds`` share the iteration of :class:`FixedPointFamily`,
-started from the rule of ``agree`` and of ``re``; they differ in the step.
+started, through the class order, from the rule of ``agree`` and of ``re``;
+they differ in the step.
 """
 
 from __future__ import annotations
@@ -50,33 +51,36 @@ class REFamily(ConjectureFamily):
     name = "re"
     _threshold_rule = AgreeFamily._threshold_rule
 
-    def _root_conjectures(self, economy, k):
+    def _conjectures(self, economy):
         # A matching of the deferred economy is literally a matching of the
         # base economy with k unmatched in period 1, and vice versa.
-        return self.solution_set(defer_arrivals(economy, [k]))
+        a1, b1 = economy.arrivals[0]
+        return {
+            k: self.solution_set(defer_arrivals(economy, [k])) for k in (*a1, *b1)
+        }
 
 
-class DSFamily(ConjectureFamily):
+class DSFamily(AgreeFamily):
     """First period stable among those who match (thresholds 0),
     continuation recursively in the solution set."""
 
     name = "ds"
-    _threshold_rule = AgreeFamily._threshold_rule
 
-    def _root_conjectures(self, economy, k):
+    def _conjectures(self, economy):
         # The period-1 test is cheap; it runs first so that rejected first
         # periods never solve their continuation economy.
         return self._single_now(
-            economy, k, lambda p1: stability_among_matched(economy, p1, {})
+            economy, lambda p1: stability_among_matched(economy, p1, {})
         )
 
 
 class FixedPointFamily(ConjectureFamily):
     """Conjectures of all period-1 agents at once: the limit of iterating
-    :meth:`_step` from the per-agent rule :meth:`_root_conjectures` until an
-    iterate repeats.  The limit is the family's conjecture sets and is
-    cached with them; :meth:`iterates` recomputes the trace, agents in the
-    asked economy's declaration order."""
+    :meth:`_step` until an iterate repeats, from the :meth:`_conjectures`
+    of the next class in the method resolution order (a concept lists its
+    start rule's family after this one).  The limit is the family's
+    conjecture sets and is cached with them; :meth:`iterates` recomputes
+    the trace, agents in the asked economy's declaration order."""
 
     def _conjectures(self, economy):
         return self.fixed_point(economy)[0]
@@ -100,14 +104,12 @@ class FixedPointFamily(ConjectureFamily):
         raise NotImplementedError
 
 
-class CVRFamily(FixedPointFamily):
+class CVRFamily(FixedPointFamily, AgreeFamily):
     """Like ``ds`` but with thresholds equal to each matched agent's own
     worst-conjecture continuation value; computed as the limit of a
     decreasing iteration over all period-1 agents simultaneously."""
 
     name = "cvr-ds"
-    _root_conjectures = AgreeFamily._root_conjectures
-    _threshold_rule = AgreeFamily._threshold_rule
 
     def _refine(self, economy, current, members):
         """``members`` filtered by the thresholds that ``current`` implies.
@@ -142,14 +144,12 @@ class CVRFamily(FixedPointFamily):
         return limit, trace
 
 
-class SDSFamily(FixedPointFamily):
+class SDSFamily(FixedPointFamily, REFamily):
     """Deferred-arrival conjectures expanded, round by round, with the
     candidates (stable induced first period + solved continuation) that
     leave the owner unmatched; stops at the set-inclusion fixed point."""
 
     name = "sds"
-    _root_conjectures = REFamily._root_conjectures
-    _threshold_rule = AgreeFamily._threshold_rule
 
     def _step(self, economy, current):
         # One Jacobi round: candidates built from the previous iterate for

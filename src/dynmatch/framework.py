@@ -59,7 +59,8 @@ from .statics import (
 
 # The horizon-0 economy, where every recursion ends, has one matching, and it
 # is a solution and a candidate under every concept.  It has no period 1 to
-# stitch from, so it is returned before any memo lookup.
+# stitch from and no period-1 agent, so it is returned, as are its empty
+# conjecture sets and thresholds, before any memo lookup.
 _HORIZON_0 = (DynamicMatching(()),)
 
 @dataclass(frozen=True)
@@ -80,16 +81,15 @@ class BlockWitness:
 
 
 class ConjectureFamily:
-    """Base class: deterministic rule (economy, period-1 agent) -> matchings.
+    """Base class: deterministic rule economy -> {period-1 agent: matchings}.
 
-    Subclasses implement :meth:`_root_conjectures` for an agent available in
-    period 1 of a (continuation) economy, or :meth:`_conjectures` for all of
-    them at once, and may override :meth:`_threshold_rule`; these rule hooks
-    are all that tells one concept from another.  The family also holds its
-    concept's configuration and one memo: :meth:`_once` computes each of
-    conjecture sets, thresholds, solution and candidate sets once per
-    economy key.  Static stable sets are not memoized: stitching asks for
-    few of them twice.
+    Subclasses implement :meth:`_conjectures`, every period-1 agent's set of
+    a (continuation) economy at once, and may override
+    :meth:`_threshold_rule`; these rule hooks are all that tells one concept
+    from another.  The family also holds its concept's configuration and
+    one memo: :meth:`_once` computes each of conjecture sets, thresholds,
+    solution and candidate sets once per economy key.  Static stable sets
+    are not memoized: stitching asks for few of them twice.
     """
 
     name = "?"
@@ -134,7 +134,7 @@ class ConjectureFamily:
 
     def conjecture_set(self, economy: Economy, k: str) -> tuple[DynamicMatching, ...]:
         """The conjectures of k, who must be available in period 1."""
-        a1, b1 = economy.arrivals[0]
+        a1, b1 = economy.arrivals[0] if economy.horizon else ((), ())
         if k not in a1 and k not in b1:
             raise NotAvailable(f"{k} is not available at period 1")
         return self.conjecture_sets(economy)[k]
@@ -142,12 +142,16 @@ class ConjectureFamily:
     def conjecture_sets(self, economy: Economy) -> dict:
         """Every period-1 agent's conjecture set, by agent in key order;
         :meth:`_conjectures` computes them once per economy key."""
+        if not economy.horizon:
+            return {}
         return self._once("conjectures", economy, self._conjectures)
 
     def thresholds(self, economy: Economy) -> dict:
         """Every period-1 agent's reservation value, the worst payoff among
         their conjectures, by agent in key order; :meth:`_threshold_rule`
         computes them once per economy key."""
+        if not economy.horizon:
+            return {}
         return self._once("thresholds", economy, self._threshold_rule)
 
     def _threshold_rule(self, economy: Economy) -> dict:
@@ -160,14 +164,7 @@ class ConjectureFamily:
         ).thresholds
 
     def _conjectures(self, economy: Economy) -> dict:
-        """The concept's rule: every period-1 agent's conjectures at once.
-        By default :meth:`_root_conjectures` applied to each agent."""
-        a1, b1 = economy.arrivals[0]
-        return {k: tuple(self._root_conjectures(economy, k)) for k in (*a1, *b1)}
-
-    def _root_conjectures(
-        self, economy: Economy, k: str
-    ) -> Iterable[DynamicMatching]:
+        """The concept's rule: every period-1 agent's conjectures at once."""
         raise NotImplementedError
 
     def solution_set(self, economy: Economy) -> tuple[DynamicMatching, ...]:
@@ -214,12 +211,17 @@ class ConjectureFamily:
         e1 = StaticEconomy(economy, a1, b1, self.thresholds(economy))
         return self._stitched(economy, checked_stable_set(e1), self.candidates)
 
-    def _single_now(self, economy: Economy, k: str, keep=lambda p1: True):
-        """First periods that leave k single and pass ``keep``, each stitched
-        onto the solutions of the economy it leaves."""
-        a1, b1 = (tuple(n for n in side if n != k) for side in economy.arrivals[0])
+    def _single_now(self, economy: Economy, keep=lambda p1: True) -> dict:
+        """Each period-1 agent's matchings that leave it single now, their
+        first periods passing ``keep``.  The first periods are stitched onto
+        the solutions of the economies they leave once, and the cap counts
+        that one stitch; each agent's set is a subsequence of it."""
+        a1, b1 = economy.arrivals[0]
         firsts = filter(keep, period_matchings(a1, b1))
-        return self._stitched(economy, firsts, self.solution_set)
+        stitched = self._stitched(economy, firsts, self.solution_set)
+        return {
+            k: tuple(m for m in stitched if m.partner(k, 1) == k) for k in (*a1, *b1)
+        }
 
     def _stitched(self, economy: Economy, firsts, rest) -> tuple[DynamicMatching, ...]:
         """Each period-1 pair set of ``firsts`` stitched onto every matching
@@ -238,8 +240,9 @@ class StableFamily(ConjectureFamily):
 
     name = "stable"
 
-    def _root_conjectures(self, economy, k):
-        return (empty_matching(economy.horizon),)
+    def _conjectures(self, economy):
+        a1, b1 = economy.arrivals[0]
+        return dict.fromkeys((*a1, *b1), (empty_matching(economy.horizon),))
 
 
 class AgreeFamily(ConjectureFamily):
@@ -249,8 +252,8 @@ class AgreeFamily(ConjectureFamily):
 
     name = "agree"
 
-    def _root_conjectures(self, economy, k):
-        return self._single_now(economy, k)
+    def _conjectures(self, economy):
+        return self._single_now(economy)
 
     def _threshold_rule(self, economy):
         """Zero at the last period: with a one-period horizon every

@@ -81,8 +81,13 @@ class RandomFamily(ConjectureFamily):
         super().__init__()
         self.seed = seed
 
-    def _root_conjectures(self, economy, k):
-        base = [m for m in enumerate_matchings(economy) if m.partner(k, 1) == k]
+    def _conjectures(self, economy):
+        full = enumerate_matchings(economy)
+        a1, b1 = economy.arrivals[0]
+        return {k: self._draw(economy, full, k) for k in (*a1, *b1)}
+
+    def _draw(self, economy, full, k):
+        base = [m for m in full if m.partner(k, 1) == k]
         # str seeds are hashed deterministically, unlike tuples of str.
         rng = random.Random(f"{self.seed}|{economy.key}|{k}")
         size = rng.randint(1, len(base))

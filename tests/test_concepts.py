@@ -17,7 +17,12 @@ from dynmatch.concepts import (
 )
 from dynmatch.dsl import parse
 from dynmatch.economy import build_economy
-from dynmatch.errors import DynmatchError, EmptyContinuationSolutions, EmptyFixedPoint
+from dynmatch.errors import (
+    DynmatchError,
+    EmptyContinuationSolutions,
+    EmptyFixedPoint,
+    NotAvailable,
+)
 from dynmatch.framework import (
     ConjectureFamily,
     StableFamily,
@@ -25,10 +30,12 @@ from dynmatch.framework import (
     candidate_set,
     check_generalized_consistency,
     consistency_failures,
+    is_phi_solution,
     phi_solution_set,
     recursive_solution_set,
 )
 from dynmatch.matching import (
+    DynamicMatching,
     defer_arrivals,
     enumerate_matchings,
     matching_text,
@@ -79,6 +86,11 @@ def stepping_market():
 @pytest.fixture(scope="module")
 def agree_ds_market():
     return econ_market("agree_ds")
+
+
+@pytest.fixture(scope="module")
+def cvr_sds_market():
+    return econ_market("cvr_sds")
 
 
 def test_all_named_claims_hold(solver):
@@ -378,14 +390,14 @@ def test_candidates_need_solved_continuations(market1):
 @pytest.mark.parametrize("concept", CONCEPT_NAMES)
 def test_each_rule_runs_once_per_economy(monkeypatch, concept):
     cls = FAMILIES[concept]
-    rule = cls._root_conjectures
+    rule = cls._conjectures
     calls = Counter()
 
-    def counting(self, economy, k):
-        calls[economy.key, k] += 1
-        return rule(self, economy, k)
+    def counting(self, economy):
+        calls[economy.key] += 1
+        return rule(self, economy)
 
-    monkeypatch.setattr(cls, "_root_conjectures", counting)
+    monkeypatch.setattr(cls, "_conjectures", counting)
     steps = []
     if issubclass(cls, FixedPointFamily):
         step = cls._step
@@ -416,6 +428,24 @@ def test_each_rule_runs_once_per_economy(monkeypatch, concept):
         trace = family.iterates(e)
         assert trace[0] == Solver().family(start).conjecture_sets(e)
         assert trace[-1] == family.conjecture_sets(e)
+
+
+def test_dynamic_stability_tests_each_first_period_once(
+    monkeypatch, market1, market2, stepping_market, agree_ds_market
+):
+    # Every period-1 agent's ds conjectures share one stitch of the first
+    # periods that pass the test, so no first period is tested twice.
+    test = concepts.stability_among_matched
+    calls = Counter()
+
+    def counting_test(economy, pairs, thresholds):
+        calls[economy.key, pairs] += 1
+        return test(economy, pairs, thresholds)
+
+    monkeypatch.setattr(concepts, "stability_among_matched", counting_test)
+    for e in (market1, market2, stepping_market, agree_ds_market):
+        Solver().solve("ds", e)
+    assert calls and set(calls.values()) == {1}
 
 
 def test_value_respecting_refinement_tests_each_first_period_once(
@@ -570,6 +600,42 @@ def test_ds_refines_agree_strictly_on_the_separating_market(agree_ds_market, pol
     for concept in CONCEPT_NAMES:
         family = solver.family(concept)
         assert solved[concept] == phi_solution_set(agree_ds_market, family)
+
+
+@pytest.mark.parametrize("policy", EMPTY_POLICIES)
+def test_cvr_ds_and_sds_differ_on_the_separating_market(cvr_sds_market, policy):
+    solver = Solver(policy)
+    solved = {c: solver.solution_set(c, cvr_sds_market) for c in CONCEPT_NAMES}
+    texts = {c: [matching_text(m) for m in ms] for c, ms in solved.items()}
+    held = "t=1: - | t=2: a2-b2 a3-b1 | t=3: -"
+    late = "t=1: - | t=2: a3-b1 | t=3: a1-b2"
+    assert texts["stable"] == [held, late, "t=1: a2-b1 | t=2: - | t=3: a1-b2"]
+    for concept in ("agree", "ds", "cvr-ds"):
+        assert texts[concept] == [held, late]
+    assert texts["re"] == texts["sds"] == [late]
+    for concept in CONCEPT_NAMES:
+        family = solver.family(concept)
+        assert solved[concept] == phi_solution_set(cvr_sds_market, family)
+    # At t=2 the worst conjecture of b2 is worth 5/56 under cvr-ds and 25/56
+    # under sds, against 1/7 = 8/56 from a2.
+    witness = is_phi_solution(cvr_sds_market, solved["cvr-ds"][0], solver.family("sds"))
+    assert witness.kind == "IndividualB" and witness.period == 2
+    assert witness.agents == ("b2",)
+    assert witness.payoffs == (Fraction(1, 7), Fraction(25, 56))
+
+
+@pytest.mark.parametrize("concept", CONCEPT_NAMES)
+def test_horizon_0_has_no_period_1_agent(concept):
+    e = build_economy(0, [], {}, {})
+    solver = Solver()
+    family = solver.family(concept)
+    assert family.conjecture_sets(e) == family.thresholds(e) == {}
+    message = "^a1 is not available at period 1$"
+    with pytest.raises(NotAvailable, match=message):
+        family.conjecture_set(e, "a1")
+    with pytest.raises(NotAvailable, match=message):
+        solver.conjectures(concept, e, "a1")
+    assert solver.solve(concept, e).solutions == (DynamicMatching(()),)
 
 
 def test_solve_report_contents(solver, market1):

@@ -309,9 +309,9 @@ def test_consistency_fails_when_the_conjecture_omits_the_matching():
     assert check_consistency(e, single, StableFamily())
 
     class PairedFamily(StableFamily):
-        def _root_conjectures(self, economy, k):
-            other = "b1" if k == "a1" else "a1"
-            return (DynamicMatching(((tuple(sorted((k, other))),),)),)
+        def _conjectures(self, economy):
+            paired = (DynamicMatching(((("a1", "b1"),),)),)
+            return {"a1": paired, "b1": paired}
 
     assert consistency_failures(e, single, PairedFamily()) == (
         (1, "a1"),
@@ -366,8 +366,9 @@ def test_generalized_consistency_holds_for_one_period_agree():
 
 def test_empty_conjecture_policies_change_the_solution_set():
     class EmptyFamily(StableFamily):
-        def _root_conjectures(self, economy, k):
-            return ()
+        def _conjectures(self, economy):
+            a1, b1 = economy.arrivals[0]
+            return dict.fromkeys((*a1, *b1), ())
 
     e = build_economy(
         1,

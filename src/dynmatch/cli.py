@@ -18,14 +18,18 @@ from .concepts import CONCEPT_NAMES, SolveReport, Solver
 from .dsl import load, serialize
 from .economy import Economy
 from .errors import DynmatchError, SizeLimitExceeded
-from .framework import check_consistency, check_generalized_consistency, is_phi_solution
+from .framework import (
+    EMPTY_POLICIES,
+    check_consistency,
+    check_generalized_consistency,
+    is_phi_solution,
+)
 from .matching import (
     DEFAULT_MAX_MATCHINGS,
     matching_text,
     parse_matching_text,
 )
 from .reproduce import RUNNERS
-from .statics import EMPTY_POLICIES
 
 SCHEMA = "solve-report/1"
 
@@ -131,6 +135,9 @@ def cmd_check(args) -> int:
     family = solver.family(args.concept)
     if args.check in ("cc", "solution") and args.matching is None:
         print(f"--matching is required for --check {args.check}", file=sys.stderr)
+        return EXIT_INPUT
+    if args.check == "gc" and args.matching is not None:
+        print("--matching is not read by --check gc", file=sys.stderr)
         return EXIT_INPUT
     if args.check == "gc":
         verdict = check_generalized_consistency(economy, family)

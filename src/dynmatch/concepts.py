@@ -41,7 +41,7 @@ from .framework import (
     consistency_failures,
 )
 from .matching import DEFAULT_MAX_MATCHINGS, DynamicMatching, defer_arrivals
-from .statics import induced_one_period_economy, stability_among_matched
+from .statics import stability_among_matched
 
 
 class REFamily(ConjectureFamily):
@@ -115,7 +115,7 @@ class CVRFamily(FixedPointFamily, AgreeFamily):
         """``members`` filtered by the thresholds that ``current`` implies.
         The test reads only a member's first period, and agents' conjectures
         share first periods, so it runs once per distinct first period."""
-        thr = induced_one_period_economy(economy, current, self.empty_policy).thresholds
+        thr = self.thresholds_of(economy, current)
         firsts = {m.pairs_at(1) for ms in members.values() for m in ms}
         stable = {p1 for p1 in firsts if stability_among_matched(economy, p1, thr)}
         return {

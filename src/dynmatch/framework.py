@@ -18,10 +18,12 @@ validates its matching.
 A family is its concept: a conjecture rule and the concept's configuration
 (the empty-conjecture policy and the size cap), set once when it is built.
 Every function here reads the configuration from the family, so the
-exhaustive and stitched routes cannot disagree about it.  What depends only
-on the economy lives in the family's one memo, keyed by economy key:
-conjecture sets, their thresholds (the reservation values every period
-check and the candidates compare against), solution sets and candidate
+exhaustive and stitched routes cannot disagree about it.  The family is
+also the one place that turns conjecture sets into thresholds, the
+reservation values every period check and the candidates compare against
+(:meth:`ConjectureFamily.thresholds_of`); the static layer only compares.
+What depends only on the economy lives in the family's one memo, keyed by
+economy key: conjecture sets, their thresholds, solution sets and candidate
 sets.
 """
 
@@ -49,13 +51,17 @@ from .matching import (
     validate_matching,
 )
 from .statics import (
-    EMPTY_POLICIES,
+    NEG_INF,
+    POS_INF,
     StaticEconomy,
     checked_stable_set,
     first_block,
-    induced_one_period_economy,
     stable_set,
 )
+
+# How an empty conjecture set constrains its owner: not at all (threshold
+# NEG_INF) or completely (threshold POS_INF).
+EMPTY_POLICIES = ("vacuous", "strict")
 
 # The horizon-0 economy, where every recursion ends, has one matching, and it
 # is a solution and a candidate under every concept.  It has no period 1 to
@@ -109,6 +115,7 @@ class ConjectureFamily:
         if max_matchings < 1:
             raise ValueError(f"max_matchings must be at least 1, got {max_matchings}")
         self.empty_policy = empty_policy
+        self._empty = NEG_INF if empty_policy == "vacuous" else POS_INF
         self.max_matchings = max_matchings
         kinds = ("conjectures", "thresholds", "solutions", "candidates")
         self._memo: dict = {kind: {} for kind in kinds}
@@ -155,13 +162,22 @@ class ConjectureFamily:
         return self._once("thresholds", economy, self._threshold_rule)
 
     def _threshold_rule(self, economy: Economy) -> dict:
-        """The thresholds of the economy the conjecture sets induce
-        (:func:`~dynmatch.statics.induced_one_period_economy`).  A family
+        """The thresholds the family's own conjecture sets induce.  A family
         whose thresholds are known without its conjecture sets overrides
         this, as :meth:`AgreeFamily._threshold_rule` does."""
-        return induced_one_period_economy(
-            economy, self.conjecture_sets(economy), self.empty_policy
-        ).thresholds
+        return self.thresholds_of(economy, self.conjecture_sets(economy))
+
+    def thresholds_of(self, economy: Economy, conjectured: Mapping) -> dict:
+        """Each period-1 agent k's worst period-1 payoff over
+        ``conjectured[k]``, in declaration order; an empty set gives the
+        sentinel of the family's empty-conjecture policy.  This is the one
+        conversion from conjecture sets to thresholds."""
+        a1, b1 = economy.arrivals[0]
+        empty = self._empty
+        return {
+            k: min((payoff(economy, m, k, 1) for m in conjectured[k]), default=empty)
+            for k in (*a1, *b1)
+        }
 
     def _conjectures(self, economy: Economy) -> dict:
         """The concept's rule: every period-1 agent's conjectures at once."""
@@ -248,7 +264,38 @@ class StableFamily(ConjectureFamily):
 class AgreeFamily(ConjectureFamily):
     """Conjectures constrained only in the continuation: the agent believes
     the market produces some solution from next period onward, with no
-    restriction on what happens now."""
+    restriction on what happens now.
+
+    Under ``stable``, ``agree`` and ``ds`` no economy has an empty solution
+    set or conjecture set, ties or not.  By induction on the horizon, with
+    the claim that every solution pays each period-1 agent at least 0 (the
+    horizon-0 economy has its one matching):
+
+    1. A static market with numeric thresholds has a stable matching, even
+       with ties: run Gale–Shapley on a strict refinement of the
+       preferences; a strict block under the real ones would also block it.
+    2. Under ``agree`` and ``ds`` the all-single first period, stitched onto
+       a solution of the economy it leaves, is every period-1 agent's
+       conjecture.  So their sets are nonempty and their thresholds are
+       numbers, each at least 0: a conjecture leaves its owner single now
+       and pays it a discounted continuation payoff.
+    3. Take a stable first period of the economy these thresholds induce
+       (step 1).  Its matched agents get at least their thresholds, so at
+       least 0, and cannot block one another: it passes ``ds``'s filter.
+    4. Stitched onto a solution of the economy it leaves, it is then
+       conjectured by each agent it leaves single, so it pays every
+       period-1 agent at least its threshold (the matched ones by step 3).
+       A period-1 pair that blocked it would block the induced economy,
+       where a single agent's value is its threshold.  So it is a
+       solution, and pays each period-1 agent at least 0.
+    5. ``stable`` is the same argument with thresholds of 0.
+
+    ``cvr-ds`` starts from ``agree``'s rule and only removes conjectures,
+    so a set that is ever empty is empty in the limit, which
+    :class:`~dynmatch.errors.EmptyFixedPoint` rejects.  So no report of
+    these four concepts reads the empty-conjecture policy.  For ``re`` and
+    ``sds`` the question is open.
+    """
 
     name = "agree"
 
@@ -374,7 +421,8 @@ def candidate_set(
             )
         return sols
 
-    e1 = induced_one_period_economy(economy, conjectured, family.empty_policy)
+    a1, b1 = economy.arrivals[0]
+    e1 = StaticEconomy(economy, a1, b1, family.thresholds_of(economy, conjectured))
     return family._stitched(economy, checked_stable_set(e1), solved)
 
 
@@ -387,9 +435,9 @@ def candidate_matchings(
     out = []
     for m in enumerate_matchings(economy, max_matchings=family.max_matchings):
         for cont, rest in continuations(economy, m):
-            e1 = induced_one_period_economy(
-                cont, family.conjecture_sets(cont), family.empty_policy
-            )
+            a1, b1 = cont.arrivals[0]
+            thresholds = family.thresholds_of(cont, family.conjecture_sets(cont))
+            e1 = StaticEconomy(cont, a1, b1, thresholds)
             if rest.pairs_at(1) not in checked_stable_set(e1):
                 break
         else:

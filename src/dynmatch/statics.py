@@ -1,4 +1,4 @@
-"""One-period economies: stability, deferred acceptance, induced thresholds.
+"""One-period economies: stability and deferred acceptance.
 
 A static economy views one period of an economy with a reservation value
 (threshold) per agent.  The value of remaining single *is* the threshold, so
@@ -7,6 +7,10 @@ it, made by one scan, :func:`first_block`.  Thresholds admit two sentinels,
 ordered below and above every number: ``NEG_INF`` (no constraint — any
 partner beats staying single) and ``POS_INF`` (nothing is acceptable — the
 agent must stay single).
+
+This layer takes thresholds as given and knows nothing of later periods:
+a conjecture family turns its conjecture sets into thresholds
+(:meth:`~dynmatch.framework.ConjectureFamily.thresholds_of`).
 """
 
 from __future__ import annotations
@@ -16,9 +20,9 @@ from fractions import Fraction
 from functools import total_ordering
 from typing import Iterable, Mapping, Optional
 
-from .economy import ZERO, Economy, payoff
+from .economy import ZERO, Economy
 from .errors import LoneWolfViolation, TiesPresent
-from .matching import DynamicMatching, PeriodPairs, period_matchings
+from .matching import PeriodPairs, period_matchings
 
 
 @total_ordering
@@ -38,11 +42,6 @@ class Infinity:
 
 NEG_INF = Infinity("-inf")
 POS_INF = Infinity("+inf")
-
-# How an empty conjecture set constrains its owner: not at all (threshold
-# NEG_INF) or completely (threshold POS_INF).
-EMPTY_POLICIES = ("vacuous", "strict")
-
 
 INDIVIDUAL_A = "IndividualA"
 INDIVIDUAL_B = "IndividualB"
@@ -197,33 +196,6 @@ def deferred_acceptance(e1: StaticEconomy, proposing: str = "A") -> PeriodPairs:
     if proposing == "A":
         return tuple(sorted((p, r) for r, p in held.items()))
     return tuple(sorted(held.items()))
-
-
-def conjecture_threshold(
-    economy: Economy,
-    owner: str,
-    conjectured: Iterable[DynamicMatching],
-    empty_policy: str,
-) -> Fraction | Infinity:
-    """Worst (minimum) period-1 payoff of owner over the conjectured matchings."""
-    if empty_policy not in EMPTY_POLICIES:
-        raise ValueError(f"unknown empty-conjecture policy {empty_policy!r}")
-    empty = NEG_INF if empty_policy == "vacuous" else POS_INF
-    return min((payoff(economy, m, owner, 1) for m in conjectured), default=empty)
-
-
-def induced_one_period_economy(
-    economy: Economy,
-    conjectured: Mapping[str, Iterable[DynamicMatching]],
-    empty_policy: str,
-) -> StaticEconomy:
-    """Static economy over the period-1 agents with worst-conjecture thresholds."""
-    a1, b1 = economy.arrivals[0]
-    thr = {
-        k: conjecture_threshold(economy, k, conjectured[k], empty_policy)
-        for k in (*a1, *b1)
-    }
-    return StaticEconomy(economy, a1, b1, thr)
 
 
 def stability_among_matched(

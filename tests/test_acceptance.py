@@ -11,6 +11,7 @@ import pytest
 
 from dynmatch.concepts import Solver
 from dynmatch.dsl import parse, serialize, validate_ordinal
+from dynmatch.economy import payoff
 from dynmatch.framework import (
     AgreeFamily,
     candidate_matchings,
@@ -29,7 +30,6 @@ from dynmatch.reproduce import (
 from dynmatch.statics import (
     StaticEconomy,
     checked_stable_set,
-    conjecture_threshold,
     deferred_acceptance,
     stability_among_matched,
     stable_set,
@@ -105,10 +105,9 @@ def test_criterion_5_value_respecting_refinement(solver, markets):
             for k in earlier:
                 assert set(later[k]) <= set(earlier[k])
         # Fixed-point identity: filtering the base by the limit's own
-        # thresholds reproduces the limit.
-        thresholds = {
-            k: conjecture_threshold(e, k, limit[k], family.empty_policy) for k in limit
-        }
+        # thresholds reproduces the limit.  No limit set is empty, so each
+        # threshold is a worst payoff.
+        thresholds = {k: min(payoff(e, m, k, 1) for m in limit[k]) for k in limit}
         for k in limit:
             assert limit[k] == tuple(
                 m

@@ -282,6 +282,17 @@ def test_check_generalized_consistency(example1_file, econ_file, capsys):
     assert run_cli("check", econ_file, "--concept", "stable", "--check", "gc") == 0
 
 
+def test_check_generalized_consistency_rejects_a_matching(example1_file, capsys):
+    code = run_cli(
+        "check", example1_file, "--concept", "re", "--check", "gc",
+        "--matching", "garbage",
+    )
+    assert code == cli.EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "--matching is not read by --check gc\n"
+
+
 def test_reproduce_subcommand(capsys):
     assert run_cli("reproduce", "example2") == cli.EXIT_OK
     out = capsys.readouterr().out

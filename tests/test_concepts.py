@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from dynmatch.concepts import (
     Solver,
 )
 from dynmatch.dsl import parse
-from dynmatch.economy import build_economy
+from dynmatch.economy import build_economy, payoff
 from dynmatch.errors import (
     DynmatchError,
     EmptyContinuationSolutions,
@@ -24,6 +25,7 @@ from dynmatch.errors import (
     NotAvailable,
 )
 from dynmatch.framework import (
+    EMPTY_POLICIES,
     ConjectureFamily,
     StableFamily,
     candidate_matchings,
@@ -49,12 +51,7 @@ from dynmatch.reproduce import (
     run_example1,
     run_example2,
 )
-from dynmatch.statics import (
-    EMPTY_POLICIES,
-    conjecture_threshold,
-    induced_one_period_economy,
-    stability_among_matched,
-)
+from dynmatch.statics import NEG_INF, POS_INF, stability_among_matched
 
 from corpus import DELTAS, ODD_NUMERATORS, corpus, random_economy
 
@@ -144,12 +141,13 @@ def test_value_respecting_iteration_is_weakly_decreasing(solver, market2):
 
 
 def test_value_respecting_thresholds_weakly_increase(solver, market2):
-    trace = solver.family("cvr-ds").iterates(market2)
+    family = solver.family("cvr-ds")
+    trace = family.iterates(market2)
     for earlier, later in zip(trace, trace[1:]):
+        lo = family.thresholds_of(market2, earlier)
+        hi = family.thresholds_of(market2, later)
         for k in earlier:
-            lo = conjecture_threshold(market2, k, earlier[k], "vacuous")
-            hi = conjecture_threshold(market2, k, later[k], "vacuous")
-            assert hi >= lo
+            assert hi[k] >= lo[k]
 
 
 def test_sophisticated_iteration_is_weakly_increasing(solver, market1, market2):
@@ -243,6 +241,19 @@ def tied_markets():
     return markets(3, (Fraction(1, 2), Fraction(1)), values, unique=False)
 
 
+# The concepts whose sets are never empty (AgreeFamily's docstring proves
+# it), and with them cvr-ds, which refines agree's sets.
+NEVER_EMPTY = ("stable", "agree", "ds")
+POLICY_FREE = (*NEVER_EMPTY, "cvr-ds")
+
+
+def check_never_empty(solver, e):
+    for concept in NEVER_EMPTY:
+        family = solver.family(concept)
+        assert family.solution_set(e)
+        assert all(family.conjecture_sets(e).values())
+
+
 def check_consistent_families(e):
     # The paper's claim: consistency suffices for a nonempty solution set,
     # and the cvr-ds and sds families are consistent.  Generalized
@@ -256,6 +267,7 @@ def check_consistent_families(e):
         assert family.candidates(e) == candidate_matchings(e, family)
         for k, conjectured in family.conjecture_sets(e).items():
             assert all(m.partner(k, 1) == k for m in conjectured)
+    check_never_empty(solver, e)
     for concept in ("cvr-ds", "sds"):
         family = solver.family(concept)
         solutions = family.solution_set(e)
@@ -294,12 +306,23 @@ def test_consistent_families_solve_strict_markets_four_a_side(e):
 def test_tied_markets_solve_under_every_concept(e):
     # Ties void the lone-wolf theorem, so its check does not run on them:
     # every concept solves, and both routes still agree.
-    solver = Solver()
-    for concept in CONCEPT_NAMES:
-        family = solver.family(concept)
-        report = solver.solve(concept, e)
-        assert report.solutions == phi_solution_set(e, family)
-        assert report.candidates == candidate_matchings(e, family)
+    for policy in EMPTY_POLICIES:
+        solver = Solver(policy)
+        for concept in CONCEPT_NAMES:
+            family = solver.family(concept)
+            report = solver.solve(concept, e)
+            assert report.solutions == phi_solution_set(e, family)
+            assert report.candidates == candidate_matchings(e, family)
+        check_never_empty(solver, e)
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(st.one_of(strict_markets(max_per_side=3), tied_markets()))
+def test_the_empty_policy_changes_no_report_of_a_never_empty_concept(e):
+    vacuous, strict = Solver("vacuous"), Solver("strict")
+    for concept in POLICY_FREE:
+        report = strict.solve(concept, e)
+        assert replace(report, empty_policy="vacuous") == vacuous.solve(concept, e)
 
 
 def check_solution_first_periods_are_stable(e):
@@ -519,7 +542,9 @@ def test_cached_thresholds_are_those_of_the_conjecture_sets(
     monkeypatch, market1, market2, stepping_market, concept, policy
 ):
     # A cache of cvr-ds's or sds's start thresholds instead of its limit's
-    # fails here: the stepping market's sds step moves a threshold.
+    # fails here: the stepping market's sds step moves a threshold.  The
+    # expected threshold is computed here, not by the family's thresholds_of.
+    empty = NEG_INF if policy == "vacuous" else POS_INF
     real = ConjectureFamily.thresholds
     computed = {}
     economies = {}
@@ -553,7 +578,10 @@ def test_cached_thresholds_are_those_of_the_conjecture_sets(
         for cont in list(economies.values()):
             for k, threshold in family.thresholds(cont).items():
                 conjectured = family.conjecture_set(cont, k)
-                assert threshold == conjecture_threshold(cont, k, conjectured, policy)
+                worst = min(
+                    (payoff(cont, m, k, 1) for m in conjectured), default=empty
+                )
+                assert threshold == worst
                 # Every conjecture leaves its owner single in the only period.
                 if cont.horizon == 1:
                     assert threshold == 0
@@ -574,8 +602,7 @@ def test_the_sds_step_moves_a_threshold_of_the_stepping_market(
     trace = solver.family("sds").iterates(stepping_market)
     assert len(trace) == 2
     start, limit = (
-        induced_one_period_economy(stepping_market, it, policy).thresholds
-        for it in trace
+        solver.family("sds").thresholds_of(stepping_market, it) for it in trace
     )
     assert start == {
         "a1": Fraction(5, 42),

@@ -9,6 +9,7 @@ from dynmatch.concepts import CONCEPT_NAMES, Solver
 from dynmatch.economy import build_economy, payoff
 from dynmatch.errors import NotACandidate, NotAvailable, SizeLimitExceeded
 from dynmatch.framework import (
+    EMPTY_POLICIES,
     AgreeFamily,
     BlockWitness,
     StableFamily,
@@ -30,12 +31,7 @@ from dynmatch.matching import (
     next_economy,
 )
 from dynmatch.reproduce import load_fixture
-from dynmatch.statics import (
-    EMPTY_POLICIES,
-    StaticEconomy,
-    induced_one_period_economy,
-    stable_set,
-)
+from dynmatch.statics import NEG_INF, POS_INF, StaticEconomy, stable_set
 
 from corpus import RandomFamily, corpus, random_economy
 
@@ -265,8 +261,69 @@ def test_induced_economy_exposes_available_agents_only():
         {n: Fraction(1, 2) for n in ("a1", "a2", "b1")},
         {("a1", "b1"): Fraction(1), ("b1", "a1"): Fraction(1)},
     )
-    e1 = induced_one_period_economy(e, StableFamily().conjecture_sets(e), "vacuous")
-    assert e1.a_names == ("a1",) and e1.b_names == ("b1",)
+    family = StableFamily()
+    assert list(family.thresholds_of(e, family.conjecture_sets(e))) == ["a1", "b1"]
+
+
+def test_thresholds_of_is_worst_case_payoff():
+    e = build_economy(
+        2,
+        [(("a1",), ("b1",)), ((), ("b2",))],
+        {"a1": Fraction(1, 2), "b1": Fraction(1), "b2": Fraction(1)},
+        {
+            ("a1", "b1"): Fraction(4),
+            ("a1", "b2"): Fraction(10),
+            ("b1", "a1"): Fraction(1),
+            ("b2", "a1"): Fraction(1),
+        },
+    )
+    stay_single = DynamicMatching.from_formed([[], []])
+    match_late = DynamicMatching.from_formed([[], [("a1", "b2")]])
+    family = StableFamily()
+    thr = family.thresholds_of(e, {"a1": [stay_single, match_late], "b1": []})
+    assert thr["a1"] == Fraction(0)
+    thr = family.thresholds_of(e, {"a1": [match_late], "b1": []})
+    assert thr["a1"] == Fraction(5)
+
+
+def test_thresholds_of_follows_the_empty_conjecture_policy():
+    # An unknown policy is rejected when the family is built
+    # (test_family_rejects_a_bad_configuration).
+    e = build_economy(
+        1,
+        [(("a1",), ("b1",))],
+        {"a1": Fraction(1), "b1": Fraction(1)},
+        {("a1", "b1"): Fraction(1), ("b1", "a1"): Fraction(1)},
+    )
+    empty = {"a1": (), "b1": ()}
+    assert StableFamily("vacuous").thresholds_of(e, empty) == {
+        "a1": NEG_INF,
+        "b1": NEG_INF,
+    }
+    assert StableFamily("strict").thresholds_of(e, empty) == {
+        "a1": POS_INF,
+        "b1": POS_INF,
+    }
+    single = DynamicMatching.from_formed([[]])
+    assert StableFamily("strict").thresholds_of(e, {"a1": [single], "b1": ()}) == {
+        "a1": 0,
+        "b1": POS_INF,
+    }
+
+
+def test_induced_economy_with_singleton_idle_conjectures_is_plain_ir():
+    e = build_economy(
+        1,
+        [(("a1",), ("b1",))],
+        {"a1": Fraction(1), "b1": Fraction(1)},
+        {("a1", "b1"): Fraction(2), ("b1", "a1"): Fraction(3)},
+    )
+    idle = DynamicMatching.from_formed([[]])
+    thresholds = StableFamily().thresholds_of(e, {"a1": [idle], "b1": [idle]})
+    assert thresholds == {"a1": 0, "b1": 0}
+    assert stable_set(StaticEconomy(e, ("a1",), ("b1",), thresholds)) == (
+        (("a1", "b1"),),
+    )
 
 
 def test_check_consistency_requires_a_candidate():

@@ -1,5 +1,6 @@
-"""The package keeps two promises that no other test would notice breaking:
-it imports only the standard library, and it writes no float literal."""
+"""The package keeps promises that no other test would notice breaking: it
+imports only the standard library, it writes no float literal, and every
+name it imports is read."""
 
 import ast
 import sys
@@ -28,3 +29,39 @@ def test_standard_library_only_and_no_float_literals():
                 if name.split(".")[0] not in sys.stdlib_module_names
             ]
     assert broken == []
+
+
+def _read_names(tree) -> set:
+    """Names the module reads: as a name (the root of an attribute is one),
+    inside a string annotation, or as an entry of ``__all__``."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read |= set(ast.literal_eval(node.value))
+        # An argument or annotated assignment, or a function's return.
+        annotation = getattr(node, "annotation", None) or getattr(node, "returns", None)
+        for leaf in ast.walk(annotation) if annotation is not None else ():
+            if isinstance(leaf, ast.Constant) and isinstance(leaf.value, str):
+                read |= _read_names(ast.parse(leaf.value, mode="eval"))
+    return read
+
+
+def test_every_imported_name_is_read():
+    unused = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        read = _read_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        where = path.relative_to(PACKAGE)
+                        unused.append(f"{where}:{node.lineno}: {name}")
+    assert unused == []

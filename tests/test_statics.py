@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from dynmatch.economy import build_economy
 from dynmatch.errors import LoneWolfViolation, TiesPresent
-from dynmatch.matching import DynamicMatching, period_matchings
+from dynmatch.matching import period_matchings
 from dynmatch.statics import (
     INDIVIDUAL_A,
     INDIVIDUAL_B,
@@ -17,10 +17,8 @@ from dynmatch.statics import (
     StaticEconomy,
     assert_lone_wolf,
     checked_stable_set,
-    conjecture_threshold,
     deferred_acceptance,
     first_block,
-    induced_one_period_economy,
     is_stable,
     stability_among_matched,
     stable_set,
@@ -217,58 +215,6 @@ def test_raising_a_threshold_only_breaks_stability_through_that_agent():
                     (y if x == agent else x) for x, y in pairs if agent in (x, y)
                 )
                 assert e.utility(agent, partner) < bumped.threshold(agent)
-
-
-def test_conjecture_threshold_is_worst_case_payoff():
-    e = build_economy(
-        2,
-        [(("a1",), ("b1",)), ((), ("b2",))],
-        {"a1": Fraction(1, 2), "b1": Fraction(1), "b2": Fraction(1)},
-        {
-            ("a1", "b1"): Fraction(4),
-            ("a1", "b2"): Fraction(10),
-            ("b1", "a1"): Fraction(1),
-            ("b2", "a1"): Fraction(1),
-        },
-    )
-    stay_single = DynamicMatching.from_formed([[], []])
-    match_late = DynamicMatching.from_formed([[], [("a1", "b2")]])
-    thr = conjecture_threshold(e, "a1", [stay_single, match_late], "vacuous")
-    assert thr == Fraction(0)
-    thr = conjecture_threshold(e, "a1", [match_late], "vacuous")
-    assert thr == Fraction(5)
-
-
-def test_empty_conjecture_policies():
-    e = build_economy(
-        1,
-        [(("a1",), ("b1",))],
-        {"a1": Fraction(1), "b1": Fraction(1)},
-        {("a1", "b1"): Fraction(1), ("b1", "a1"): Fraction(1)},
-    )
-    assert conjecture_threshold(e, "a1", [], "vacuous") is NEG_INF
-    assert conjecture_threshold(e, "a1", [], "strict") is POS_INF
-    with pytest.raises(ValueError):
-        conjecture_threshold(e, "a1", [], "bogus")
-    # The policy is checked whether or not it is needed.
-    single = DynamicMatching.from_formed([[]])
-    assert conjecture_threshold(e, "a1", [single], "strict") == 0
-    with pytest.raises(ValueError, match="unknown empty-conjecture policy"):
-        conjecture_threshold(e, "a1", [single], "bogus")
-
-
-def test_induced_economy_with_singleton_idle_conjectures_is_plain_ir():
-    e = build_economy(
-        1,
-        [(("a1",), ("b1",))],
-        {"a1": Fraction(1), "b1": Fraction(1)},
-        {("a1", "b1"): Fraction(2), ("b1", "a1"): Fraction(3)},
-    )
-    idle = DynamicMatching.from_formed([[]])
-    e1 = induced_one_period_economy(e, {"a1": [idle], "b1": [idle]}, "vacuous")
-    assert e1.threshold("a1") == 0
-    assert e1.threshold("b1") == 0
-    assert stable_set(e1) == (((("a1", "b1")),),)
 
 
 def test_stability_among_matched_ignores_outside_agents():

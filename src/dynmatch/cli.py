@@ -1,9 +1,10 @@
 """Command-line front end: solve, check, and reproduce.
 
 Exit codes: 0 success (nonempty solution set / check passed), 1 input error
-(a bad flag or flag value included), 2 size cap exceeded, 3 empty
-solution set, 4 check failed.  Reports go to stdout and are byte-identical
-for identical inputs and flags; timing and diagnostics go to stderr.
+(a bad flag or flag value, or a horizon too long for the recursive solver,
+included), 2 size cap exceeded, 3 empty solution set, 4 check failed.
+Reports go to stdout and are byte-identical for identical inputs and flags;
+timing and diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -236,6 +237,11 @@ def main(argv=None) -> int:
         return EXIT_SIZE
     except (DynmatchError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except RecursionError:
+        # The solver nests a few calls per period, so a long horizon runs out
+        # of Python's recursion limit.
+        print("error: horizon too long for the recursive solver", file=sys.stderr)
         return EXIT_INPUT
 
 

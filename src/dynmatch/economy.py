@@ -179,10 +179,15 @@ def build_economy(
 def payoff(economy: Economy, m: "DynamicMatching", k: str, t: int) -> Fraction:
     """Exact payoff of k from m, seen from period t: ``delta_k ** (s - t) *
     u_k(p)`` at the first period s >= t in which k has a partner p, and 0 if
-    k never matches.  Raises ValueError if t is not a period of the economy,
-    and NotAvailable unless k is available at t."""
+    k never matches.  Raises ValueError if t is not a period of the economy
+    or m has another horizon, and NotAvailable unless k is available at t."""
     if not 1 <= t <= economy.horizon:
         raise ValueError(f"period {t} outside 1..{economy.horizon}")
+    if len(m.periods) != economy.horizon:
+        raise ValueError(
+            f"a matching of horizon {len(m.periods)} in an economy of horizon "
+            f"{economy.horizon}"
+        )
     if economy.arrival_period(k) > t:  # raises UnknownAgent
         raise NotAvailable(f"{k} has not arrived by period {t}")
     if t > 1 and m.partner(k, t - 1) != k:

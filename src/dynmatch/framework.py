@@ -54,9 +54,9 @@ from .statics import (
     NEG_INF,
     POS_INF,
     StaticEconomy,
+    attained,
     checked_stable_set,
     first_block,
-    stable_set,
 )
 
 # How an empty conjecture set constrains its owner: not at all (threshold
@@ -194,24 +194,22 @@ class ConjectureFamily:
         """Every first period stitched onto the solutions of the economy it
         leaves, keeping the matchings with no period-1 witness.
 
-        At the last period, with every threshold 0, that is the static
-        stable set with staying single worth 0, stitched onto the horizon-0
-        matching: a period-1 payoff is then the partner's utility, or 0 for
-        a single agent, which is the static value of the same pair set.
-        The set comes from the unchecked
-        :func:`~dynmatch.statics.stable_set`, so this route, like the
-        filter, makes no lone-wolf check.  The cap counts the pair sets
-        scanned, which is the number the filter would stitch, and trips
-        before any threshold is computed, as stitching does.
+        At the last period a payoff is the partner's utility, or 0 for a
+        single agent, so each pair set is scanned once, as
+        :func:`period_witness` would scan it, before it is stitched.  The
+        cap counts the pair sets scanned and trips before any threshold.
         """
         a1, b1 = economy.arrivals[0]
         if economy.horizon == 1:
             if pair_set_count(len(a1), len(b1)) > self.max_matchings:
                 raise SizeLimitExceeded(self.max_matchings, 1, len(a1) + len(b1))
-            thresholds = self.thresholds(economy)
-            if all(v == 0 for v in thresholds.values()):
-                firsts = stable_set(StaticEconomy(economy, a1, b1, thresholds))
-                return self._stitched(economy, firsts, self.solution_set)
+            thr, u = self.thresholds(economy).__getitem__, economy.utility
+            firsts = (
+                p1
+                for p1 in period_matchings(a1, b1)
+                if first_block(a1, b1, u, attained(u, p1), thr) is None
+            )
+            return self._stitched(economy, firsts, self.solution_set)
         stitched = self._stitched(economy, period_matchings(a1, b1), self.solution_set)
         return tuple(m for m in stitched if period_witness(economy, m, self) is None)
 
@@ -223,9 +221,12 @@ class ConjectureFamily:
         return self._once("candidates", economy, self._candidates)
 
     def _candidates(self, economy: Economy) -> tuple[DynamicMatching, ...]:
-        a1, b1 = economy.arrivals[0]
-        e1 = StaticEconomy(economy, a1, b1, self.thresholds(economy))
-        return self._stitched(economy, checked_stable_set(e1), self.candidates)
+        return self._induced(economy, self.thresholds(economy), self.candidates)
+
+    def _induced(self, economy: Economy, thresholds: Mapping, rest):
+        """Stable first periods of the induced economy, stitched onto ``rest``."""
+        e1 = StaticEconomy(economy, *economy.arrivals[0], thresholds)
+        return self._stitched(economy, checked_stable_set(e1), rest)
 
     def _single_now(self, economy: Economy, keep=lambda p1: True) -> dict:
         """Each period-1 agent's matchings that leave it single now, their
@@ -326,8 +327,7 @@ class AgreeFamily(ConjectureFamily):
         - ``sds`` starts from ``re``'s sets and only adds to them.
 
         ``stable`` keeps the default: its one conjecture costs one payoff.
-        :meth:`ConjectureFamily._solutions` relies on these zeros to solve
-        the last period as a static market.
+        The zeros spare ``re`` and ``sds`` the deferred last-period markets.
         """
         if economy.horizon != 1:
             return ConjectureFamily._threshold_rule(self, economy)
@@ -421,9 +421,7 @@ def candidate_set(
             )
         return sols
 
-    a1, b1 = economy.arrivals[0]
-    e1 = StaticEconomy(economy, a1, b1, family.thresholds_of(economy, conjectured))
-    return family._stitched(economy, checked_stable_set(e1), solved)
+    return family._induced(economy, family.thresholds_of(economy, conjectured), solved)
 
 
 def candidate_matchings(

@@ -88,6 +88,12 @@ class StaticEconomy:
         return self.thresholds.get(name, ZERO)
 
 
+def attained(utility, pairs: PeriodPairs, single=lambda k: ZERO):
+    """k -> what k attains under ``pairs``: its partner's utility, or single(k)."""
+    partner = {k: p for a, b in pairs for k, p in ((a, b), (b, a))}
+    return lambda k: utility(k, partner[k]) if k in partner else single(k)
+
+
 def is_stable(e1: StaticEconomy, pairs: PeriodPairs) -> bool:
     """Definition-4 stability relative to thresholds.
 
@@ -95,12 +101,8 @@ def is_stable(e1: StaticEconomy, pairs: PeriodPairs) -> bool:
     blocks when both strictly beat their assigned values, where a single
     agent's value is its threshold.
     """
-    partner = {k: p for a, b in pairs for k, p in ((a, b), (b, a))}
     utility = e1.economy.utility
-
-    def value(k):
-        return utility(k, partner[k]) if k in partner else e1.threshold(k)
-
+    value = attained(utility, pairs, e1.threshold)
     return first_block(e1.a_names, e1.b_names, utility, value, e1.threshold) is None
 
 
@@ -206,5 +208,4 @@ def stability_among_matched(
     """Stability of pairs in the static economy over exactly its matched agents."""
     a_names = tuple(a for a, _ in pairs)
     b_names = tuple(b for _, b in pairs)
-    e1 = StaticEconomy(economy, a_names, b_names, thresholds)
-    return is_stable(e1, pairs)
+    return is_stable(StaticEconomy(economy, a_names, b_names, thresholds), pairs)

@@ -72,14 +72,17 @@ def corpus(seed: int, count: int, **kwargs) -> list[Economy]:
 
 
 class RandomFamily(ConjectureFamily):
-    """Arbitrary conjectures: a seeded nonempty subset of the matchings that
-    leave the owner unmatched now.  Deterministic per (economy, agent)."""
+    """Arbitrary conjectures, deterministic per (economy, agent): a seeded
+    nonempty subset of the matchings that leave the owner unmatched now,
+    or, with ``anywhere``, a seeded subset of all matchings, which may pair
+    the owner now and may be empty."""
 
     name = "random"
 
-    def __init__(self, seed: int):
-        super().__init__()
+    def __init__(self, seed: int, anywhere: bool = False, empty_policy="vacuous"):
+        super().__init__(empty_policy)
         self.seed = seed
+        self.anywhere = anywhere
 
     def _conjectures(self, economy):
         full = enumerate_matchings(economy)
@@ -87,8 +90,8 @@ class RandomFamily(ConjectureFamily):
         return {k: self._draw(economy, full, k) for k in (*a1, *b1)}
 
     def _draw(self, economy, full, k):
-        base = [m for m in full if m.partner(k, 1) == k]
+        base = full if self.anywhere else [m for m in full if m.partner(k, 1) == k]
         # str seeds are hashed deterministically, unlike tuples of str.
         rng = random.Random(f"{self.seed}|{economy.key}|{k}")
-        size = rng.randint(1, len(base))
+        size = rng.randint(0 if self.anywhere else 1, len(base))
         return tuple(sorted(rng.sample(base, size), key=lambda m: m.periods))

@@ -169,6 +169,17 @@ def test_enumeration_cap_exit_code(example1_file, capsys, concept):
     )
 
 
+@pytest.mark.parametrize("concept", ("stable", "sds"))
+def test_a_horizon_too_long_to_recurse_is_an_input_error(tmp_path, capsys, concept):
+    # Each period nests a few solver calls; 150 periods solve, 200 do not.
+    path = tmp_path / "long.econ"
+    path.write_text(ONE_PAIR.replace("periods: 1", "periods: 400"))
+    assert run_cli("solve", str(path), "--concept", concept) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "error: horizon too long for the recursive solver\n"
+    )
+
+
 def test_empty_solution_set_exit_code(econ_file, capsys, monkeypatch):
     class EmptySolver:
         def __init__(self, *a, **kw):

@@ -11,6 +11,7 @@ from dynmatch.economy import (
 )
 from dynmatch.errors import NotAvailable, UnknownAgent
 from dynmatch.matching import DynamicMatching, empty_matching, enumerate_matchings
+from dynmatch.reproduce import load_fixture
 
 from corpus import random_economy
 
@@ -72,6 +73,17 @@ def test_payoff_rejects_a_period_outside_the_horizon(t):
     e = two_period_pair()
     with pytest.raises(ValueError, match=rf"^period {t} outside 1\.\.2$"):
         payoff(e, empty_matching(2), "a1", t)
+
+
+@pytest.mark.parametrize("horizon", [1, 3])
+def test_payoff_rejects_a_matching_of_another_horizon(horizon):
+    # A shorter matching used to raise IndexError; a longer one was read
+    # silently and paid 0.
+    e, _ = load_fixture("example1")
+    m = empty_matching(horizon)
+    message = rf"^a matching of horizon {horizon} in an economy of horizon 2$"
+    with pytest.raises(ValueError, match=message):
+        payoff(e, m, "a1", 1)
 
 
 def test_inexact_numbers_are_rejected_naming_their_agents():

@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 import sys
@@ -65,9 +66,12 @@ def test_one_period_solutions_under_random_conjectures_are_still_stable():
 
 
 def test_recursive_route_agrees_with_exhaustive_filter():
-    for i, e in enumerate(corpus(33, 25, max_per_side=2)):
-        family = RandomFamily(i)
-        assert recursive_solution_set(e, family) == phi_solution_set(e, family)
+    # Conjectures drawn from all matchings may pair their owner now or be
+    # empty, so last-period thresholds include nonzero numbers and sentinels.
+    for i, e in enumerate(corpus(33, 35, max_per_side=2)):
+        for anywhere, policy in itertools.product((False, True), EMPTY_POLICIES):
+            family = RandomFamily(i, anywhere, policy)
+            assert recursive_solution_set(e, family) == phi_solution_set(e, family)
 
 
 def test_recursive_route_agrees_for_the_self_referential_family():

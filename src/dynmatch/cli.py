@@ -238,11 +238,6 @@ def main(argv=None) -> int:
     except (DynmatchError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except RecursionError:
-        # The solver nests a few calls per period, so a long horizon runs out
-        # of Python's recursion limit.
-        print("error: horizon too long for the recursive solver", file=sys.stderr)
-        return EXIT_INPUT
 
 
 if __name__ == "__main__":

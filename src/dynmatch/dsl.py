@@ -10,9 +10,10 @@ Grammar (one statement per line, ``#`` starts a comment)::
 Cardinal utilities are the source of truth.  Ordinal blocks are assertions:
 each block claims a strictly decreasing ranking of discounted utilities
 ``delta^delay * u(owner, partner)``, checked by :func:`validate_ordinal`.
-Partners missing from a prefs line are unacceptable (utility -1).  Rationals
-are written ``p/q`` (q > 0) or as integers; no decimal literals.  A discount
-factor lies in [0, 1].
+A delay lies in ``0..T - t``, where t is the owner's arrival: no pair forms
+after period T.  Partners missing from a prefs line are unacceptable
+(utility -1).  Rationals are written ``p/q`` (q > 0) or as integers; no
+decimal literals.  A discount factor lies in [0, 1].
 """
 
 from __future__ import annotations
@@ -122,6 +123,7 @@ def parse(text: str) -> EconomyDocument:
 
     if horizon is None:
         raise DslSyntaxError("missing 'periods:' header", 1)
+    arrival = {d.name: d.arrives for d in agents}
 
     def check_partner(owner: str, partner: str, lineno: int):
         if partner not in sides:
@@ -176,6 +178,10 @@ def parse(text: str) -> EconomyDocument:
                     raise DslSyntaxError(f"bad ordinal entry {token!r}", lineno)
                 partner, delay = me.groups()
                 check_partner(owner, partner, lineno)
+                t, latest = arrival[owner], horizon - arrival[owner]
+                if int(delay) > latest:
+                    msg = f"{owner} arrives at {t}: delay {delay} is outside 0..{latest}"
+                    raise ArrivalOutOfRange(msg, lineno)
                 entries.append((partner, int(delay)))
             ordinals[owner] = tuple(entries)
 

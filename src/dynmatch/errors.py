@@ -25,6 +25,11 @@ class SizeLimitExceeded(DynmatchError):
         )
 
 
+class HorizonTooLong(DynmatchError):
+    """The solver recurses a few frames per period, so a horizon of a few
+    hundred periods exhausts Python's recursion limit."""
+
+
 class TiesPresent(DynmatchError):
     """Deferred acceptance requires strict preferences after truncation."""
 

@@ -35,6 +35,7 @@ from typing import Iterable, Mapping, Optional
 from .economy import ZERO, Economy, payoff
 from .errors import (
     EmptyContinuationSolutions,
+    HorizonTooLong,
     NotACandidate,
     NotAvailable,
     SizeLimitExceeded,
@@ -50,14 +51,7 @@ from .matching import (
     stitch,
     validate_matching,
 )
-from .statics import (
-    NEG_INF,
-    POS_INF,
-    StaticEconomy,
-    attained,
-    checked_stable_set,
-    first_block,
-)
+from .statics import NEG_INF, POS_INF, StaticEconomy, first_block, stable_set, unblocked
 
 # How an empty conjecture set constrains its owner: not at all (threshold
 # NEG_INF) or completely (threshold POS_INF).
@@ -123,16 +117,21 @@ class ConjectureFamily:
     def _once(self, kind: str, economy: Economy, compute):
         """``compute(economy)``, memoized under ``kind`` by economy key; a
         hit is one lookup of the key.  A miss computes outside the handler,
-        so a failure deep in the recursion chains no KeyError.  A dict by
-        period-1 agent is stored in key order (names sorted, side A first),
-        so its order does not depend on which economy with the key was
-        asked first."""
+        so a failure deep in the recursion chains no KeyError.  Every solver
+        recursion passes through here, so a horizon too long for Python's
+        recursion limit raises HorizonTooLong here.  A dict by period-1
+        agent is stored in key order (names sorted, side A first), so its
+        order does not depend on which economy with the key was asked
+        first."""
         cache = self._memo[kind]
         try:
             return cache[economy.key]
         except KeyError:
             pass
-        value = compute(economy)
+        try:
+            value = compute(economy)
+        except RecursionError:
+            raise HorizonTooLong("horizon too long for the recursive solver") from None
         if isinstance(value, dict):
             a1, b1 = economy.key[1][0]  # period 1 of the sorted schedule
             value = {k: value[k] for k in (*a1, *b1)}
@@ -195,21 +194,17 @@ class ConjectureFamily:
         leaves, keeping the matchings with no period-1 witness.
 
         At the last period a payoff is the partner's utility, or 0 for a
-        single agent, so each pair set is scanned once, as
-        :func:`period_witness` would scan it, before it is stitched.  The
-        cap counts the pair sets scanned and trips before any threshold.
+        single agent, so the first periods are the static scan
+        :func:`~dynmatch.statics.unblocked` against the thresholds, the
+        test :func:`period_witness` would make after stitching.  The cap
+        rule of :meth:`_scan_agents` trips before any threshold is read.
         """
-        a1, b1 = economy.arrivals[0]
         if economy.horizon == 1:
-            if pair_set_count(len(a1), len(b1)) > self.max_matchings:
-                raise SizeLimitExceeded(self.max_matchings, 1, len(a1) + len(b1))
-            thr, u = self.thresholds(economy).__getitem__, economy.utility
-            firsts = (
-                p1
-                for p1 in period_matchings(a1, b1)
-                if first_block(a1, b1, u, attained(u, p1), thr) is None
-            )
+            a1, b1 = self._scan_agents(economy)
+            thr = self.thresholds(economy).__getitem__
+            firsts = unblocked(economy, a1, b1, thr, lambda k: ZERO)
             return self._stitched(economy, firsts, self.solution_set)
+        a1, b1 = economy.arrivals[0]
         stitched = self._stitched(economy, period_matchings(a1, b1), self.solution_set)
         return tuple(m for m in stitched if period_witness(economy, m, self) is None)
 
@@ -224,9 +219,21 @@ class ConjectureFamily:
         return self._induced(economy, self.thresholds(economy), self.candidates)
 
     def _induced(self, economy: Economy, thresholds: Mapping, rest):
-        """Stable first periods of the induced economy, stitched onto ``rest``."""
-        e1 = StaticEconomy(economy, *economy.arrivals[0], thresholds)
-        return self._stitched(economy, checked_stable_set(e1), rest)
+        """The stable set of the economy ``thresholds`` induce on period 1,
+        under the cap rule of :meth:`_scan_agents`, stitched onto ``rest``."""
+        e1 = StaticEconomy(economy, *self._scan_agents(economy), thresholds)
+        return self._stitched(economy, stable_set(e1), rest)
+
+    def _scan_agents(self, economy: Economy) -> tuple:
+        """The period-1 agents (side A, side B) of ``economy``, for a static
+        scan of their pair sets.  This is the cap rule of every static scan:
+        more pair sets than the cap raise SizeLimitExceeded, naming the
+        economy, before any is tested."""
+        a1, b1 = economy.arrivals[0]
+        if pair_set_count(len(a1), len(b1)) > self.max_matchings:
+            horizon, agents = economy.horizon, len(economy.members())
+            raise SizeLimitExceeded(self.max_matchings, horizon, agents)
+        return a1, b1
 
     def _single_now(self, economy: Economy, keep=lambda p1: True) -> dict:
         """Each period-1 agent's matchings that leave it single now, their
@@ -436,7 +443,7 @@ def candidate_matchings(
             a1, b1 = cont.arrivals[0]
             thresholds = family.thresholds_of(cont, family.conjecture_sets(cont))
             e1 = StaticEconomy(cont, a1, b1, thresholds)
-            if rest.pairs_at(1) not in checked_stable_set(e1):
+            if rest.pairs_at(1) not in stable_set(e1):
                 break
         else:
             out.append(m)

@@ -8,6 +8,9 @@ ordered below and above every number: ``NEG_INF`` (no constraint — any
 partner beats staying single) and ``POS_INF`` (nothing is acceptable — the
 agent must stay single).
 
+One exhaustive scan of a period's pair sets, :func:`unblocked`, gives both
+the stable set (:func:`stable_set`) and the last-period solutions.
+
 This layer takes thresholds as given and knows nothing of later periods:
 a conjecture family turns its conjecture sets into thresholds
 (:meth:`~dynmatch.framework.ConjectureFamily.thresholds_of`).
@@ -88,7 +91,7 @@ class StaticEconomy:
         return self.thresholds.get(name, ZERO)
 
 
-def attained(utility, pairs: PeriodPairs, single=lambda k: ZERO):
+def attained(utility, pairs: PeriodPairs, single):
     """k -> what k attains under ``pairs``: its partner's utility, or single(k)."""
     partner = {k: p for a, b in pairs for k, p in ((a, b), (b, a))}
     return lambda k: utility(k, partner[k]) if k in partner else single(k)
@@ -106,13 +109,28 @@ def is_stable(e1: StaticEconomy, pairs: PeriodPairs) -> bool:
     return first_block(e1.a_names, e1.b_names, utility, value, e1.threshold) is None
 
 
-def stable_set(e1: StaticEconomy) -> tuple[PeriodPairs, ...]:
-    """All stable matchings, by exhaustive filter, in enumeration order."""
+def unblocked(
+    economy: Economy, a_names, b_names, threshold, single
+) -> tuple[PeriodPairs, ...]:
+    """Every pair set of ``a_names`` and ``b_names``, in enumeration order,
+    that :func:`first_block` passes against ``threshold(k)`` when a matched
+    agent attains its partner's utility and a single agent ``single(k)``.
+    This is the one static scan: the stable set and the last-period
+    solutions both run it."""
+    u = economy.utility
     return tuple(
         pairs
-        for pairs in period_matchings(e1.a_names, e1.b_names)
-        if is_stable(e1, pairs)
+        for pairs in period_matchings(a_names, b_names)
+        if not first_block(a_names, b_names, u, attained(u, pairs, single), threshold)
     )
+
+
+def stable_set(e1: StaticEconomy) -> tuple[PeriodPairs, ...]:
+    """All stable matchings (:func:`is_stable`), by exhaustive scan, in
+    enumeration order, checked by :func:`assert_lone_wolf`."""
+    out = unblocked(e1.economy, e1.a_names, e1.b_names, e1.threshold, e1.threshold)
+    assert_lone_wolf(e1, out)
+    return out
 
 
 def _is_strict(e1: StaticEconomy) -> bool:
@@ -145,12 +163,6 @@ def assert_lone_wolf(e1: StaticEconomy, matchings: Iterable[PeriodPairs]) -> Non
                 "stable matchings with different unmatched agents: "
                 f"{sorted(sorted(s) for s in unmatched_sets)}"
             )
-
-
-def checked_stable_set(e1: StaticEconomy) -> tuple[PeriodPairs, ...]:
-    out = stable_set(e1)
-    assert_lone_wolf(e1, out)
-    return out
 
 
 def _rankings(e1: StaticEconomy, owners, partners) -> dict[str, dict[str, int]]:

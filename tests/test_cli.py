@@ -169,6 +169,46 @@ def test_enumeration_cap_exit_code(example1_file, capsys, concept):
     )
 
 
+# Each agent ranks its namesake first, so the one stable matching pairs all
+# six, and check --check cc passes it.
+THREE_A_SIDE = """\
+periods: 1
+agent a1 side A arrives 1 delta 1/2
+agent a2 side A arrives 1 delta 1/2
+agent a3 side A arrives 1 delta 1/2
+agent b1 side B arrives 1 delta 1/2
+agent b2 side B arrives 1 delta 1/2
+agent b3 side B arrives 1 delta 1/2
+prefs a1: b1=3 b2=2 b3=1
+prefs a2: b2=3 b3=2 b1=1
+prefs a3: b3=3 b1=2 b2=1
+prefs b1: a1=3 a2=2 a3=1
+prefs b2: a2=3 a3=2 a1=1
+prefs b3: a3=3 a1=2 a2=1
+"""
+PERFECT = "t=1: a1-b1 a2-b2 a3-b3"
+
+
+@pytest.mark.parametrize(
+    "command", (["solve"], ["check", "--check", "cc", "--matching", PERFECT])
+)
+def test_every_static_scan_counts_its_pair_sets(tmp_path, capsys, command):
+    # A 3x3 period has 34 pair sets.  solve scans them for the solutions,
+    # check --check cc for the candidates; a cap of 5 stops both, before
+    # either filters a pair set.
+    path = tmp_path / "three.econ"
+    path.write_text(THREE_A_SIDE)
+    code = run_cli(*command, str(path), "--concept", "stable")
+    assert code == cli.EXIT_OK
+    capsys.readouterr()
+    code = run_cli(*command, str(path), "--concept", "stable", "--max-matchings", "5")
+    assert code == cli.EXIT_SIZE
+    assert capsys.readouterr().err == (
+        "error: enumeration exceeded the cap of 5 matchings in an economy "
+        "with horizon 1 and 6 agents\n"
+    )
+
+
 @pytest.mark.parametrize("concept", ("stable", "sds"))
 def test_a_horizon_too_long_to_recurse_is_an_input_error(tmp_path, capsys, concept):
     # Each period nests a few solver calls; 150 periods solve, 200 do not.

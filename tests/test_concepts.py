@@ -698,13 +698,13 @@ def test_stable_set_caches_belong_to_their_solver(monkeypatch):
     import dynmatch.framework
 
     calls = []
-    real = dynmatch.framework.checked_stable_set
+    real = dynmatch.framework.stable_set
 
     def counting(e1):
         calls.append(e1)
         return real(e1)
 
-    monkeypatch.setattr(dynmatch.framework, "checked_stable_set", counting)
+    monkeypatch.setattr(dynmatch.framework, "stable_set", counting)
     e = load_fixture("example1")[0]
     first = Solver().solve("stable", e)
     first_calls = len(calls)

@@ -96,12 +96,21 @@ prefs a1: b1=3/2
         ("prefs b1: a1=1 a1=2", DuplicateAgent),
         ("ordinal a1 (b1,0)", DslSyntaxError),
         ("ordinal zz: (b1,0)", UnknownPartner),
+        ("ordinal a1: (b1,0) (b2,1)", ArrivalOutOfRange),
     ],
 )
 def test_bad_statements_raise_with_line_numbers(mutation, error):
     with pytest.raises(error) as exc_info:
         parse(MUTABLE + mutation + "\n")
     assert exc_info.value.line == 6
+
+
+def test_a_delay_past_the_horizon_names_its_line():
+    # A delay is an exponent of delta: a huge one would build a huge power.
+    text = MINIMAL.replace("periods: 1", "periods: 2")
+    message = r"^line 6: a1 arrives at 1: delay 300000000 is outside 0\.\.1$"
+    with pytest.raises(ArrivalOutOfRange, match=message):
+        parse(text + "ordinal a1: (b1,0) (b1,300000000)\n")
 
 
 def test_missing_header():
@@ -132,7 +141,7 @@ def test_decimal_literals_rejected():
 
 
 def test_ordinal_oracle_passes_on_valid_block():
-    text = MINIMAL + "ordinal a1: (b1,0) (b1,1)\n"
+    text = MINIMAL.replace("periods: 1", "periods: 2") + "ordinal a1: (b1,0) (b1,1)\n"
     doc = parse(text)
     validate_ordinal(doc.to_economy(), doc)
     assert load(text) == (doc.to_economy(), doc)
@@ -142,7 +151,7 @@ def test_ordinal_oracle_rejects_non_decreasing_entries():
     # delta 1 makes delayed and immediate matching equally good: not a
     # strict decrease.
     text = """\
-periods: 1
+periods: 2
 agent a1 side A arrives 1 delta 1
 agent b1 side B arrives 1 delta 1
 prefs a1: b1=2
@@ -254,7 +263,10 @@ def econ_texts(draw):
             if draw(st.booleans()):
                 block = draw(
                     st.lists(
-                        st.tuples(st.sampled_from(partners), st.integers(0, 2)),
+                        st.tuples(
+                            st.sampled_from(partners),
+                            st.integers(0, horizon - arrives),
+                        ),
                         min_size=1,
                         max_size=3,
                     )

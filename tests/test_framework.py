@@ -8,7 +8,14 @@ import pytest
 
 from dynmatch.concepts import CONCEPT_NAMES, Solver
 from dynmatch.economy import build_economy, payoff
-from dynmatch.errors import NotACandidate, NotAvailable, SizeLimitExceeded
+from dynmatch.dsl import load
+from dynmatch.errors import (
+    DynmatchError,
+    HorizonTooLong,
+    NotACandidate,
+    NotAvailable,
+    SizeLimitExceeded,
+)
 from dynmatch.framework import (
     EMPTY_POLICIES,
     AgreeFamily,
@@ -28,8 +35,10 @@ from dynmatch.matching import (
     DynamicMatching,
     continuation,
     defer_arrivals,
+    empty_matching,
     enumerate_matchings,
     next_economy,
+    pair_set_count,
 )
 from dynmatch.reproduce import load_fixture
 from dynmatch.statics import NEG_INF, POS_INF, StaticEconomy, stable_set
@@ -568,6 +577,62 @@ def test_last_period_cap_counts_its_pair_sets(concept):
         "enumeration exceeded the cap of 6 matchings in an economy "
         "with horizon 1 and 4 agents"
     )
+
+
+def three_a_side(horizon):
+    """a1..a3 and b1..b3, all at period 1; strict preferences."""
+    names = ("a1", "a2", "a3", "b1", "b2", "b3")
+    text = "\n".join(
+        [
+            f"periods: {horizon}",
+            *(f"agent {k} side {k[0].upper()} arrives 1 delta 1/2" for k in names),
+            "prefs a1: b1=1 b2=2 b3=3",
+            "prefs a2: b1=3 b2=1 b3=2",
+            "prefs a3: b1=2 b2=3 b3=1",
+            "prefs b1: a1=1 a2=2 a3=3",
+            "prefs b2: a1=3 a2=1 a3=2",
+            "prefs b3: a1=2 a2=3 a3=1",
+        ]
+    )
+    return load(text + "\n")[0]
+
+
+@pytest.mark.parametrize("horizon", (1, 2))
+def test_candidates_count_their_pair_sets_toward_the_cap(horizon):
+    # A 3x3 period has 34 pair sets: the candidates' stable-set scan of
+    # period 1 trips a cap of 5 whatever the stable set holds.
+    e = three_a_side(horizon)
+    assert pair_set_count(3, 3) == 34
+    assert StableFamily(max_matchings=34).candidates(e)
+    with pytest.raises(SizeLimitExceeded) as exc:
+        StableFamily(max_matchings=5).candidates(e)
+    assert str(exc.value) == (
+        "enumeration exceeded the cap of 5 matchings in an economy "
+        f"with horizon {horizon} and 6 agents"
+    )
+
+
+LONG = """\
+periods: 400
+agent a1 side A arrives 1 delta 1/2
+agent b1 side B arrives 1 delta 1/2
+prefs a1: b1=2
+prefs b1: a1=3
+"""
+
+
+@pytest.mark.parametrize("concept", ("stable", "sds"))
+def test_a_horizon_too_long_to_recurse_raises_a_library_error(concept):
+    # Each period nests a few solver calls, so 400 periods exhaust the
+    # default recursion limit on every supported Python.
+    e = load(LONG)[0]
+    message = r"^horizon too long for the recursive solver$"
+    with pytest.raises(HorizonTooLong, match=message) as exc:
+        Solver().solve(concept, e)
+    assert isinstance(exc.value, DynmatchError)
+    family = Solver().family(concept)
+    with pytest.raises(HorizonTooLong, match=message):
+        check_consistency(e, empty_matching(400), family)
 
 
 def test_oracle_routes_are_exported_from_the_package():

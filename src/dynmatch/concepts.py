@@ -185,14 +185,13 @@ class SolveReport:
 
 class Solver:
     """One conjecture family per concept, each built with this configuration,
-    which the family checks and keeps (reports copy it from there).  Every
-    cache lives in a family, so it lasts exactly as long as the solver and
-    repeated queries on one economy are cheap."""
+    which the family checks and keeps (reports copy it from there), and the
+    solver's one memo of static scans.  Every cache lasts exactly as long as
+    the solver, and repeated queries on one economy are cheap."""
 
     def __init__(self, empty_policy="vacuous", max_matchings=DEFAULT_MAX_MATCHINGS):
-        self._families = {
-            name: cls(empty_policy, max_matchings) for name, cls in FAMILIES.items()
-        }
+        config = (empty_policy, max_matchings, {})  # {}: the shared scan memo
+        self._families = {name: cls(*config) for name, cls in FAMILIES.items()}
 
     def family(self, concept: str) -> ConjectureFamily:
         try:

@@ -22,9 +22,9 @@ exhaustive and stitched routes cannot disagree about it.  The family is
 also the one place that turns conjecture sets into thresholds, the
 reservation values every period check and the candidates compare against
 (:meth:`ConjectureFamily.thresholds_of`); the static layer only compares.
-What depends only on the economy lives in the family's one memo, keyed by
-economy key: conjecture sets, their thresholds, solution sets and candidate
-sets.
+What depends only on the economy is memoized by economy key: conjecture,
+solution and candidate sets and thresholds by the family, static scans
+(:meth:`ConjectureFamily._scan`) in a memo that a solver's families share.
 """
 
 from __future__ import annotations
@@ -51,7 +51,8 @@ from .matching import (
     stitch,
     validate_matching,
 )
-from .statics import NEG_INF, POS_INF, StaticEconomy, first_block, stable_set, unblocked
+from .statics import NEG_INF, POS_INF, StaticEconomy, assert_lone_wolf, first_block
+from .statics import stable_set, unblocked
 
 # How an empty conjecture set constrains its owner: not at all (threshold
 # NEG_INF) or completely (threshold POS_INF).
@@ -88,8 +89,8 @@ class ConjectureFamily:
     :meth:`_threshold_rule`; these rule hooks are all that tells one concept
     from another.  The family also holds its concept's configuration and
     one memo: :meth:`_once` computes each of conjecture sets, thresholds,
-    solution and candidate sets once per economy key.  Static stable sets
-    are not memoized: stitching asks for few of them twice.
+    solution and candidate sets once per economy key.  :meth:`_scan` keeps
+    static scans in a memo that a solver shares among its families.
     """
 
     name = "?"
@@ -98,6 +99,7 @@ class ConjectureFamily:
         self,
         empty_policy: str = "vacuous",
         max_matchings: int = DEFAULT_MAX_MATCHINGS,
+        scans: Optional[dict] = None,
     ):
         if empty_policy not in EMPTY_POLICIES:
             raise ValueError(
@@ -113,6 +115,7 @@ class ConjectureFamily:
         self.max_matchings = max_matchings
         kinds = ("conjectures", "thresholds", "solutions", "candidates")
         self._memo: dict = {kind: {} for kind in kinds}
+        self._scans = {} if scans is None else scans
 
     def _once(self, kind: str, economy: Economy, compute):
         """``compute(economy)``, memoized under ``kind`` by economy key; a
@@ -195,14 +198,13 @@ class ConjectureFamily:
 
         At the last period a payoff is the partner's utility, or 0 for a
         single agent, so the first periods are the static scan
-        :func:`~dynmatch.statics.unblocked` against the thresholds, the
-        test :func:`period_witness` would make after stitching.  The cap
-        rule of :meth:`_scan_agents` trips before any threshold is read.
+        :meth:`_scan` against the thresholds, the test
+        :func:`period_witness` would make after stitching.
         """
         if economy.horizon == 1:
-            a1, b1 = self._scan_agents(economy)
-            thr = self.thresholds(economy).__getitem__
-            firsts = unblocked(economy, a1, b1, thr, lambda k: ZERO)
+            self._scan_agents(economy)  # the cap trips before any threshold is read
+            thr = self.thresholds(economy)
+            firsts = self._scan(economy, thr, dict.fromkeys(thr, ZERO))
             return self._stitched(economy, firsts, self.solution_set)
         a1, b1 = economy.arrivals[0]
         stitched = self._stitched(economy, period_matchings(a1, b1), self.solution_set)
@@ -219,10 +221,25 @@ class ConjectureFamily:
         return self._induced(economy, self.thresholds(economy), self.candidates)
 
     def _induced(self, economy: Economy, thresholds: Mapping, rest):
-        """The stable set of the economy ``thresholds`` induce on period 1,
-        under the cap rule of :meth:`_scan_agents`, stitched onto ``rest``."""
-        e1 = StaticEconomy(economy, *self._scan_agents(economy), thresholds)
-        return self._stitched(economy, stable_set(e1), rest)
+        """The stable set that ``thresholds`` induce on period 1, checked by
+        :func:`~dynmatch.statics.assert_lone_wolf`, stitched onto ``rest``."""
+        firsts = self._scan(economy, thresholds, thresholds)
+        e1 = StaticEconomy(economy, *economy.arrivals[0], thresholds)
+        assert_lone_wolf(e1, firsts)
+        return self._stitched(economy, firsts, rest)
+
+    def _scan(self, economy: Economy, thresholds: Mapping, singles: Mapping):
+        """:func:`~dynmatch.statics.unblocked` on period 1, a single agent k
+        attaining ``singles[k]``, after :meth:`_scan_agents`; memoized by
+        economy key, with thresholds and singles compared, not hashed."""
+        a1, b1 = self._scan_agents(economy)
+        entries = self._scans.setdefault(economy.key, [])
+        for known, single, found in entries:
+            if known == thresholds and single == singles:
+                return found
+        found = unblocked(economy, a1, b1, thresholds.__getitem__, singles.__getitem__)
+        entries.append((thresholds, singles, found))
+        return found
 
     def _scan_agents(self, economy: Economy) -> tuple:
         """The period-1 agents (side A, side B) of ``economy``, for a static
@@ -416,9 +433,12 @@ def candidate_set(
 ) -> tuple[DynamicMatching, ...]:
     """Stable first periods of the induced economy, stitched to the family's
     solved continuations.  ``conjectured`` maps each period-1 agent to the
-    matchings backing their reservation value."""
+    matchings backing their reservation value (ValueError names any left out)."""
     if economy.horizon == 0:
         return _HORIZON_0
+    missing = [k for side in economy.arrivals[0] for k in side if k not in conjectured]
+    if missing:
+        raise ValueError(f"no conjecture set for period-1 agents {', '.join(missing)}")
 
     def solved(cont: Economy) -> tuple[DynamicMatching, ...]:
         sols = family.solution_set(cont)

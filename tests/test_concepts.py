@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynmatch import concepts, framework
+from dynmatch import concepts, framework, statics
 from dynmatch.concepts import (
     CONCEPT_NAMES,
     FAMILIES,
@@ -17,7 +17,7 @@ from dynmatch.concepts import (
     Solver,
 )
 from dynmatch.dsl import parse
-from dynmatch.economy import build_economy, payoff
+from dynmatch.economy import Economy, build_economy, payoff
 from dynmatch.errors import (
     DynmatchError,
     EmptyContinuationSolutions,
@@ -698,19 +698,69 @@ def test_stable_set_caches_belong_to_their_solver(monkeypatch):
     import dynmatch.framework
 
     calls = []
-    real = dynmatch.framework.stable_set
+    real = dynmatch.framework.unblocked
 
-    def counting(e1):
-        calls.append(e1)
-        return real(e1)
+    def counting(economy, *args):
+        calls.append(economy)
+        return real(economy, *args)
 
-    monkeypatch.setattr(dynmatch.framework, "stable_set", counting)
+    monkeypatch.setattr(dynmatch.framework, "unblocked", counting)
     e = load_fixture("example1")[0]
     first = Solver().solve("stable", e)
     first_calls = len(calls)
     assert first_calls > 0
     second = Solver().solve("stable", e)
     assert second == first
-    # A fresh solver starts with empty caches and computes every stable set
+    # A fresh solver starts with empty caches and runs every static scan
     # again; nothing is shared through module state.
     assert len(calls) == 2 * first_calls
+    # A family built alone starts with a memo of its own, empty too.
+    family = StableFamily()
+    assert family.solution_set(e) == first.solutions
+    assert family.candidates(e) == first.candidates
+    assert len(calls) == 3 * first_calls
+
+
+def test_one_solver_runs_each_static_scan_once(monkeypatch, market1, market2):
+    # The last-period solutions and the candidates of every concept share
+    # the solver's scan memo: a scan repeats neither across concepts, nor
+    # between a family's solutions and its candidates, nor between the
+    # last round of sds's fixed point and its candidates.
+    calls = []
+    real = statics.unblocked
+
+    def counting(economy, a_names, b_names, threshold, single):
+        agents = sorted((*a_names, *b_names))
+        reads = tuple((k, threshold(k), single(k)) for k in agents)
+        calls.append((economy.key, reads))
+        return real(economy, a_names, b_names, threshold, single)
+
+    monkeypatch.setattr(framework, "unblocked", counting)
+    monkeypatch.setattr(statics, "unblocked", counting)
+    solver = Solver()
+    for e in (market1, market2):
+        for concept in CONCEPT_NAMES:
+            solver.solve(concept, e)
+    assert calls
+    assert len(calls) == len(set(calls))
+
+
+@pytest.mark.parametrize("policy", EMPTY_POLICIES)
+def test_reports_do_not_depend_on_the_order_of_concepts(policy):
+    # A scan memo hit lists its pair sets in the order of whichever economy
+    # with the same key asked first, under whichever concept.  Each concept
+    # first solves a twin that declares every period's agents in reverse,
+    # so its scans fill the memo in another order; the reports must not
+    # show it.
+    markets = [load_fixture(name)[0] for name in ("example1", "example2")]
+    markets += [econ_market(name) for name in ("agree_ds", "cvr_sds", "sds_step")]
+    markets += corpus(67, 60, max_per_side=3)
+    for e in markets:
+        reversed_arrivals = tuple((a[::-1], b[::-1]) for a, b in e.arrivals)
+        twin = Economy(e.horizon, reversed_arrivals, e.profile)
+        fresh = {c: Solver(policy).solve(c, e) for c in CONCEPT_NAMES}
+        for order in (CONCEPT_NAMES, CONCEPT_NAMES[::-1]):
+            shared = Solver(policy)
+            for c in order:
+                shared.solve(c, twin)
+                assert shared.solve(c, e) == fresh[c]

@@ -231,6 +231,19 @@ def test_horizon_0_candidate_set_is_the_empty_matching():
     assert candidate_set(e, {}, StableFamily()) == (DynamicMatching(()),)
 
 
+def test_candidate_set_names_the_agents_it_has_no_conjectures_for():
+    e = load_fixture("example1")[0]
+    family = StableFamily()
+    message = "^no conjecture set for period-1 agents a1, a2, a3, b1, b2$"
+    with pytest.raises(ValueError, match=message):
+        candidate_set(e, {}, family)
+    partial = dict(family.conjecture_sets(e))
+    del partial["a2"], partial["b1"]
+    message = "^no conjecture set for period-1 agents a2, b1$"
+    with pytest.raises(ValueError, match=message):
+        candidate_set(e, partial, family)
+
+
 def test_solver_never_calls_the_exhaustive_routes(monkeypatch):
     markets = corpus(41, 6, max_per_side=2)
     oracle = Solver()

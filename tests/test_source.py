@@ -65,3 +65,31 @@ def test_every_imported_name_is_read():
                         where = path.relative_to(PACKAGE)
                         unused.append(f"{where}:{node.lineno}: {name}")
     assert unused == []
+
+
+def _scopes_reading(tree, name) -> list:
+    """The qualified scope ("" for the module) of every read of ``name``,
+    as a name or as an attribute, in source order."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{scope}.{child.name}".lstrip("."))
+                continue
+            if (isinstance(child, ast.Name) and child.id == name) or (
+                isinstance(child, ast.Attribute) and child.attr == name
+            ):
+                found.append(scope)
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+def test_framework_scans_only_through_the_scan_memo():
+    # The one static scan is statics.unblocked; ConjectureFamily._scan calls
+    # it on a memo miss, so no last-period or candidate scan bypasses the
+    # memo, and a faster scan goes in that one place.
+    tree = ast.parse((PACKAGE / "framework.py").read_text(encoding="utf-8"))
+    assert _scopes_reading(tree, "unblocked") == ["ConjectureFamily._scan"]

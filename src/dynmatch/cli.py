@@ -42,9 +42,10 @@ EXIT_CHECK_FAILED = 4
 
 
 def _load(path: str) -> tuple[Economy, str]:
-    """Load an economy file (see :func:`~dynmatch.dsl.load`); returns the
-    economy and the digest of its canonical text."""
-    with open(path, encoding="utf-8") as fh:
+    """Load an economy file (see :func:`~dynmatch.dsl.load`), a leading
+    UTF-8 byte-order mark skipped; returns the economy and the digest of its
+    canonical text."""
+    with open(path, encoding="utf-8-sig") as fh:
         economy, doc = load(fh.read())
     return economy, hashlib.sha256(serialize(doc).encode()).hexdigest()
 
@@ -111,7 +112,7 @@ def _print_report(report: SolveReport) -> None:
 
 def _read_matching_arg(economy: Economy, spec: str):
     if spec.startswith("@"):
-        with open(spec[1:], encoding="utf-8") as fh:
+        with open(spec[1:], encoding="utf-8-sig") as fh:
             spec = fh.read()
     return parse_matching_text(economy, spec)
 

@@ -36,9 +36,9 @@ from .framework import (
     ConjectureFamily,
     StableFamily,
     _canonical,
-    _first_witness,
     candidate_set,
     consistency_failures,
+    is_phi_solution,
 )
 from .matching import DEFAULT_MAX_MATCHINGS, DynamicMatching, defer_arrivals
 from .statics import stability_among_matched
@@ -68,7 +68,8 @@ class DSFamily(AgreeFamily):
 
     def _conjectures(self, economy):
         # The period-1 test is cheap; it runs first so that rejected first
-        # periods never solve their continuation economy.
+        # periods are never stitched.  It spares no continuation solve: on
+        # the solve path, _solutions has stitched every first period already.
         return self._single_now(
             economy, lambda p1: stability_among_matched(economy, p1, {})
         )
@@ -219,7 +220,7 @@ class Solver:
         # The solution set is exactly the witness-free matchings.
         solved = set(solutions)
         witnesses = tuple(
-            (c, _first_witness(economy, c, family))
+            (c, is_phi_solution(economy, c, family))
             for c in candidates
             if c not in solved
         )

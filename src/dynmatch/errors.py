@@ -29,6 +29,9 @@ class HorizonTooLong(DynmatchError):
     """The solver recurses a few frames per period, so a horizon of a few
     hundred periods exhausts Python's recursion limit."""
 
+    def __init__(self, message: str = "horizon too long for the recursive solver"):
+        super().__init__(message)
+
 
 class TiesPresent(DynmatchError):
     """Deferred acceptance requires strict preferences after truncation."""

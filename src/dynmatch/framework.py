@@ -12,8 +12,9 @@ The solve path follows the recursive definitions: a solution, a conjecture
 and a candidate are each a first period stitched onto a solved continuation
 by one family method, :meth:`ConjectureFamily._stitched`.  The exhaustive
 :func:`phi_solution_set` and :func:`candidate_matchings` filter every full
-matching and are kept only as oracles.  Only :func:`is_phi_solution`
-validates its matching.
+matching and are kept only as oracles.  :func:`is_phi_solution` is the
+one walk of a matching's periods for a witness, and it validates the
+matching first.
 
 A family is its concept: a conjecture rule and the concept's configuration
 (the empty-conjecture policy and the size cap), set once when it is built.
@@ -29,6 +30,7 @@ solution and candidate sets and thresholds by the family, static scans
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
@@ -121,8 +123,9 @@ class ConjectureFamily:
         """``compute(economy)``, memoized under ``kind`` by economy key; a
         hit is one lookup of the key.  A miss computes outside the handler,
         so a failure deep in the recursion chains no KeyError.  Every solver
-        recursion passes through here, so a horizon too long for Python's
-        recursion limit raises HorizonTooLong here.  A dict by period-1
+        recursion passes through here, so a horizon that exhausts Python's
+        recursion limit raises HorizonTooLong here (:meth:`_stitched`
+        refuses one above the limit itself at once).  A dict by period-1
         agent is stored in key order (names sorted, side A first), so its
         order does not depend on which economy with the key was asked
         first."""
@@ -134,7 +137,7 @@ class ConjectureFamily:
         try:
             value = compute(economy)
         except RecursionError:
-            raise HorizonTooLong("horizon too long for the recursive solver") from None
+            raise HorizonTooLong() from None
         if isinstance(value, dict):
             a1, b1 = economy.key[1][0]  # period 1 of the sorted schedule
             value = {k: value[k] for k in (*a1, *b1)}
@@ -199,10 +202,10 @@ class ConjectureFamily:
         At the last period a payoff is the partner's utility, or 0 for a
         single agent, so the first periods are the static scan
         :meth:`_scan` against the thresholds, the test
-        :func:`period_witness` would make after stitching.
+        :func:`period_witness` would make after stitching; the scan's cap
+        trips after the thresholds are read, as the candidates' does.
         """
         if economy.horizon == 1:
-            self._scan_agents(economy)  # the cap trips before any threshold is read
             thr = self.thresholds(economy)
             firsts = self._scan(economy, thr, dict.fromkeys(thr, ZERO))
             return self._stitched(economy, firsts, self.solution_set)
@@ -230,9 +233,15 @@ class ConjectureFamily:
 
     def _scan(self, economy: Economy, thresholds: Mapping, singles: Mapping):
         """:func:`~dynmatch.statics.unblocked` on period 1, a single agent k
-        attaining ``singles[k]``, after :meth:`_scan_agents`; memoized by
-        economy key, with thresholds and singles compared, not hashed."""
-        a1, b1 = self._scan_agents(economy)
+        attaining ``singles[k]``; memoized by economy key, with thresholds
+        and singles compared, not hashed.  This is the cap rule of every
+        static scan: more period-1 pair sets than the cap raise
+        SizeLimitExceeded, naming the economy, before any is tested or the
+        memo is read."""
+        a1, b1 = economy.arrivals[0]
+        if pair_set_count(len(a1), len(b1)) > self.max_matchings:
+            horizon, agents = economy.horizon, len(economy.members())
+            raise SizeLimitExceeded(self.max_matchings, horizon, agents)
         entries = self._scans.setdefault(economy.key, [])
         for known, single, found in entries:
             if known == thresholds and single == singles:
@@ -240,17 +249,6 @@ class ConjectureFamily:
         found = unblocked(economy, a1, b1, thresholds.__getitem__, singles.__getitem__)
         entries.append((thresholds, singles, found))
         return found
-
-    def _scan_agents(self, economy: Economy) -> tuple:
-        """The period-1 agents (side A, side B) of ``economy``, for a static
-        scan of their pair sets.  This is the cap rule of every static scan:
-        more pair sets than the cap raise SizeLimitExceeded, naming the
-        economy, before any is tested."""
-        a1, b1 = economy.arrivals[0]
-        if pair_set_count(len(a1), len(b1)) > self.max_matchings:
-            horizon, agents = economy.horizon, len(economy.members())
-            raise SizeLimitExceeded(self.max_matchings, horizon, agents)
-        return a1, b1
 
     def _single_now(self, economy: Economy, keep=lambda p1: True) -> dict:
         """Each period-1 agent's matchings that leave it single now, their
@@ -267,7 +265,11 @@ class ConjectureFamily:
     def _stitched(self, economy: Economy, firsts, rest) -> tuple[DynamicMatching, ...]:
         """Each period-1 pair set of ``firsts`` stitched onto every matching
         ``rest`` returns for the economy it leaves, in canonical order; the
-        family's size cap bounds the count."""
+        family's size cap bounds the count.  Every stitched period nests at
+        least one frame, so a horizon above Python's recursion limit, read at
+        each call, raises HorizonTooLong before the first stitch."""
+        if economy.horizon > sys.getrecursionlimit():
+            raise HorizonTooLong()
         return _canonical(stitch(economy, firsts, rest, self.max_matchings))
 
 
@@ -385,20 +387,11 @@ def is_phi_solution(economy: Economy, m: DynamicMatching, family: ConjectureFami
     Raises ValueError if m is not a matching of the economy.
     """
     validate_matching(economy, m)
-    witness = _first_witness(economy, m, family)
-    return True if witness is None else witness
-
-
-def _first_witness(
-    economy: Economy, m: DynamicMatching, family: ConjectureFamily
-) -> Optional[BlockWitness]:
-    """:func:`is_phi_solution` for an m already known to be a matching of
-    the economy, with None for a solution."""
     for t, (cont, rest) in enumerate(continuations(economy, m), start=1):
         witness = period_witness(cont, rest, family, t)
         if witness is not None:
             return witness
-    return None
+    return True
 
 
 def _canonical(matchings: Iterable[DynamicMatching]) -> tuple[DynamicMatching, ...]:
@@ -413,7 +406,7 @@ def phi_solution_set(
     return _canonical(
         m
         for m in enumerate_matchings(economy, max_matchings=family.max_matchings)
-        if _first_witness(economy, m, family) is None
+        if is_phi_solution(economy, m, family) is True
     )
 
 

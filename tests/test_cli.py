@@ -118,6 +118,23 @@ def test_malformed_economy_is_an_input_error(tmp_path, capsys):
     assert run_cli("solve", str(path), "--concept", "stable") == 1
 
 
+def test_a_byte_order_mark_is_skipped(example1_file, tmp_path, capsys):
+    bom_file = tmp_path / "bom.econ"
+    bom_file.write_bytes(b"\xef\xbb\xbf" + Path(example1_file).read_bytes())
+    reports = []
+    for path in (example1_file, str(bom_file)):
+        assert run_cli("solve", path, "--concept", "re", "--json") == cli.EXIT_OK
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    spec = tmp_path / "m.txt"
+    spec.write_bytes(b"\xef\xbb\xbft=1: a1-b1 a2-b2 | t=2: a3-b3 a4-b4\n")
+    code = run_cli(
+        "check", str(bom_file), "--concept", "sds", "--check", "cc",
+        "--matching", f"@{spec}",
+    )
+    assert code == cli.EXIT_OK
+
+
 def test_violated_ordinal_block_is_an_input_error(tmp_path, capsys):
     path = tmp_path / "ordinal.econ"
     path.write_text(

@@ -648,6 +648,27 @@ def test_a_horizon_too_long_to_recurse_raises_a_library_error(concept):
         check_consistency(e, empty_matching(400), family)
 
 
+@pytest.mark.parametrize("concept", ("stable", "sds"))
+def test_a_horizon_above_the_recursion_limit_is_refused_at_once(concept, monkeypatch):
+    # Every stitched period nests at least one frame, so such a horizon can
+    # never finish: it is refused before any continuation economy is built.
+    horizon = sys.getrecursionlimit() + 200
+    e = load(LONG.replace("periods: 400", f"periods: {horizon}"))[0]
+    steps = []
+
+    def counted(economy, pairs):
+        steps.append(pairs)
+        return next_economy(economy, pairs)
+
+    monkeypatch.setattr("dynmatch.matching.next_economy", counted)
+    message = r"^horizon too long for the recursive solver$"
+    with pytest.raises(HorizonTooLong, match=message):
+        Solver().solve(concept, e)
+    with pytest.raises(HorizonTooLong, match=message):
+        check_consistency(e, empty_matching(horizon), Solver().family(concept))
+    assert steps == []
+
+
 def test_oracle_routes_are_exported_from_the_package():
     import dynmatch
 

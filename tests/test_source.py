@@ -93,3 +93,10 @@ def test_framework_scans_only_through_the_scan_memo():
     # memo, and a faster scan goes in that one place.
     tree = ast.parse((PACKAGE / "framework.py").read_text(encoding="utf-8"))
     assert _scopes_reading(tree, "unblocked") == ["ConjectureFamily._scan"]
+
+
+def test_framework_raises_the_size_cap_only_in_the_scan():
+    # ConjectureFamily._scan holds the cap rule of every static scan, so the
+    # last-period solutions and the candidates trip it in one place.
+    tree = ast.parse((PACKAGE / "framework.py").read_text(encoding="utf-8"))
+    assert _scopes_reading(tree, "SizeLimitExceeded") == ["ConjectureFamily._scan"]

@@ -10,6 +10,7 @@ timing and diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -197,7 +198,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-matchings", type=positive_int, default=DEFAULT_MAX_MATCHINGS)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: ``parse_args`` returns a fresh
+    namespace on every call and never changes the parser."""
     parser = argparse.ArgumentParser(
         prog="dynmatch",
         description="Exact solver for two-sided irreversible dynamic matching markets",

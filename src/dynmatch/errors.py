@@ -23,6 +23,10 @@ class SizeLimitExceeded(DynmatchError):
             f"enumeration exceeded the cap of {cap} matchings in an economy "
             f"with horizon {horizon} and {agents} agents"
         )
+        self._init_args = (cap, horizon, agents)
+
+    def __reduce__(self):
+        return type(self), self._init_args
 
 
 class HorizonTooLong(DynmatchError):
@@ -99,3 +103,7 @@ class OrdinalViolation(DynmatchError):
             f"ordinal list of {owner}: entry {first} (value {lhs}) does not "
             f"strictly beat entry {second} (value {rhs})"
         )
+        self._init_args = (owner, first, second, lhs, rhs)
+
+    def __reduce__(self):
+        return type(self), self._init_args

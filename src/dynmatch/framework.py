@@ -377,7 +377,7 @@ def period_witness(
 
     threshold = family.thresholds(cont).__getitem__
     avail_a, avail_b = cont.arrivals[0]
-    block = first_block(avail_a, avail_b, cont.utility, value, threshold)
+    block = first_block(avail_a, avail_b, cont.profile.utility, value, threshold)
     return None if block is None else BlockWitness(block[0], t, *block[1:])
 
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import total_ordering
 from typing import Iterable, Mapping, Optional
 
-from .economy import ZERO, Economy
+from .economy import SIDE_A, SIDE_B, ZERO, Economy
 from .errors import LoneWolfViolation, TiesPresent
 from .matching import PeriodPairs, period_matchings
 
@@ -80,12 +80,19 @@ def first_block(a_names, b_names, utility, value, threshold) -> Optional[tuple]:
 class StaticEconomy:
     """A view of one period of an economy: two agent sets and thresholds,
     0 for an agent the mapping leaves out.  Utilities are read from
-    ``economy``."""
+    ``economy``'s profile, so every name is checked once, here: an unknown
+    one raises UnknownAgent, one on the wrong side ValueError."""
 
     economy: Economy
     a_names: tuple[str, ...]
     b_names: tuple[str, ...]
     thresholds: Mapping[str, Fraction | Infinity] = field(default_factory=dict)
+
+    def __post_init__(self):
+        for side, names in ((SIDE_A, self.a_names), (SIDE_B, self.b_names)):
+            for name in names:
+                if self.economy.side_of(name) != side:
+                    raise ValueError(f"{name} is not a side-{side} agent")
 
     def threshold(self, name: str) -> Fraction | Infinity:
         return self.thresholds.get(name, ZERO)
@@ -102,9 +109,13 @@ def is_stable(e1: StaticEconomy, pairs: PeriodPairs) -> bool:
 
     Matched agents need their partner weakly above their threshold; a pair
     blocks when both strictly beat their assigned values, where a single
-    agent's value is its threshold.
+    agent's value is its threshold.  Each pair must join an agent of
+    ``a_names`` to one of ``b_names``, or ValueError is raised.
     """
-    utility = e1.economy.utility
+    for a, b in pairs:
+        if a not in e1.a_names or b not in e1.b_names:
+            raise ValueError(f"{a}-{b} is not a pair of the static economy")
+    utility = e1.economy.profile.utility
     value = attained(utility, pairs, e1.threshold)
     return first_block(e1.a_names, e1.b_names, utility, value, e1.threshold) is None
 
@@ -116,8 +127,10 @@ def unblocked(
     that :func:`first_block` passes against ``threshold(k)`` when a matched
     agent attains its partner's utility and a single agent ``single(k)``.
     This is the one static scan: the stable set and the last-period
-    solutions both run it."""
-    u = economy.utility
+    solutions both run it.  Utilities are read from the profile unchecked,
+    so ``a_names`` must be side-A agents of ``economy`` and ``b_names``
+    side-B ones, as a :class:`StaticEconomy`'s are."""
+    u = economy.profile.utility
     return tuple(
         pairs
         for pairs in period_matchings(a_names, b_names)
@@ -137,7 +150,7 @@ def _is_strict(e1: StaticEconomy) -> bool:
     """No agent gives one value to two partners it accepts (utility at or
     above its threshold), or to an accepted partner and its threshold.
     Unlisted partners share one value, so two accepted ones tie."""
-    utility = e1.economy.utility
+    utility = e1.economy.profile.utility
     for owners, partners in ((e1.a_names, e1.b_names), (e1.b_names, e1.a_names)):
         for k in owners:
             thr = e1.threshold(k)
@@ -170,7 +183,7 @@ def _rankings(e1: StaticEconomy, owners, partners) -> dict[str, dict[str, int]]:
     to their rank.  Raises TiesPresent at the first owner indifferent
     between two of them."""
     rankings = {}
-    utility = e1.economy.utility
+    utility = e1.economy.profile.utility
     for k in owners:
         thr = e1.threshold(k)
         options = [p for p in partners if utility(k, p) >= thr]

@@ -10,6 +10,7 @@ import pytest
 from dynmatch import cli, is_phi_solution, parse_matching_text
 from dynmatch.concepts import CONCEPT_NAMES
 from dynmatch.framework import StableFamily
+from dynmatch.matching import DEFAULT_MAX_MATCHINGS
 from dynmatch.reproduce import FIXTURE_NAMES, fixture_text
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -97,6 +98,25 @@ def test_unknown_concept_is_a_usage_error(econ_file, capsys):
 
 
 def test_help_exits_zero(capsys):
+    assert run_cli("solve", "--help") == cli.EXIT_OK
+    assert "--max-matchings" in capsys.readouterr().out
+
+
+def test_one_parser_serves_every_call_of_a_process(econ_file, capsys):
+    # The parser is built once per process; a refused flag value must leave
+    # nothing behind for the next call, and each report names its own flags.
+    assert cli.build_parser() is cli.build_parser()
+    solve = ("solve", econ_file, "--concept", "stable")
+    assert run_cli(*solve, "--max-matchings", "0") == cli.EXIT_INPUT
+    capsys.readouterr()
+    for extra, cap in (((), DEFAULT_MAX_MATCHINGS), (("--max-matchings", "5"), 5)):
+        assert run_cli(*solve, "--json", *extra) == cli.EXIT_OK
+        flags = json.loads(capsys.readouterr().out)["flags"]
+        assert flags == {
+            "empty_conjectures": "vacuous",
+            "max_matchings": cap,
+            "threads": 1,
+        }
     assert run_cli("solve", "--help") == cli.EXIT_OK
     assert "--max-matchings" in capsys.readouterr().out
 

@@ -83,6 +83,23 @@ def test_recursive_route_agrees_with_exhaustive_filter():
             assert recursive_solution_set(e, family) == phi_solution_set(e, family)
 
 
+def test_consistent_candidates_are_solutions_for_arbitrary_families():
+    # The paper's key lemma: a candidate that every agent it leaves unmatched
+    # conjectures is a solution, whatever the conjectures.  Drawn from all
+    # matchings, they may pair their owner now or be empty.
+    candidates = consistent = 0
+    for i, e in enumerate(corpus(91, 120, max_per_side=3)):
+        for anywhere, policy in itertools.product((False, True), EMPTY_POLICIES):
+            family = RandomFamily(i, anywhere, policy)
+            solutions = set(family.solution_set(e))
+            for m in family.candidates(e):
+                candidates += 1
+                if not consistency_failures(e, m, family):
+                    consistent += 1
+                    assert m in solutions
+    assert (candidates, consistent) == (667, 170)
+
+
 def test_recursive_route_agrees_for_the_self_referential_family():
     for e in corpus(34, 10, max_per_side=2)[:10]:
         family = AgreeFamily()

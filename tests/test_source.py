@@ -100,3 +100,28 @@ def test_framework_raises_the_size_cap_only_in_the_scan():
     # last-period solutions and the candidates trip it in one place.
     tree = ast.parse((PACKAGE / "framework.py").read_text(encoding="utf-8"))
     assert _scopes_reading(tree, "SizeLimitExceeded") == ["ConjectureFamily._scan"]
+
+
+def _utility_owners(node) -> list:
+    """The source of ``x`` in every ``x.utility`` read under ``node``."""
+    return [
+        ast.unparse(n.value)
+        for n in ast.walk(node)
+        if isinstance(n, ast.Attribute) and n.attr == "utility"
+    ]
+
+
+def test_static_scans_read_utilities_from_the_profile():
+    # A StaticEconomy checks its agents' sides once, when it is built, so the
+    # scans and the period witness read the profile; Economy.utility would
+    # look both sides up again on every pair of every pair set.
+    statics = ast.parse((PACKAGE / "statics.py").read_text(encoding="utf-8"))
+    framework = ast.parse((PACKAGE / "framework.py").read_text(encoding="utf-8"))
+    (witness,) = [
+        node
+        for node in ast.walk(framework)
+        if isinstance(node, ast.FunctionDef) and node.name == "period_witness"
+    ]
+    owners = _utility_owners(statics) + _utility_owners(witness)
+    assert owners
+    assert [o for o in owners if not o.endswith(".profile")] == []

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynmatch.economy import build_economy
-from dynmatch.errors import LoneWolfViolation, TiesPresent
+from dynmatch.errors import LoneWolfViolation, TiesPresent, UnknownAgent
 from dynmatch.matching import period_matchings
 from dynmatch.statics import (
     INDIVIDUAL_A,
@@ -152,6 +152,37 @@ def test_da_rejects_an_unknown_proposing_side():
     message = "^proposing side must be 'A' or 'B', got 'C'$"
     with pytest.raises(ValueError, match=message):
         deferred_acceptance(e1, "C")
+
+
+def test_a_static_economy_checks_its_names_when_it_is_built():
+    # The scans read utilities from the profile unchecked, where an unknown
+    # partner would score as unlisted (-1), so the view checks every name
+    # once: unknown names and names on the wrong side are refused.
+    e = tiny({("a1", "b1"): 1, ("b1", "a1"): 1}).economy
+    with pytest.raises(UnknownAgent, match="^zz$"):
+        StaticEconomy(e, ("zz",), ("b1",))
+    with pytest.raises(ValueError, match="^b1 is not a side-A agent$"):
+        StaticEconomy(e, ("a1", "b1"), ())
+    with pytest.raises(ValueError, match="^a1 is not a side-B agent$"):
+        StaticEconomy(e, (), ("a1",))
+
+
+def test_static_entry_points_refuse_bad_names_at_once():
+    e = tiny({("a1", "b1"): 1, ("b1", "a1"): 1}).economy
+    bad = (
+        (UnknownAgent, ("zz",), ("b1",)),
+        (ValueError, ("b1",), ("b1",)),
+        (ValueError, ("a1",), ("a1",)),
+    )
+    for error, a, b in bad:
+        with pytest.raises(error):
+            stable_set(StaticEconomy(e, a, b))
+        with pytest.raises(error):
+            deferred_acceptance(StaticEconomy(e, a, b), "A")
+        with pytest.raises(error):
+            stability_among_matched(e, tuple(zip(a, b)), {})
+    with pytest.raises(ValueError, match="^a1-zz is not a pair of the static"):
+        is_stable(StaticEconomy(e, ("a1",), ("b1",)), (("a1", "zz"),))
 
 
 def test_da_empty_economy():

@@ -14,9 +14,9 @@ class NotAvailable(DynmatchError):
 
 
 class SizeLimitExceeded(DynmatchError):
-    """More matchings than the configured cap were stitched in one economy,
-    which the message names: possibly a continuation or deferred economy met
-    inside a conjecture computation."""
+    """More matchings than the cap were stitched in one economy, or its
+    period 1 has more pair sets than the cap for a static scan to test.  The
+    message names that economy: possibly a continuation or deferred one."""
 
     def __init__(self, cap: int, horizon: int, agents: int):
         super().__init__(
@@ -30,8 +30,8 @@ class SizeLimitExceeded(DynmatchError):
 
 
 class HorizonTooLong(DynmatchError):
-    """The solver recurses a few frames per period, so a horizon of a few
-    hundred periods exhausts Python's recursion limit."""
+    """Recursing through :func:`~dynmatch.matching.stitch`, as the solver
+    and the enumerator do, would exhaust Python's recursion limit."""
 
     def __init__(self, message: str = "horizon too long for the recursive solver"):
         super().__init__(message)

@@ -30,14 +30,12 @@ solution and candidate sets and thresholds by the family, static scans
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from .economy import ZERO, Economy, payoff
 from .errors import (
     EmptyContinuationSolutions,
-    HorizonTooLong,
     NotACandidate,
     NotAvailable,
     SizeLimitExceeded,
@@ -122,22 +120,16 @@ class ConjectureFamily:
     def _once(self, kind: str, economy: Economy, compute):
         """``compute(economy)``, memoized under ``kind`` by economy key; a
         hit is one lookup of the key.  A miss computes outside the handler,
-        so a failure deep in the recursion chains no KeyError.  Every solver
-        recursion passes through here, so a horizon that exhausts Python's
-        recursion limit raises HorizonTooLong here (:meth:`_stitched`
-        refuses one above the limit itself at once).  A dict by period-1
-        agent is stored in key order (names sorted, side A first), so its
-        order does not depend on which economy with the key was asked
-        first."""
+        so a failure deep in the recursion chains no KeyError.  A dict by
+        period-1 agent is stored in key order (names sorted, side A first),
+        so its order does not depend on which economy with the key was
+        asked first."""
         cache = self._memo[kind]
         try:
             return cache[economy.key]
         except KeyError:
             pass
-        try:
-            value = compute(economy)
-        except RecursionError:
-            raise HorizonTooLong() from None
+        value = compute(economy)
         if isinstance(value, dict):
             a1, b1 = economy.key[1][0]  # period 1 of the sorted schedule
             value = {k: value[k] for k in (*a1, *b1)}
@@ -265,11 +257,8 @@ class ConjectureFamily:
     def _stitched(self, economy: Economy, firsts, rest) -> tuple[DynamicMatching, ...]:
         """Each period-1 pair set of ``firsts`` stitched onto every matching
         ``rest`` returns for the economy it leaves, in canonical order; the
-        family's size cap bounds the count.  Every stitched period nests at
-        least one frame, so a horizon above Python's recursion limit, read at
-        each call, raises HorizonTooLong before the first stitch."""
-        if economy.horizon > sys.getrecursionlimit():
-            raise HorizonTooLong()
+        family's size cap bounds the count, and :func:`stitch` refuses a
+        horizon too long to recurse."""
         return _canonical(stitch(economy, firsts, rest, self.max_matchings))
 
 

@@ -10,20 +10,23 @@ decides it: the economy from period 2 on, once a period-1 pair set formed.
 ``m.tail()`` and :func:`prepend` move a matching into and out of that
 economy.  :func:`stitch` is the one loop that prepends first periods: it puts
 each period-1 pair set in front of the matchings some rule picks in the
-economy it leaves, and it enforces the size cap.  Enumeration and every
-solve route (solutions, conjectures, candidates) are built on it, down to the
-horizon-0 economy, whose only matching is ``DynamicMatching(())``.
+economy it leaves, it enforces the size cap, and it is the one recursion
+guard.  Enumeration and every solve route (solutions, conjectures,
+candidates) are built on it, down to the horizon-0 economy, whose only
+matching is ``DynamicMatching(())``, so all of them refuse a horizon too
+long to recurse.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import islice
 from math import comb, factorial
 from typing import Callable, Iterable, Iterator
 
 from .economy import SIDE_A, SIDE_B, Economy
-from .errors import BadMatchingSpec, SizeLimitExceeded, UnknownAgent
+from .errors import BadMatchingSpec, HorizonTooLong, SizeLimitExceeded, UnknownAgent
 
 DEFAULT_MAX_MATCHINGS = 10**7
 
@@ -152,13 +155,21 @@ def stitch(
     matching that ``rest(next_economy(economy, p1))`` returns, in order.
 
     Raises SizeLimitExceeded, naming this economy, once more than ``cap``
-    matchings are stitched.
+    matchings are stitched.  Each stitched period nests a few frames, so a
+    few hundred periods exhaust Python's recursion limit: that raises
+    HorizonTooLong, and a horizon above the limit (read at each call) raises
+    it at once, before any continuation economy is built.
     """
+    if economy.horizon > sys.getrecursionlimit():
+        raise HorizonTooLong()
     out: list[DynamicMatching] = []
-    for p1 in firsts:
-        out.extend(prepend(p1, m) for m in rest(next_economy(economy, p1)))
-        if len(out) > cap:
-            raise SizeLimitExceeded(cap, economy.horizon, len(economy.members()))
+    try:
+        for p1 in firsts:
+            out.extend(prepend(p1, m) for m in rest(next_economy(economy, p1)))
+            if len(out) > cap:
+                raise SizeLimitExceeded(cap, economy.horizon, len(economy.members()))
+    except RecursionError:
+        raise HorizonTooLong() from None
     return tuple(out)
 
 

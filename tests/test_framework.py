@@ -651,22 +651,47 @@ prefs b1: a1=3
 """
 
 
-@pytest.mark.parametrize("concept", ("stable", "sds"))
-def test_a_horizon_too_long_to_recurse_raises_a_library_error(concept):
-    # Each period nests a few solver calls, so 400 periods exhaust the
-    # default recursion limit on every supported Python.
+HORIZON_ROUTES = (
+    "stable",
+    "sds",
+    "enumerate_matchings",
+    "phi_solution_set",
+    "candidate_matchings",
+)
+
+
+def refusing_calls(route, e):
+    """The calls that must refuse ``e``: a concept's solve and consistency
+    check, or one exhaustive oracle, which stitches through the same
+    recursion."""
+    if route in CONCEPT_NAMES:
+        family = Solver().family(route)
+        return (
+            lambda: Solver().solve(route, e),
+            lambda: check_consistency(e, empty_matching(e.horizon), family),
+        )
+    oracles = {
+        "enumerate_matchings": lambda: enumerate_matchings(e),
+        "phi_solution_set": lambda: phi_solution_set(e, StableFamily()),
+        "candidate_matchings": lambda: candidate_matchings(e, StableFamily()),
+    }
+    return (oracles[route],)
+
+
+@pytest.mark.parametrize("route", HORIZON_ROUTES)
+def test_a_horizon_too_long_to_recurse_raises_a_library_error(route):
+    # Each period nests a few calls, so 400 periods exhaust the default
+    # recursion limit on every supported Python.
     e = load(LONG)[0]
     message = r"^horizon too long for the recursive solver$"
-    with pytest.raises(HorizonTooLong, match=message) as exc:
-        Solver().solve(concept, e)
-    assert isinstance(exc.value, DynmatchError)
-    family = Solver().family(concept)
-    with pytest.raises(HorizonTooLong, match=message):
-        check_consistency(e, empty_matching(400), family)
+    for call in refusing_calls(route, e):
+        with pytest.raises(HorizonTooLong, match=message) as exc:
+            call()
+        assert isinstance(exc.value, DynmatchError)
 
 
-@pytest.mark.parametrize("concept", ("stable", "sds"))
-def test_a_horizon_above_the_recursion_limit_is_refused_at_once(concept, monkeypatch):
+@pytest.mark.parametrize("route", HORIZON_ROUTES)
+def test_a_horizon_above_the_recursion_limit_is_refused_at_once(route, monkeypatch):
     # Every stitched period nests at least one frame, so such a horizon can
     # never finish: it is refused before any continuation economy is built.
     horizon = sys.getrecursionlimit() + 200
@@ -679,10 +704,9 @@ def test_a_horizon_above_the_recursion_limit_is_refused_at_once(concept, monkeyp
 
     monkeypatch.setattr("dynmatch.matching.next_economy", counted)
     message = r"^horizon too long for the recursive solver$"
-    with pytest.raises(HorizonTooLong, match=message):
-        Solver().solve(concept, e)
-    with pytest.raises(HorizonTooLong, match=message):
-        check_consistency(e, empty_matching(horizon), Solver().family(concept))
+    for call in refusing_calls(route, e):
+        with pytest.raises(HorizonTooLong, match=message):
+            call()
     assert steps == []
 
 

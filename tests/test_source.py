@@ -102,6 +102,20 @@ def test_framework_raises_the_size_cap_only_in_the_scan():
     assert _scopes_reading(tree, "SizeLimitExceeded") == ["ConjectureFamily._scan"]
 
 
+def test_only_stitch_guards_the_recursion():
+    # matching.stitch is the one recursive step of the solver and of the
+    # exhaustive routes, so it alone reads the recursion limit, catches
+    # RecursionError and raises HorizonTooLong: a guard anywhere else would
+    # leave some route without one.
+    names = ("RecursionError", "getrecursionlimit", "HorizonTooLong")
+    reads = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for name in names:
+            reads |= {(name, path.name, scope) for scope in _scopes_reading(tree, name)}
+    assert reads == {(name, "matching.py", "stitch") for name in names}
+
+
 def _utility_owners(node) -> list:
     """The source of ``x`` in every ``x.utility`` read under ``node``."""
     return [

@@ -41,7 +41,7 @@ from .framework import (
     is_phi_solution,
 )
 from .matching import DEFAULT_MAX_MATCHINGS, DynamicMatching, defer_arrivals
-from .statics import stability_among_matched
+from .statics import StaticEconomy, is_stable, stability_among_matched
 
 
 class REFamily(ConjectureFamily):
@@ -50,6 +50,7 @@ class REFamily(ConjectureFamily):
 
     name = "re"
     _threshold_rule = AgreeFamily._threshold_rule
+    unconjectured_by = AgreeFamily.unconjectured_by
 
     def _conjectures(self, economy):
         # A matching of the deferred economy is literally a matching of the
@@ -58,6 +59,16 @@ class REFamily(ConjectureFamily):
         return {
             k: self.solution_set(defer_arrivals(economy, [k])) for k in (*a1, *b1)
         }
+
+    def _last_unconjectured_by(self, economy, m, single):
+        # k's set: the pair sets stable at thresholds 0 without k.
+        pairs = m.pairs_at(1)
+
+        def without(k):
+            a1, b1 = ([n for n in side if n != k] for side in economy.arrivals[0])
+            return StaticEconomy(economy, tuple(a1), tuple(b1))
+
+        return tuple(k for k in single if not is_stable(without(k), pairs))
 
 
 class DSFamily(AgreeFamily):
@@ -73,6 +84,10 @@ class DSFamily(AgreeFamily):
         return self._single_now(
             economy, lambda p1: stability_among_matched(economy, p1, {})
         )
+
+    def _last_unconjectured_by(self, economy, m, single):
+        # The period-1 test is the same for every agent, so it runs once.
+        return () if stability_among_matched(economy, m.pairs_at(1), {}) else single
 
 
 class FixedPointFamily(ConjectureFamily):
@@ -111,6 +126,7 @@ class CVRFamily(FixedPointFamily, AgreeFamily):
     decreasing iteration over all period-1 agents simultaneously."""
 
     name = "cvr-ds"
+    _last_unconjectured_by = DSFamily._last_unconjectured_by
 
     def _refine(self, economy, current, members):
         """``members`` filtered by the thresholds that ``current`` implies.

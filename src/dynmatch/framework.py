@@ -180,6 +180,16 @@ class ConjectureFamily:
         """The concept's rule: every period-1 agent's conjectures at once."""
         raise NotImplementedError
 
+    def unconjectured_by(self, economy: Economy, m: DynamicMatching) -> tuple[str, ...]:
+        """The period-1 agents that ``m`` leaves single and that do not
+        conjecture ``m``, in declaration order: the question the consistency
+        walk asks of each continuation.  This default reads
+        :meth:`conjecture_sets` and is the definition; a family that can
+        answer without them overrides it, as
+        :meth:`AgreeFamily.unconjectured_by` does at the last period."""
+        conjectured = self.conjecture_sets(economy)
+        return tuple(k for k in _single(economy, m) if m not in conjectured[k])
+
     def solution_set(self, economy: Economy) -> tuple[DynamicMatching, ...]:
         """The concept's solution set, computed by :meth:`_solutions` once
         per economy key."""
@@ -349,6 +359,41 @@ class AgreeFamily(ConjectureFamily):
         a1, b1 = economy.arrivals[0]
         return dict.fromkeys((*a1, *b1), ZERO)
 
+    def unconjectured_by(self, economy, m):
+        """At the last period, each family's :meth:`_last_unconjectured_by`
+        answers by its rule and builds no conjecture set; at any other
+        horizon, the default.  The five families of :meth:`_threshold_rule`
+        take this rule.  At horizon 1 a matching is its one pair set, and a
+        conjecture of k is a pair set that leaves k single, so the question
+        is which agents ``m`` leaves single hold ``m``'s pair set:
+
+        - ``agree``: k's set is every pair set that leaves k single, so
+          every such agent conjectures ``m``;
+        - ``ds``: k's set is the pair sets that leave k single and are
+          stable among their matched agents, one test for every agent;
+        - ``cvr-ds`` has ``ds``'s sets.  It starts from ``agree``'s, whose
+          thresholds are all 0, so its first refinement is ``ds``'s filter;
+          ``ds``'s sets are nonempty (see above), so their thresholds are
+          0 too and the next refinement changes nothing;
+        - ``re``: k's set is the solution set of the market without k, whose
+          thresholds are 0 (see above): its stable set at thresholds 0
+          (:func:`~dynmatch.statics.is_stable`);
+        - ``sds`` has ``re``'s sets.  Its step adds the pair sets that leave
+          k single and are stable in the whole market at thresholds 0.  Such
+          a pair set is stable in the market without k as well, whose checks
+          are a subset of the whole market's, so it is in ``re``'s set
+          already.
+
+        So the walk solves no deferred last-period market for ``re`` and
+        ``sds``, and builds no horizon-1 conjecture set for any of the five.
+        """
+        if economy.horizon != 1:
+            return ConjectureFamily.unconjectured_by(self, economy, m)
+        return self._last_unconjectured_by(economy, m, _single(economy, m))
+
+    def _last_unconjectured_by(self, economy, m, single):
+        return ()
+
 
 def period_witness(
     cont: Economy, rest: DynamicMatching, family: ConjectureFamily, t: int = 1
@@ -381,6 +426,12 @@ def is_phi_solution(economy: Economy, m: DynamicMatching, family: ConjectureFami
         if witness is not None:
             return witness
     return True
+
+
+def _single(economy: Economy, m: DynamicMatching) -> tuple[str, ...]:
+    """The period-1 agents ``m`` leaves single, in declaration order."""
+    a1, b1 = economy.arrivals[0]
+    return tuple(k for k in (*a1, *b1) if m.partner(k, 1) == k)
 
 
 def _canonical(matchings: Iterable[DynamicMatching]) -> tuple[DynamicMatching, ...]:
@@ -468,16 +519,17 @@ def consistency_failures(
     economy: Economy, m_star: DynamicMatching, family: ConjectureFamily
 ) -> tuple[tuple[int, str], ...]:
     """Every (period, agent) where an available agent m_star leaves unmatched
-    does not conjecture m_star.  Within a period, agents come in the
-    declaration order of ``economy``'s continuation."""
-    failures = []
-    for t, (cont, rest) in enumerate(continuations(economy, m_star), start=1):
-        conjectured = family.conjecture_sets(cont)
-        a1, b1 = cont.arrivals[0]
-        for k in (*a1, *b1):
-            if rest.partner(k, 1) == k and rest not in conjectured[k]:
-                failures.append((t, k))
-    return tuple(failures)
+    does not conjecture m_star, as the family's
+    :meth:`~ConjectureFamily.unconjectured_by` answers of each continuation.
+    Within a period, agents come in the declaration order of ``economy``'s
+    continuation.  Raises ValueError if m_star is not a matching of the
+    economy, as :func:`is_phi_solution` does."""
+    validate_matching(economy, m_star)
+    return tuple(
+        (t, k)
+        for t, (cont, rest) in enumerate(continuations(economy, m_star), start=1)
+        for k in family.unconjectured_by(cont, rest)
+    )
 
 
 def check_consistency(

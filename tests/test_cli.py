@@ -9,7 +9,7 @@ import pytest
 
 from dynmatch import cli, is_phi_solution, parse_matching_text
 from dynmatch.concepts import CONCEPT_NAMES
-from dynmatch.framework import StableFamily
+from dynmatch.framework import EMPTY_POLICIES, StableFamily
 from dynmatch.matching import DEFAULT_MAX_MATCHINGS
 from dynmatch.reproduce import FIXTURE_NAMES, fixture_text
 
@@ -58,6 +58,31 @@ def test_fixture_json_reports_match_the_reference_digests(name, concept, capsys)
     assert run_cli("solve", str(path), "--concept", concept, "--json") == cli.EXIT_OK
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == REFERENCE_DIGESTS["fixtures"][f"{name}/{concept}"]
+
+
+# SHA-256 of the stdout of `check --check gc` on each fixture x concept, with
+# its exit code, the same under both empty-conjecture policies; every pair
+# not listed prints "generalized consistency: pass" and exits 0.
+GC_PASS = "30786f1debd997c335b6e07ce7ea836b5711ee6098d4ac49b947ccf5c8705ac4"
+GC_FAILS = {
+    "example1/stable": "603cdbf359656d747ef26d181eb01a277533b4436ea9172a11ab112cbc72731d",
+    "example1/re": "c34e7d8621cf46121080816b78292dbe50ed6decf17efa54b6214e8986e02976",
+    "example1/sds": "a27547998d5a91782e026dd9560b576124bd389383bdb5848aef723d11135c3a",
+    "example2/stable": "153f986fdd88440f011fc2f91bea51d8c22a0c991a57776905794772486103e4",
+}
+
+
+@pytest.mark.parametrize("policy", EMPTY_POLICIES)
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+@pytest.mark.parametrize("concept", CONCEPT_NAMES)
+def test_fixture_gc_checks_match_their_digests(name, concept, policy, capsys):
+    path = ROOT / "src" / "dynmatch" / "fixtures" / f"{name}.econ"
+    argv = ("--concept", concept, "--check", "gc", "--empty-conjectures", policy)
+    code = run_cli("check", str(path), *argv)
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    failing = GC_FAILS.get(f"{name}/{concept}")
+    expected = (cli.EXIT_CHECK_FAILED, failing) if failing else (cli.EXIT_OK, GC_PASS)
+    assert (code, digest) == expected
 
 
 def test_solve_json_report_is_byte_identical(econ_file, capsys):

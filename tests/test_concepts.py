@@ -38,6 +38,7 @@ from dynmatch.framework import (
 )
 from dynmatch.matching import (
     DynamicMatching,
+    continuations,
     defer_arrivals,
     enumerate_matchings,
     matching_text,
@@ -500,9 +501,22 @@ def test_value_respecting_refinement_tests_each_first_period_once(
 
 
 @pytest.mark.parametrize("concept", ("agree", "re", "ds", "cvr-ds", "sds"))
-def test_last_period_thresholds_build_no_conjecture_sets(market1, market2, concept):
-    # Their horizon-1 thresholds are 0 without asking for a conjecture set.
+def test_last_period_thresholds_build_no_conjecture_sets(
+    monkeypatch, market1, market2, concept
+):
+    # Their horizon-1 thresholds are 0 without asking for a conjecture set,
+    # and the consistency walk answers horizon-1 membership by the rule, so
+    # neither the solve nor the walk builds a horizon-1 set or, for re and
+    # sds, defers an arrival of a horizon-1 economy.
     misses = Counter()
+    deferred = Counter()
+    defer = concepts.defer_arrivals
+
+    def counting_defer(economy, names):
+        deferred[economy.horizon] += 1
+        return defer(economy, names)
+
+    monkeypatch.setattr(concepts, "defer_arrivals", counting_defer)
     for e in (market1, market2):
         solver = Solver()
         family = solver.family(concept)
@@ -514,7 +528,93 @@ def test_last_period_thresholds_build_no_conjecture_sets(market1, market2, conce
 
         family._conjectures = counting
         solver.solution_set(concept, e)
+        solver.solve(concept, e)
+        check_generalized_consistency(e, family)
     assert misses and misses[1] == 0
+    assert deferred[1] == 0
+    assert bool(deferred[2]) == (concept in ("re", "sds"))
+
+
+def tied_one_period_markets(seed, count, max_per_side=4):
+    """One-period markets with ties, zero utilities (a tie with staying
+    single) and unlisted partners."""
+    rng = random.Random(seed)
+    markets = []
+    for _ in range(count):
+        a = [f"a{i}" for i in range(1, rng.randint(1, max_per_side) + 1)]
+        b = [f"b{i}" for i in range(1, rng.randint(1, max_per_side) + 1)]
+        utilities = {
+            (owner, partner): Fraction(rng.choice((-1, 0, 1, 1, 2, 2)))
+            for owners, partners in ((a, b), (b, a))
+            for owner in owners
+            for partner in partners
+            if rng.random() < 0.8
+        }
+        deltas = dict.fromkeys((*a, *b), Fraction(1, 2))
+        markets.append(build_economy(1, [(a, b)], deltas, utilities))
+    return markets
+
+
+@pytest.mark.parametrize("policy", EMPTY_POLICIES)
+@pytest.mark.parametrize("concept", ("agree", "re", "ds", "cvr-ds", "sds"))
+def test_last_period_rule_answers_as_the_conjecture_sets(concept, policy):
+    # The horizon-1 rule of unconjectured_by against its definition, the
+    # conjecture sets, on every pair set and every agent it leaves single.
+    outcomes = Counter()
+    markets = (
+        *corpus(71, 60, horizon=1, max_per_side=4),
+        *tied_one_period_markets(72, 60),
+    )
+    for e in markets:
+        family = Solver(policy).family(concept)
+        conjectured = family.conjecture_sets(e)
+        a1, b1 = e.arrivals[0]
+        for m in enumerate_matchings(e):
+            answer = family.unconjectured_by(e, m)
+            for k in (*a1, *b1):
+                if m.partner(k, 1) == k:
+                    expected = m not in conjectured[k]
+                    assert (k in answer) == expected, (matching_text(m), k)
+                    outcomes[expected] += 1
+                else:
+                    assert k not in answer
+            assert list(answer) == sorted(answer, key=(*a1, *b1).index)
+    assert outcomes[False]
+    assert bool(outcomes[True]) == (concept != "agree")
+
+
+def forced_walk(economy, m, family):
+    """The consistency walk with every answer read from the conjecture sets."""
+    return tuple(
+        (t, k)
+        for t, (cont, rest) in enumerate(continuations(economy, m), start=1)
+        for k in ConjectureFamily.unconjectured_by(family, cont, rest)
+    )
+
+
+@pytest.mark.parametrize("policy", EMPTY_POLICIES)
+@pytest.mark.parametrize("concept", CONCEPT_NAMES)
+def test_consistency_reports_match_the_walk_through_conjecture_sets(
+    market1, market2, stepping_market, agree_ds_market, cvr_sds_market, concept, policy
+):
+    markets = (
+        *corpus(73, 20, horizon=2, max_per_side=3),
+        *corpus(74, 12, horizon=3, max_per_side=3),
+        stepping_market,
+        agree_ds_market,
+        cvr_sds_market,
+        market1,
+        market2,
+    )
+    # A candidate's or solution's last period is stable at thresholds 0, so
+    # the five horizon-1 rules name no agent here; the test above is where a
+    # wrong rule shows.  This one checks the walk around them.
+    for e in markets:
+        family = Solver(policy).family(concept)
+        report = Solver(policy).solve(concept, e)
+        for m, passed, failures in report.consistency:
+            assert failures == forced_walk(e, m, family)
+            assert passed == (not failures)
 
 
 @pytest.mark.parametrize("concept", CONCEPT_NAMES)

@@ -169,6 +169,31 @@ def test_is_phi_solution_rejects_an_infeasible_matching():
             is_phi_solution(e, m, StableFamily())
 
 
+WRONG_HORIZON = "matching horizon differs from the economy's"
+
+
+# Matchings that are not matchings of example1 (two periods).  Unchecked, the
+# walk reported 13 failures on the first, 4 on the second, and ran past the
+# third's one period with an IndexError.
+@pytest.mark.parametrize(
+    "m, message",
+    [
+        (empty_matching(3), WRONG_HORIZON),
+        (
+            DynamicMatching(((("a1", "zz"),), (("a1", "zz"),))),
+            "zz is not a side-B agent arrived by 1",
+        ),
+        (empty_matching(1), WRONG_HORIZON),
+    ],
+    ids=["three-periods", "unknown-agent", "one-period"],
+)
+@pytest.mark.parametrize("concept", CONCEPT_NAMES)
+def test_consistency_walk_rejects_a_matching_of_another_economy(m, message, concept):
+    e = load_fixture("example1")[0]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        consistency_failures(e, m, Solver().family(concept))
+
+
 def test_conjecture_sets_leave_the_owner_unmatched_now():
     for i, e in enumerate(corpus(37, 10, max_per_side=2)):
         family = RandomFamily(300 + i)

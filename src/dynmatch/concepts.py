@@ -21,7 +21,9 @@ continuation (see :class:`~dynmatch.framework.ConjectureFamily`):
 
 ``cvr-ds`` and ``sds`` share the iteration of :class:`FixedPointFamily`,
 started, through the class order, from the rule of ``agree`` and of ``re``;
-they differ in the step.
+they differ in the step.  Every concept but ``stable`` subclasses
+:class:`~dynmatch.framework.AgreeFamily` and inherits its last-period
+thresholds and consistency answer.
 """
 
 from __future__ import annotations
@@ -41,16 +43,14 @@ from .framework import (
     is_phi_solution,
 )
 from .matching import DEFAULT_MAX_MATCHINGS, DynamicMatching, defer_arrivals
-from .statics import StaticEconomy, is_stable, stability_among_matched
+from .statics import stability_among_matched
 
 
-class REFamily(ConjectureFamily):
+class REFamily(AgreeFamily):
     """Conjectures of k = solutions of the economy where k arrives a period
     late (with a one-period horizon, where k is absent altogether)."""
 
     name = "re"
-    _threshold_rule = AgreeFamily._threshold_rule
-    unconjectured_by = AgreeFamily.unconjectured_by
 
     def _conjectures(self, economy):
         # A matching of the deferred economy is literally a matching of the
@@ -59,16 +59,6 @@ class REFamily(ConjectureFamily):
         return {
             k: self.solution_set(defer_arrivals(economy, [k])) for k in (*a1, *b1)
         }
-
-    def _last_unconjectured_by(self, economy, m, single):
-        # k's set: the pair sets stable at thresholds 0 without k.
-        pairs = m.pairs_at(1)
-
-        def without(k):
-            a1, b1 = ([n for n in side if n != k] for side in economy.arrivals[0])
-            return StaticEconomy(economy, tuple(a1), tuple(b1))
-
-        return tuple(k for k in single if not is_stable(without(k), pairs))
 
 
 class DSFamily(AgreeFamily):
@@ -84,10 +74,6 @@ class DSFamily(AgreeFamily):
         return self._single_now(
             economy, lambda p1: stability_among_matched(economy, p1, {})
         )
-
-    def _last_unconjectured_by(self, economy, m, single):
-        # The period-1 test is the same for every agent, so it runs once.
-        return () if stability_among_matched(economy, m.pairs_at(1), {}) else single
 
 
 class FixedPointFamily(ConjectureFamily):
@@ -126,7 +112,6 @@ class CVRFamily(FixedPointFamily, AgreeFamily):
     decreasing iteration over all period-1 agents simultaneously."""
 
     name = "cvr-ds"
-    _last_unconjectured_by = DSFamily._last_unconjectured_by
 
     def _refine(self, economy, current, members):
         """``members`` filtered by the thresholds that ``current`` implies.

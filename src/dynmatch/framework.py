@@ -52,7 +52,7 @@ from .matching import (
     validate_matching,
 )
 from .statics import NEG_INF, POS_INF, StaticEconomy, assert_lone_wolf, first_block
-from .statics import stable_set, unblocked
+from .statics import is_stable, stable_set, unblocked
 
 # How an empty conjecture set constrains its owner: not at all (threshold
 # NEG_INF) or completely (threshold POS_INF).
@@ -168,8 +168,12 @@ class ConjectureFamily:
         """Each period-1 agent k's worst period-1 payoff over
         ``conjectured[k]``, in declaration order; an empty set gives the
         sentinel of the family's empty-conjecture policy.  This is the one
-        conversion from conjecture sets to thresholds."""
+        conversion from conjecture sets to thresholds; ValueError names any
+        period-1 agent that ``conjectured`` leaves out."""
         a1, b1 = economy.arrivals[0]
+        missing = ", ".join(k for k in (*a1, *b1) if k not in conjectured)
+        if missing:
+            raise ValueError(f"no conjecture set for period-1 agents {missing}")
         empty = self._empty
         return {
             k: min((payoff(economy, m, k, 1) for m in conjectured[k]), default=empty)
@@ -333,66 +337,52 @@ class AgreeFamily(ConjectureFamily):
         period-1 agent's threshold is 0, returned without building any
         conjecture set; at any other horizon, the default rule.
 
-        ``agree``, ``ds``, ``re``, ``cvr-ds`` and ``sds`` take this rule.
-        Each of their conjectures leaves its owner single in period 1,
-        which at horizon 1 is the only period, so it pays its owner 0.  A
-        threshold is the minimum over a conjecture set, so it is 0 as soon
-        as the set is nonempty, and no set of these rules is empty:
+        ``agree``, ``ds``, ``re``, ``cvr-ds`` and ``sds`` take this rule and
+        :meth:`unconjectured_by`.  Both rest on one lemma.  At horizon 1 a
+        conjecture of k is a pair set that leaves k single, stitched onto
+        the one horizon-0 matching.  Under each of the five, k's set holds
+        every pair set that leaves k single and is stable at thresholds 0
+        in the market without k:
 
-        - ``agree`` and ``ds`` contain the first period in which nobody
-          matches (it is stable among its matched agents, of whom there
-          are none), stitched onto the one horizon-0 matching;
-        - ``cvr-ds`` starts from ``agree``'s sets, and its refinement keeps
-          that all-single matching, which is stable among its matched
-          agents whatever the thresholds;
-        - ``re``'s set for k is the solution set of the one-period market
-          without k.  By induction on the number of agents its thresholds
-          are 0, so it is that market's stable set with staying single
-          worth 0, which is nonempty (Gale & Shapley 1962);
+        - ``agree``'s set is every pair set that leaves k single;
+        - ``ds``'s tests only stability among the matched agents, whose
+          checks are a subset of those of the market without k;
+        - ``cvr-ds`` starts from ``agree``'s sets, whose thresholds are 0
+          (below), so its first refinement is ``ds``'s filter; ``ds``'s sets
+          have thresholds 0 too, so the next refinement changes nothing;
+        - ``re``'s set is the solution set of the market without k.  By
+          induction on the number of agents its thresholds are 0, so it
+          is exactly the pair sets named;
         - ``sds`` starts from ``re``'s sets and only adds to them.
+
+        Such a pair set exists (Gale & Shapley 1962; with ties, on a strict
+        refinement), so no set is empty.  Each conjecture leaves its owner
+        single in the only period, so it pays 0, and each threshold, the
+        minimum over a nonempty set, is 0.
 
         ``stable`` keeps the default: its one conjecture costs one payoff.
         The zeros spare ``re`` and ``sds`` the deferred last-period markets.
         """
         if economy.horizon != 1:
-            return ConjectureFamily._threshold_rule(self, economy)
+            return super()._threshold_rule(economy)
         a1, b1 = economy.arrivals[0]
         return dict.fromkeys((*a1, *b1), ZERO)
 
     def unconjectured_by(self, economy, m):
-        """At the last period, each family's :meth:`_last_unconjectured_by`
-        answers by its rule and builds no conjecture set; at any other
-        horizon, the default.  The five families of :meth:`_threshold_rule`
-        take this rule.  At horizon 1 a matching is its one pair set, and a
-        conjecture of k is a pair set that leaves k single, so the question
-        is which agents ``m`` leaves single hold ``m``'s pair set:
-
-        - ``agree``: k's set is every pair set that leaves k single, so
-          every such agent conjectures ``m``;
-        - ``ds``: k's set is the pair sets that leave k single and are
-          stable among their matched agents, one test for every agent;
-        - ``cvr-ds`` has ``ds``'s sets.  It starts from ``agree``'s, whose
-          thresholds are all 0, so its first refinement is ``ds``'s filter;
-          ``ds``'s sets are nonempty (see above), so their thresholds are
-          0 too and the next refinement changes nothing;
-        - ``re``: k's set is the solution set of the market without k, whose
-          thresholds are 0 (see above): its stable set at thresholds 0
-          (:func:`~dynmatch.statics.is_stable`);
-        - ``sds`` has ``re``'s sets.  Its step adds the pair sets that leave
-          k single and are stable in the whole market at thresholds 0.  Such
-          a pair set is stable in the market without k as well, whose checks
-          are a subset of the whole market's, so it is in ``re``'s set
-          already.
-
-        So the walk solves no deferred last-period market for ``re`` and
-        ``sds``, and builds no horizon-1 conjecture set for any of the five.
+        """Nobody, at the last period, if ``m``'s pair set is stable at
+        thresholds 0 among every period-1 agent; otherwise, and at any
+        other horizon, the default.  Stability in the whole market makes a
+        superset of the checks of the market without any agent k that
+        ``m`` leaves single, so by the lemma of :meth:`_threshold_rule` k
+        conjectures ``m``.  Every candidate and solution passes the test,
+        so the walk builds no horizon-1 conjecture set for them and, for
+        ``re`` and ``sds``, solves no deferred last-period market.
         """
-        if economy.horizon != 1:
-            return ConjectureFamily.unconjectured_by(self, economy, m)
-        return self._last_unconjectured_by(economy, m, _single(economy, m))
-
-    def _last_unconjectured_by(self, economy, m, single):
-        return ()
+        if economy.horizon == 1:
+            e1 = StaticEconomy(economy, *economy.arrivals[0])
+            if is_stable(e1, m.pairs_at(1)):
+                return ()
+        return super().unconjectured_by(economy, m)
 
 
 def period_witness(
@@ -469,9 +459,6 @@ def candidate_set(
     matchings backing their reservation value (ValueError names any left out)."""
     if economy.horizon == 0:
         return _HORIZON_0
-    missing = [k for side in economy.arrivals[0] for k in side if k not in conjectured]
-    if missing:
-        raise ValueError(f"no conjecture set for period-1 agents {', '.join(missing)}")
 
     def solved(cont: Economy) -> tuple[DynamicMatching, ...]:
         sols = family.solution_set(cont)

@@ -8,10 +8,10 @@ from pathlib import Path
 import pytest
 
 from dynmatch import cli, is_phi_solution, parse_matching_text
-from dynmatch.concepts import CONCEPT_NAMES
+from dynmatch.concepts import CONCEPT_NAMES, Solver
 from dynmatch.framework import EMPTY_POLICIES, StableFamily
-from dynmatch.matching import DEFAULT_MAX_MATCHINGS
-from dynmatch.reproduce import FIXTURE_NAMES, fixture_text
+from dynmatch.matching import DEFAULT_MAX_MATCHINGS, matching_text
+from dynmatch.reproduce import FIXTURE_NAMES, fixture_text, load_fixture
 
 ROOT = Path(__file__).resolve().parent.parent
 # SHA-256 of every fixture x concept `solve --json` report, recorded with the
@@ -82,6 +82,47 @@ def test_fixture_gc_checks_match_their_digests(name, concept, policy, capsys):
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     failing = GC_FAILS.get(f"{name}/{concept}")
     expected = (cli.EXIT_CHECK_FAILED, failing) if failing else (cli.EXIT_OK, GC_PASS)
+    assert (code, digest) == expected
+
+
+# The one candidate of each fixture x concept, the same under both
+# empty-conjecture policies, with whether `check --check cc` passes it.  A
+# pass prints "consistency: pass" and exits 0; each failure prints "not
+# conjectured by a3 at t=1" and exits with EXIT_CHECK_FAILED.
+CC_PASS = "c8ec96435d055ae45cf3fbe34ed1bd495772997be19d3e8cd859d163dafe67a8"
+CC_FAIL = "e867883d35c21eb382e8020dd12ba6230eb9732738d3fb95b0b0c1a43d0397e8"
+EXAMPLE1_CANDIDATE = "t=1: a1-b1 a2-b2 | t=2: a3-b3 a4-b4"
+EXAMPLE2_LATE = "t=1: - | t=2: a1-b3 a2-b4 a3-b1 a4-b2"
+EXAMPLE2_EARLY = "t=1: a2-b2 | t=2: a1-b3 a3-b1 a4-b4"
+CC_CANDIDATES = {
+    "example1/stable": (EXAMPLE1_CANDIDATE, False),
+    "example1/agree": (EXAMPLE1_CANDIDATE, True),
+    "example1/re": (EXAMPLE1_CANDIDATE, False),
+    "example1/ds": (EXAMPLE1_CANDIDATE, True),
+    "example1/cvr-ds": (EXAMPLE1_CANDIDATE, True),
+    "example1/sds": (EXAMPLE1_CANDIDATE, True),
+    "example2/stable": ("t=1: a1-b1 a2-b2 | t=2: a3-b4 a4-b3", True),
+    "example2/agree": (EXAMPLE2_EARLY, True),
+    "example2/re": (EXAMPLE2_LATE, True),
+    "example2/ds": (EXAMPLE2_EARLY, True),
+    "example2/cvr-ds": (EXAMPLE2_LATE, True),
+    "example2/sds": (EXAMPLE2_LATE, True),
+}
+
+
+@pytest.mark.parametrize("policy", EMPTY_POLICIES)
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+@pytest.mark.parametrize("concept", CONCEPT_NAMES)
+def test_fixture_cc_checks_match_their_digests(name, concept, policy, capsys):
+    text, passed = CC_CANDIDATES[f"{name}/{concept}"]
+    family = Solver(policy).family(concept)
+    candidates = family.candidates(load_fixture(name)[0])
+    assert [matching_text(m) for m in candidates] == [text]
+    path = ROOT / "src" / "dynmatch" / "fixtures" / f"{name}.econ"
+    argv = ("--concept", concept, "--check", "cc", "--empty-conjectures", policy)
+    code = run_cli("check", str(path), *argv, "--matching", text)
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    expected = (cli.EXIT_OK, CC_PASS) if passed else (cli.EXIT_CHECK_FAILED, CC_FAIL)
     assert (code, digest) == expected
 
 

@@ -30,6 +30,7 @@ from dynmatch.framework import (
     StableFamily,
     candidate_matchings,
     candidate_set,
+    check_consistency,
     check_generalized_consistency,
     consistency_failures,
     is_phi_solution,
@@ -54,6 +55,7 @@ from dynmatch.reproduce import (
 )
 from dynmatch.statics import NEG_INF, POS_INF, stability_among_matched
 
+import reference
 from corpus import DELTAS, ODD_NUMERATORS, corpus, random_economy
 
 
@@ -502,11 +504,13 @@ def test_value_respecting_refinement_tests_each_first_period_once(
 
 @pytest.mark.parametrize("concept", ("agree", "re", "ds", "cvr-ds", "sds"))
 def test_last_period_thresholds_build_no_conjecture_sets(
-    monkeypatch, market1, market2, concept
+    monkeypatch, market1, market2, stepping_market, agree_ds_market, cvr_sds_market,
+    concept,
 ):
     # Their horizon-1 thresholds are 0 without asking for a conjecture set,
-    # and the consistency walk answers horizon-1 membership by the rule, so
-    # neither the solve nor the walk builds a horizon-1 set or, for re and
+    # and every candidate's and solution's last pair set is stable at 0, so
+    # unconjectured_by never falls back to the conjecture sets: neither the
+    # solve nor the cc and gc walks builds a horizon-1 set or, for re and
     # sds, defers an arrival of a horizon-1 economy.
     misses = Counter()
     deferred = Counter()
@@ -517,19 +521,31 @@ def test_last_period_thresholds_build_no_conjecture_sets(
         return defer(economy, names)
 
     monkeypatch.setattr(concepts, "defer_arrivals", counting_defer)
-    for e in (market1, market2):
-        solver = Solver()
-        family = solver.family(concept)
-        rule = family._conjectures
+    markets = (
+        market1,
+        market2,
+        stepping_market,
+        agree_ds_market,
+        cvr_sds_market,
+        *corpus(75, 20, horizon=2, max_per_side=3),
+        *corpus(76, 12, horizon=3, max_per_side=3),
+    )
+    for policy in EMPTY_POLICIES:
+        for e in markets:
+            solver = Solver(policy)
+            family = solver.family(concept)
+            rule = family._conjectures
 
-        def counting(economy):
-            misses[economy.horizon] += 1
-            return rule(economy)
+            def counting(economy, rule=rule):
+                misses[economy.horizon] += 1
+                return rule(economy)
 
-        family._conjectures = counting
-        solver.solution_set(concept, e)
-        solver.solve(concept, e)
-        check_generalized_consistency(e, family)
+            family._conjectures = counting
+            solver.solution_set(concept, e)
+            solver.solve(concept, e)
+            for m in family.candidates(e):
+                check_consistency(e, m, family)
+            check_generalized_consistency(e, family)
     assert misses and misses[1] == 0
     assert deferred[1] == 0
     assert bool(deferred[2]) == (concept in ("re", "sds"))
@@ -581,6 +597,41 @@ def test_last_period_rule_answers_as_the_conjecture_sets(concept, policy):
             assert list(answer) == sorted(answer, key=(*a1, *b1).index)
     assert outcomes[False]
     assert bool(outcomes[True]) == (concept != "agree")
+
+
+@pytest.mark.parametrize("policy", EMPTY_POLICIES)
+@pytest.mark.parametrize("concept", CONCEPT_NAMES)
+def test_last_period_conjecture_sets_match_the_reference(concept, policy):
+    # tests/reference.py builds each concept's horizon-1 sets from the
+    # definitions, with its own enumerator and stability test, so a fault in
+    # the static layer that moves the solver's sets and its answers together
+    # (first_block, unblocked, is_stable) shows here.
+    markets = (
+        *corpus(71, 60, horizon=1, max_per_side=4),
+        *tied_one_period_markets(72, 60),
+    )
+    for e in markets:
+        expected = reference.conjecture_sets(concept, e)
+        conjectured = Solver(policy).family(concept).conjecture_sets(e)
+        assert set(conjectured) == set(expected)
+        for k, ms in conjectured.items():
+            firsts = [frozenset(m.pairs_at(1)) for m in ms]
+            assert len(set(firsts)) == len(firsts)
+            assert set(firsts) == expected[k], k
+        if concept == "stable":
+            continue
+        # The lemma of AgreeFamily._threshold_rule: k's set holds every pair
+        # set stable at 0 in the market without k, and there is one.  So a
+        # pair set stable in the whole market is conjectured by every agent
+        # it leaves single.
+        a1, b1 = e.arrivals[0]
+        for k in expected:
+            without = reference.stable_without(e, k)
+            assert without and without <= expected[k], k
+        for p in reference.pair_sets(a1, b1):
+            if reference.stable_at_zero(e, a1, b1, p):
+                single = {*a1, *b1}.difference(*p)
+                assert all(p in expected[k] for k in single)
 
 
 def forced_walk(economy, m, family):

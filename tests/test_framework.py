@@ -274,16 +274,19 @@ def test_horizon_0_candidate_set_is_the_empty_matching():
 
 
 def test_candidate_set_names_the_agents_it_has_no_conjectures_for():
+    # thresholds_of is the one conversion from conjecture sets, so it names
+    # the agents left out, and candidate_set reports them through it.
     e = load_fixture("example1")[0]
-    family = StableFamily()
-    message = "^no conjecture set for period-1 agents a1, a2, a3, b1, b2$"
-    with pytest.raises(ValueError, match=message):
-        candidate_set(e, {}, family)
-    partial = dict(family.conjecture_sets(e))
-    del partial["a2"], partial["b1"]
-    message = "^no conjecture set for period-1 agents a2, b1$"
-    with pytest.raises(ValueError, match=message):
-        candidate_set(e, partial, family)
+    for family in (StableFamily(), Solver().family("re")):
+        partial = dict(family.conjecture_sets(e))
+        del partial["a2"], partial["b1"]
+        for entry in (family.thresholds_of, lambda e, c: candidate_set(e, c, family)):
+            message = "^no conjecture set for period-1 agents a1, a2, a3, b1, b2$"
+            with pytest.raises(ValueError, match=message):
+                entry(e, {})
+            message = "^no conjecture set for period-1 agents a2, b1$"
+            with pytest.raises(ValueError, match=message):
+                entry(e, partial)
 
 
 def test_solver_never_calls_the_exhaustive_routes(monkeypatch):

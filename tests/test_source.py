@@ -1,10 +1,13 @@
 """The package keeps promises that no other test would notice breaking: it
-imports only the standard library, it writes no float literal, and every
-name it imports is read."""
+imports only the standard library, it writes no float literal, every name
+it imports is read, and a family takes another's rule only by inheriting it."""
 
 import ast
 import sys
 from pathlib import Path
+
+from dynmatch.concepts import FAMILIES
+from dynmatch.framework import AgreeFamily
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "dynmatch"
 
@@ -139,3 +142,30 @@ def test_static_scans_read_utilities_from_the_profile():
     owners = _utility_owners(statics) + _utility_owners(witness)
     assert owners
     assert [o for o in owners if not o.endswith(".profile")] == []
+
+
+def test_no_class_body_copies_another_class_attribute():
+    # A family takes another's rule by inheriting it, so the rule has one
+    # home: a class body that assigns ``name = Other.attr`` copies it.
+    copies = []
+    for module in ("framework.py", "concepts.py"):
+        tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            for node in cls.body:
+                value = getattr(node, "value", None)
+                if (
+                    isinstance(node, (ast.Assign, ast.AnnAssign))
+                    and isinstance(value, ast.Attribute)
+                    and isinstance(value.value, ast.Name)
+                    and value.value.id != cls.name
+                ):
+                    copies.append(f"{module}:{node.lineno}: {ast.unparse(node)}")
+    assert copies == []
+
+
+def test_every_concept_but_stable_inherits_agree_last_period_rules():
+    # AgreeFamily holds the horizon-1 thresholds and consistency answer of
+    # agree, ds, re, cvr-ds and sds.
+    assert {
+        name for name, cls in FAMILIES.items() if issubclass(cls, AgreeFamily)
+    } == set(FAMILIES) - {"stable"}

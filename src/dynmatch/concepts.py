@@ -23,7 +23,7 @@ continuation (see :class:`~dynmatch.framework.ConjectureFamily`):
 started, through the class order, from the rule of ``agree`` and of ``re``;
 they differ in the step.  Every concept but ``stable`` subclasses
 :class:`~dynmatch.framework.AgreeFamily` and inherits its last-period
-thresholds and consistency answer.
+thresholds and consistency answer and its one-sided-period solutions.
 """
 
 from __future__ import annotations

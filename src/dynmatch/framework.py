@@ -10,7 +10,11 @@ histories with the same continuation share one cache entry.
 
 The solve path follows the recursive definitions: a solution, a conjecture
 and a candidate are each a first period stitched onto a solved continuation
-by one family method, :meth:`ConjectureFamily._stitched`.  The exhaustive
+by one family method, :meth:`ConjectureFamily._stitched`.  A period with
+agents on one side only forms no pair, and under every built-in concept but
+``stable`` its solutions are the empty first period stitched onto the
+solutions of the economy it leaves, read without a threshold
+(:meth:`AgreeFamily._solutions`).  The exhaustive
 :func:`phi_solution_set` and :func:`candidate_matchings` filter every full
 matching and are kept only as oracles.  :func:`is_phi_solution` is the
 one walk of a matching's periods for a witness, and it validates the
@@ -60,8 +64,8 @@ EMPTY_POLICIES = ("vacuous", "strict")
 
 # The horizon-0 economy, where every recursion ends, has one matching, and it
 # is a solution and a candidate under every concept.  It has no period 1 to
-# stitch from and no period-1 agent, so it is returned, as are its empty
-# conjecture sets and thresholds, before any memo lookup.
+# stitch from and no period-1 agent (:func:`_period_1`), so it is returned,
+# as are its empty conjecture sets and thresholds, before any memo lookup.
 _HORIZON_0 = (DynamicMatching(()),)
 
 @dataclass(frozen=True)
@@ -138,7 +142,7 @@ class ConjectureFamily:
 
     def conjecture_set(self, economy: Economy, k: str) -> tuple[DynamicMatching, ...]:
         """The conjectures of k, who must be available in period 1."""
-        a1, b1 = economy.arrivals[0] if economy.horizon else ((), ())
+        a1, b1 = _period_1(economy)
         if k not in a1 and k not in b1:
             raise NotAvailable(f"{k} is not available at period 1")
         return self.conjecture_sets(economy)[k]
@@ -170,7 +174,7 @@ class ConjectureFamily:
         sentinel of the family's empty-conjecture policy.  This is the one
         conversion from conjecture sets to thresholds; ValueError names any
         period-1 agent that ``conjectured`` leaves out."""
-        a1, b1 = economy.arrivals[0]
+        a1, b1 = _period_1(economy)
         missing = ", ".join(k for k in (*a1, *b1) if k not in conjectured)
         if missing:
             raise ValueError(f"no conjecture set for period-1 agents {missing}")
@@ -203,7 +207,9 @@ class ConjectureFamily:
 
     def _solutions(self, economy: Economy) -> tuple[DynamicMatching, ...]:
         """Every first period stitched onto the solutions of the economy it
-        leaves, keeping the matchings with no period-1 witness.
+        leaves, keeping the matchings with no period-1 witness.  This is the
+        definition; :meth:`AgreeFamily._solutions` skips the filter where it
+        provably keeps everything.
 
         At the last period a payoff is the partner's utility, or 0 for a
         single agent, so the first periods are the static scan
@@ -337,12 +343,12 @@ class AgreeFamily(ConjectureFamily):
         period-1 agent's threshold is 0, returned without building any
         conjecture set; at any other horizon, the default rule.
 
-        ``agree``, ``ds``, ``re``, ``cvr-ds`` and ``sds`` take this rule and
-        :meth:`unconjectured_by`.  Both rest on one lemma.  At horizon 1 a
-        conjecture of k is a pair set that leaves k single, stitched onto
-        the one horizon-0 matching.  Under each of the five, k's set holds
-        every pair set that leaves k single and is stable at thresholds 0
-        in the market without k:
+        ``agree``, ``ds``, ``re``, ``cvr-ds`` and ``sds`` take this rule,
+        :meth:`unconjectured_by` and :meth:`_solutions`.  The first two rest
+        on one lemma.  At horizon 1 a conjecture of k is a pair set that
+        leaves k single, stitched onto the one horizon-0 matching.  Under
+        each of the five, k's set holds every pair set that leaves k single
+        and is stable at thresholds 0 in the market without k:
 
         - ``agree``'s set is every pair set that leaves k single;
         - ``ds``'s tests only stability among the matched agents, whose
@@ -384,6 +390,36 @@ class AgreeFamily(ConjectureFamily):
                 return ()
         return super().unconjectured_by(economy, m)
 
+    def _solutions(self, economy):
+        """The empty first period stitched onto the solutions S(C) of the
+        economy C it leaves, if period 1 lacks side-A or side-B agents and
+        the horizon is 2 or more; otherwise the default.
+
+        The default keeps each matching of ∅ + S(C) that has no period-1
+        witness, and none has one:
+
+        - no pair can form now, so none can block;
+        - each waiting agent j conjectures exactly ∅ + S(C): ``agree`` and
+          ``ds`` by their rules (``ds``'s test passes the empty pair set);
+          ``cvr-ds`` because its refinement keeps every empty first
+          period; ``re`` by induction on the period-1 agents, as deferring
+          j leaves a one-sided period and the same C; ``sds`` because the
+          only candidate first period of a one-sided period is ∅;
+        - so j's threshold is the minimum over the very set being
+          filtered, and individual rationality removes nothing.
+
+        If S(C) is empty, both routes stitch nothing and read no threshold.
+        So no threshold, conjecture set, fixed point or deferred market of
+        a one-sided economy is built for its solutions; the one stitch
+        still counts toward the cap and is guarded against a horizon too
+        long to recurse.  At horizon 1 the default scan is kept: its
+        thresholds are 0 without any set.  ``stable`` keeps the default.
+        """
+        a1, b1 = economy.arrivals[0]
+        if economy.horizon == 1 or (a1 and b1):
+            return super()._solutions(economy)
+        return self._stitched(economy, ((),), self.solution_set)
+
 
 def period_witness(
     cont: Economy, rest: DynamicMatching, family: ConjectureFamily, t: int = 1
@@ -420,8 +456,13 @@ def is_phi_solution(economy: Economy, m: DynamicMatching, family: ConjectureFami
 
 def _single(economy: Economy, m: DynamicMatching) -> tuple[str, ...]:
     """The period-1 agents ``m`` leaves single, in declaration order."""
-    a1, b1 = economy.arrivals[0]
+    a1, b1 = _period_1(economy)
     return tuple(k for k in (*a1, *b1) if m.partner(k, 1) == k)
+
+
+def _period_1(economy: Economy) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Period 1's side-A and side-B arrivals; none at horizon 0."""
+    return economy.arrivals[0] if economy.horizon else ((), ())
 
 
 def _canonical(matchings: Iterable[DynamicMatching]) -> tuple[DynamicMatching, ...]:

@@ -2,6 +2,7 @@ import random
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -502,10 +503,26 @@ def test_value_respecting_refinement_tests_each_first_period_once(
     assert all(n == 1 for c in counts for n in c.values())
 
 
+@pytest.fixture(scope="module")
+def pinned_and_corpus_markets(
+    market1, market2, stepping_market, agree_ds_market, cvr_sds_market
+):
+    """Both fixtures, the three pinned markets and 32 corpus markets of
+    horizons 2 and 3, at most 3 agents a side."""
+    return (
+        market1,
+        market2,
+        stepping_market,
+        agree_ds_market,
+        cvr_sds_market,
+        *corpus(75, 20, horizon=2, max_per_side=3),
+        *corpus(76, 12, horizon=3, max_per_side=3),
+    )
+
+
 @pytest.mark.parametrize("concept", ("agree", "re", "ds", "cvr-ds", "sds"))
 def test_last_period_thresholds_build_no_conjecture_sets(
-    monkeypatch, market1, market2, stepping_market, agree_ds_market, cvr_sds_market,
-    concept,
+    monkeypatch, pinned_and_corpus_markets, concept
 ):
     # Their horizon-1 thresholds are 0 without asking for a conjecture set,
     # and every candidate's and solution's last pair set is stable at 0, so
@@ -521,17 +538,8 @@ def test_last_period_thresholds_build_no_conjecture_sets(
         return defer(economy, names)
 
     monkeypatch.setattr(concepts, "defer_arrivals", counting_defer)
-    markets = (
-        market1,
-        market2,
-        stepping_market,
-        agree_ds_market,
-        cvr_sds_market,
-        *corpus(75, 20, horizon=2, max_per_side=3),
-        *corpus(76, 12, horizon=3, max_per_side=3),
-    )
     for policy in EMPTY_POLICIES:
-        for e in markets:
+        for e in pinned_and_corpus_markets:
             solver = Solver(policy)
             family = solver.family(concept)
             rule = family._conjectures
@@ -549,6 +557,68 @@ def test_last_period_thresholds_build_no_conjecture_sets(
     assert misses and misses[1] == 0
     assert deferred[1] == 0
     assert bool(deferred[2]) == (concept in ("re", "sds"))
+
+
+def one_sided(economy):
+    """Horizon 2 or more, and period 1 lacks side-A or side-B agents: the
+    economies whose solutions AgreeFamily stitches straight from their
+    continuation."""
+    a1, b1 = economy.arrivals[0]
+    return economy.horizon >= 2 and not (a1 and b1)
+
+
+@pytest.mark.parametrize("policy", EMPTY_POLICIES)
+@pytest.mark.parametrize("concept", ("agree", "re", "ds", "cvr-ds", "sds"))
+def test_one_sided_periods_solve_as_the_default_filter(
+    pinned_and_corpus_markets, concept, policy
+):
+    # Every one-sided economy a solve reaches has the solutions of the
+    # definition, ConjectureFamily._solutions, on a fresh family that takes
+    # that route at every economy: a rule that also skipped the threshold
+    # filter of a two-sided period would show in the continuations.
+    checked = 0
+    for e in pinned_and_corpus_markets:
+        solver = Solver(policy)
+        family = solver.family(concept)
+        reached = []
+        rule = family._solutions
+
+        def recording(economy, rule=rule, reached=reached):
+            reached.append(economy)
+            return rule(economy)
+
+        family._solutions = recording
+        solver.solve(concept, e)
+        fresh = Solver(policy).family(concept)
+        fresh._solutions = partial(ConjectureFamily._solutions, fresh)
+        for d in filter(one_sided, reached):
+            assert family.solution_set(d) == ConjectureFamily._solutions(fresh, d)
+            checked += 1
+    assert checked >= 20  # 27 for agree, ds and cvr-ds; 190 for re and sds
+
+
+@pytest.mark.parametrize("policy", EMPTY_POLICIES)
+@pytest.mark.parametrize("concept", ("agree", "re", "ds", "cvr-ds", "sds"))
+def test_one_sided_periods_build_no_thresholds(
+    pinned_and_corpus_markets, concept, policy
+):
+    # Their solutions read no threshold and build no conjecture set, so re
+    # and sds defer no arrival of a one-sided economy and cvr-ds and sds
+    # run no fixed point on one.
+    calls = Counter()
+    for e in pinned_and_corpus_markets:
+        family = Solver(policy).family(concept)
+        for hook in ("_solutions", "_threshold_rule", "_conjectures"):
+            rule = getattr(family, hook)
+
+            def counting(economy, hook=hook, rule=rule):
+                calls[hook, one_sided(economy)] += 1
+                return rule(economy)
+
+            setattr(family, hook, counting)
+        family.solution_set(e)
+    assert calls["_solutions", True] >= 20
+    assert calls["_threshold_rule", True] == calls["_conjectures", True] == 0
 
 
 def tied_one_period_markets(seed, count, max_per_side=4):
@@ -814,6 +884,8 @@ def test_horizon_0_has_no_period_1_agent(concept):
     with pytest.raises(NotAvailable, match=message):
         solver.conjectures(concept, e, "a1")
     assert solver.solve(concept, e).solutions == (DynamicMatching(()),)
+    assert family.thresholds_of(e, {}) == {}
+    assert family.unconjectured_by(e, DynamicMatching(())) == ()
 
 
 def test_solve_report_contents(solver, market1):

@@ -165,7 +165,14 @@ def test_no_class_body_copies_another_class_attribute():
 
 def test_every_concept_but_stable_inherits_agree_last_period_rules():
     # AgreeFamily holds the horizon-1 thresholds and consistency answer of
-    # agree, ds, re, cvr-ds and sds.
+    # agree, ds, re, cvr-ds and sds, and their one-sided-period solutions:
+    # no concept class defines _solutions again.
     assert {
         name for name, cls in FAMILIES.items() if issubclass(cls, AgreeFamily)
     } == set(FAMILIES) - {"stable"}
+    assert {
+        base.__name__
+        for cls in FAMILIES.values()
+        for base in cls.__mro__
+        if "_solutions" in vars(base)
+    } == {"ConjectureFamily", "AgreeFamily"}

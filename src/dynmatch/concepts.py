@@ -43,7 +43,6 @@ from .framework import (
     is_phi_solution,
 )
 from .matching import DEFAULT_MAX_MATCHINGS, DynamicMatching, defer_arrivals
-from .statics import stability_among_matched
 
 
 class REFamily(AgreeFamily):
@@ -68,12 +67,7 @@ class DSFamily(AgreeFamily):
     name = "ds"
 
     def _conjectures(self, economy):
-        # The period-1 test is cheap; it runs first so that rejected first
-        # periods are never stitched.  It spares no continuation solve: on
-        # the solve path, _solutions has stitched every first period already.
-        return self._single_now(
-            economy, lambda p1: stability_among_matched(economy, p1, {})
-        )
+        return self._single_now(economy, self._among_matched(economy, {}))
 
 
 class FixedPointFamily(ConjectureFamily):
@@ -114,12 +108,12 @@ class CVRFamily(FixedPointFamily, AgreeFamily):
     name = "cvr-ds"
 
     def _refine(self, economy, current, members):
-        """``members`` filtered by the thresholds that ``current`` implies.
-        The test reads only a member's first period, and agents' conjectures
-        share first periods, so it runs once per distinct first period."""
+        """``members`` whose first period is stable among the agents it
+        matches at the thresholds that ``current`` implies: one memoized
+        scan of period 1 per threshold mapping, however many members share
+        a first period."""
         thr = self.thresholds_of(economy, current)
-        firsts = {m.pairs_at(1) for ms in members.values() for m in ms}
-        stable = {p1 for p1 in firsts if stability_among_matched(economy, p1, thr)}
+        stable = set(self._among_matched(economy, thr))
         return {
             k: tuple(m for m in ms if m.pairs_at(1) in stable)
             for k, ms in members.items()

@@ -56,7 +56,7 @@ from .matching import (
     validate_matching,
 )
 from .statics import NEG_INF, POS_INF, StaticEconomy, assert_lone_wolf, first_block
-from .statics import is_stable, stable_set, unblocked
+from .statics import stable_set, unblocked
 
 # How an empty conjecture set constrains its owner: not at all (threshold
 # NEG_INF) or completely (threshold POS_INF).
@@ -262,13 +262,21 @@ class ConjectureFamily:
         entries.append((thresholds, singles, found))
         return found
 
-    def _single_now(self, economy: Economy, keep=lambda p1: True) -> dict:
-        """Each period-1 agent's matchings that leave it single now, their
-        first periods passing ``keep``.  The first periods are stitched onto
-        the solutions of the economies they leave once, and the cap counts
-        that one stitch; each agent's set is a subsequence of it."""
+    def _among_matched(self, economy: Economy, thresholds: Mapping):
+        """The period-1 pair sets stable among the agents they match, at
+        ``thresholds`` (0 for an agent the mapping leaves out): the scan
+        with every single agent attaining ``POS_INF``, which can neither
+        fall short of a threshold nor join a block."""
         a1, b1 = economy.arrivals[0]
-        firsts = filter(keep, period_matchings(a1, b1))
+        thr = {k: thresholds.get(k, ZERO) for k in (*a1, *b1)}
+        return self._scan(economy, thr, dict.fromkeys(thr, POS_INF))
+
+    def _single_now(self, economy: Economy, firsts) -> dict:
+        """Each period-1 agent's matchings that leave it single now, their
+        first periods drawn from ``firsts``.  The first periods are stitched
+        onto the solutions of the economies they leave once, and the cap
+        counts that one stitch; each agent's set is a subsequence of it."""
+        a1, b1 = economy.arrivals[0]
         stitched = self._stitched(economy, firsts, self.solution_set)
         return {
             k: tuple(m for m in stitched if m.partner(k, 1) == k) for k in (*a1, *b1)
@@ -336,7 +344,7 @@ class AgreeFamily(ConjectureFamily):
     name = "agree"
 
     def _conjectures(self, economy):
-        return self._single_now(economy)
+        return self._single_now(economy, period_matchings(*economy.arrivals[0]))
 
     def _threshold_rule(self, economy):
         """Zero at the last period: with a one-period horizon every
@@ -375,19 +383,19 @@ class AgreeFamily(ConjectureFamily):
         return dict.fromkeys((*a1, *b1), ZERO)
 
     def unconjectured_by(self, economy, m):
-        """Nobody, at the last period, if ``m``'s pair set is stable at
-        thresholds 0 among every period-1 agent; otherwise, and at any
-        other horizon, the default.  Stability in the whole market makes a
-        superset of the checks of the market without any agent k that
-        ``m`` leaves single, so by the lemma of :meth:`_threshold_rule` k
-        conjectures ``m``.  Every candidate and solution passes the test,
-        so the walk builds no horizon-1 conjecture set for them and, for
-        ``re`` and ``sds``, solves no deferred last-period market.
+        """Nobody, at the last period, if ``m`` is a solution; otherwise,
+        and at any other horizon, the default.  At horizon 1 the solutions
+        are the pair sets stable at thresholds 0 among every period-1
+        agent, the memoized scan the candidates share.  Stability in the
+        whole market makes a superset of the checks of the market without
+        any agent k that ``m`` leaves single, so by the lemma of
+        :meth:`_threshold_rule` k conjectures ``m``.  Every candidate and
+        solution passes the test, so the walk builds no horizon-1
+        conjecture set for them and, for ``re`` and ``sds``, solves no
+        deferred last-period market.
         """
-        if economy.horizon == 1:
-            e1 = StaticEconomy(economy, *economy.arrivals[0])
-            if is_stable(e1, m.pairs_at(1)):
-                return ()
+        if economy.horizon == 1 and m in self.solution_set(economy):
+            return ()
         return super().unconjectured_by(economy, m)
 
     def _solutions(self, economy):

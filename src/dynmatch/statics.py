@@ -8,8 +8,9 @@ ordered below and above every number: ``NEG_INF`` (no constraint — any
 partner beats staying single) and ``POS_INF`` (nothing is acceptable — the
 agent must stay single).
 
-One exhaustive scan of a period's pair sets, :func:`unblocked`, gives both
-the stable set (:func:`stable_set`) and the last-period solutions.
+One exhaustive scan of a period's pair sets, :func:`unblocked`, gives the
+stable set (:func:`stable_set`), the last-period solutions and, with single
+agents attaining ``POS_INF``, stability among the matched agents.
 
 This layer takes thresholds as given and knows nothing of later periods:
 a conjecture family turns its conjecture sets into thresholds
@@ -127,9 +128,12 @@ def unblocked(
     that :func:`first_block` passes against ``threshold(k)`` when a matched
     agent attains its partner's utility and a single agent ``single(k)``.
     This is the one static scan: the stable set and the last-period
-    solutions both run it.  Utilities are read from the profile unchecked,
-    so ``a_names`` must be side-A agents of ``economy`` and ``b_names``
-    side-B ones, as a :class:`StaticEconomy`'s are."""
+    solutions both run it.  A single agent valued at ``POS_INF`` can neither
+    fall short of its threshold nor join a block, so with ``single`` all
+    ``POS_INF`` the scan tests stability among the matched agents only.
+    Utilities are read from the profile unchecked, so ``a_names`` must be
+    side-A agents of ``economy`` and ``b_names`` side-B ones, as a
+    :class:`StaticEconomy`'s are."""
     u = economy.profile.utility
     return tuple(
         pairs
@@ -223,14 +227,3 @@ def deferred_acceptance(e1: StaticEconomy, proposing: str = "A") -> PeriodPairs:
     if proposing == "A":
         return tuple(sorted((p, r) for r, p in held.items()))
     return tuple(sorted(held.items()))
-
-
-def stability_among_matched(
-    economy: Economy,
-    pairs: PeriodPairs,
-    thresholds: Mapping[str, Fraction | Infinity],
-) -> bool:
-    """Stability of pairs in the static economy over exactly its matched agents."""
-    a_names = tuple(a for a, _ in pairs)
-    b_names = tuple(b for _, b in pairs)
-    return is_stable(StaticEconomy(economy, a_names, b_names, thresholds), pairs)

@@ -3,13 +3,18 @@ with the solver: an oracle for the horizon-1 rules of every concept.
 
 It reads only ``economy.arrivals`` and ``economy.profile.utility`` and has
 its own pair-set enumerator and its own test of individual rationality and
-blocking, with thresholds 0: staying single is worth 0.  A pair set is a
+blocking against thresholds: staying single is worth an agent's threshold,
+0 unless a mapping names another.  A threshold may be a number or one of the
+solver's sentinels, which the test turns into float infinities, so no
+comparison goes through the solver's ordering of them.  A pair set is a
 frozenset of (side-A agent, side-B agent) pairs.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations
+
+from dynmatch.statics import NEG_INF, POS_INF
 
 
 def pair_sets(a_names, b_names):
@@ -23,19 +28,24 @@ def pair_sets(a_names, b_names):
     return out
 
 
-def stable_at_zero(economy, a_names, b_names, pairs):
-    """No agent of the market prefers single (worth 0) to its partner, and no
-    two of its agents, not paired together, both strictly prefer each other
-    to what ``pairs`` gives them."""
+def stable_at(economy, a_names, b_names, pairs, thresholds):
+    """No agent of the market gets less from its partner than its threshold
+    (``thresholds[k]``, 0 if missing), and no two of its agents, not paired
+    together, both strictly prefer each other to what ``pairs`` gives them,
+    a single agent getting its threshold."""
     u = economy.profile.utility
     partner = {}
     for a, b in pairs:
         partner[a], partner[b] = b, a
 
-    def value(k):
-        return u(k, partner[k]) if k in partner else 0
+    def threshold(k):
+        thr = thresholds.get(k, 0)
+        return {NEG_INF: float("-inf"), POS_INF: float("inf")}.get(thr, thr)
 
-    if any(value(k) < 0 for k in partner):
+    def value(k):
+        return u(k, partner[k]) if k in partner else threshold(k)
+
+    if any(value(k) < threshold(k) for k in partner):
         return False
     return not any(
         partner.get(a) != b and u(a, b) > value(a) and u(b, a) > value(b)
@@ -44,8 +54,15 @@ def stable_at_zero(economy, a_names, b_names, pairs):
     )
 
 
-def stable_among_matched(economy, pairs):
-    return stable_at_zero(economy, [a for a, _ in pairs], [b for _, b in pairs], pairs)
+def stable_at_zero(economy, a_names, b_names, pairs):
+    return stable_at(economy, a_names, b_names, pairs, {})
+
+
+def stable_among_matched(economy, pairs, thresholds):
+    """``pairs`` is stable at ``thresholds`` in the market of exactly the
+    agents it matches."""
+    a_names, b_names = [a for a, _ in pairs], [b for _, b in pairs]
+    return stable_at(economy, a_names, b_names, pairs, thresholds)
 
 
 def stable_without(economy, k):
@@ -66,7 +83,7 @@ def conjecture_sets(concept, economy):
         "stable": lambda k: {frozenset()},
         "agree": leaving_single,
         "ds": lambda k: {
-            p for p in leaving_single(k) if stable_among_matched(economy, p)
+            p for p in leaving_single(k) if stable_among_matched(economy, p, {})
         },
         "re": lambda k: stable_without(economy, k),
     }

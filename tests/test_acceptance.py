@@ -27,13 +27,9 @@ from dynmatch.reproduce import (
     run_example1,
     run_example2,
 )
-from dynmatch.statics import (
-    StaticEconomy,
-    deferred_acceptance,
-    stability_among_matched,
-    stable_set,
-)
+from dynmatch.statics import StaticEconomy, deferred_acceptance, stable_set
 
+import reference
 from corpus import RandomFamily, corpus, random_economy
 
 
@@ -111,7 +107,7 @@ def test_criterion_5_value_respecting_refinement(solver, markets):
             assert limit[k] == tuple(
                 m
                 for m in trace[0][k]
-                if stability_among_matched(e, m.pairs_at(1), thresholds)
+                if reference.stable_among_matched(e, m.pairs_at(1), thresholds)
             )
         assert set(solver.solution_set("cvr-ds", e)) <= set(
             solver.solution_set("ds", e)
@@ -166,7 +162,7 @@ def test_criterion_7_oracle_equivalences(solver, markets):
                     if m.partner(k, 1) == k
                     and (
                         concept != "ds"
-                        or stability_among_matched(e, m.pairs_at(1), {})
+                        or reference.stable_among_matched(e, m.pairs_at(1), {})
                     )
                     and m.tail() in tails[m.pairs_at(1)]
                 )

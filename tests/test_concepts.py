@@ -6,7 +6,7 @@ from functools import partial
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dynmatch import concepts, framework, statics
@@ -54,10 +54,11 @@ from dynmatch.reproduce import (
     run_example1,
     run_example2,
 )
-from dynmatch.statics import NEG_INF, POS_INF, stability_among_matched
+from dynmatch.statics import NEG_INF, POS_INF
 
 import reference
 from corpus import DELTAS, ODD_NUMERATORS, corpus, random_economy
+from test_statics import THRESHOLDS, idle_rival_market, one_pair_market
 
 
 @pytest.fixture(scope="module")
@@ -339,7 +340,7 @@ def check_solution_first_periods_are_stable(e):
             family = solver.family(concept)
             thresholds = family.thresholds(e)
             for m in family.solution_set(e):
-                assert stability_among_matched(e, m.pairs_at(1), thresholds)
+                assert reference.stable_among_matched(e, m.pairs_at(1), thresholds)
 
 
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)
@@ -352,6 +353,41 @@ def test_solution_first_periods_are_stable_on_strict_markets(e):
 @given(tied_markets())
 def test_solution_first_periods_are_stable_on_tied_markets(e):
     check_solution_first_periods_are_stable(e)
+
+
+@st.composite
+def thresholded_one_period_markets(draw):
+    """A strict or tied one-period market, and thresholds (numbers or
+    sentinels) for a random subset of its agents."""
+    one_period = st.one_of(strict_markets(max_per_side=3), tied_markets())
+    e = draw(one_period.filter(lambda e: e.horizon == 1))
+    thresholds = {}
+    for k in e.members():
+        thr = draw(st.one_of(st.none(), THRESHOLDS))
+        if thr is not None:
+            thresholds[k] = thr
+    return e, thresholds
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(thresholded_one_period_markets())
+@example((idle_rival_market(), {}))
+@example((one_pair_market(), {"a1": Fraction(1)}))
+@example((one_pair_market(), {"a1": Fraction(3)}))
+def test_the_among_matched_scan_is_the_reference_filter(case):
+    # ConjectureFamily._among_matched runs the one static scan with every
+    # single agent valued at POS_INF, which neither falls short of its
+    # threshold nor blocks: so it keeps exactly the pair sets stable among
+    # the agents they match, as ds's filter and cvr-ds's refinement need.
+    e, thresholds = case
+    a1, b1 = e.arrivals[0]
+    found = Solver().family("ds")._among_matched(e, thresholds)
+    assert len(set(found)) == len(found)
+    assert {frozenset(p) for p in found} == {
+        p
+        for p in reference.pair_sets(a1, b1)
+        if reference.stable_among_matched(e, p, thresholds)
+    }
 
 
 @settings(max_examples=25, derandomize=True, database=None, deadline=None)
@@ -455,52 +491,6 @@ def test_each_rule_runs_once_per_economy(monkeypatch, concept):
         trace = family.iterates(e)
         assert trace[0] == Solver().family(start).conjecture_sets(e)
         assert trace[-1] == family.conjecture_sets(e)
-
-
-def test_dynamic_stability_tests_each_first_period_once(
-    monkeypatch, market1, market2, stepping_market, agree_ds_market
-):
-    # Every period-1 agent's ds conjectures share one stitch of the first
-    # periods that pass the test, so no first period is tested twice.
-    test = concepts.stability_among_matched
-    calls = Counter()
-
-    def counting_test(economy, pairs, thresholds):
-        calls[economy.key, pairs] += 1
-        return test(economy, pairs, thresholds)
-
-    monkeypatch.setattr(concepts, "stability_among_matched", counting_test)
-    for e in (market1, market2, stepping_market, agree_ds_market):
-        Solver().solve("ds", e)
-    assert calls and set(calls.values()) == {1}
-
-
-def test_value_respecting_refinement_tests_each_first_period_once(
-    monkeypatch, market1, market2, stepping_market
-):
-    refine = CVRFamily._refine
-    test = concepts.stability_among_matched
-    open_calls = []  # the Counter of the _refine call running now
-    counts = []  # one Counter of (economy key, first period) per _refine call
-
-    def counting_refine(self, economy, current, members):
-        open_calls.append(Counter())
-        try:
-            return refine(self, economy, current, members)
-        finally:
-            counts.append(open_calls.pop())
-
-    def counting_test(economy, pairs, thresholds):
-        if open_calls:
-            open_calls[-1][economy.key, pairs] += 1
-        return test(economy, pairs, thresholds)
-
-    monkeypatch.setattr(CVRFamily, "_refine", counting_refine)
-    monkeypatch.setattr(concepts, "stability_among_matched", counting_test)
-    for e in (market1, market2, stepping_market):
-        Solver().solve("cvr-ds", e)
-    assert sum(map(len, counts)) > len(counts)
-    assert all(n == 1 for c in counts for n in c.values())
 
 
 @pytest.fixture(scope="module")
@@ -944,11 +934,15 @@ def test_stable_set_caches_belong_to_their_solver(monkeypatch):
     assert len(calls) == 3 * first_calls
 
 
-def test_one_solver_runs_each_static_scan_once(monkeypatch, market1, market2):
-    # The last-period solutions and the candidates of every concept share
-    # the solver's scan memo: a scan repeats neither across concepts, nor
-    # between a family's solutions and its candidates, nor between the
-    # last round of sds's fixed point and its candidates.
+def test_one_solver_runs_each_static_scan_once(
+    monkeypatch, market1, market2, stepping_market, agree_ds_market
+):
+    # The last-period solutions, the candidates, ds's filter and cvr-ds's
+    # refinement of every concept share the solver's scan memo: a scan
+    # repeats neither across concepts, nor between a family's solutions and
+    # its candidates, nor between the last round of sds's fixed point and
+    # its candidates.  So no first period is tested twice against one
+    # threshold mapping, however many conjectures share it.
     calls = []
     real = statics.unblocked
 
@@ -961,7 +955,7 @@ def test_one_solver_runs_each_static_scan_once(monkeypatch, market1, market2):
     monkeypatch.setattr(framework, "unblocked", counting)
     monkeypatch.setattr(statics, "unblocked", counting)
     solver = Solver()
-    for e in (market1, market2):
+    for e in (market1, market2, stepping_market, agree_ds_market):
         for concept in CONCEPT_NAMES:
             solver.solve(concept, e)
     assert calls

@@ -670,6 +670,21 @@ def test_candidates_count_their_pair_sets_toward_the_cap(horizon):
     )
 
 
+@pytest.mark.parametrize("concept", ("ds", "cvr-ds"))
+def test_first_period_filters_count_their_pair_sets_toward_the_cap(concept):
+    # ds's filter and cvr-ds's start set each read all 34 pair sets of a 3x3
+    # period, so a cap of 33 stops their conjecture sets whatever the
+    # filter keeps.  The solve path trips at the same count, in _solutions.
+    e = three_a_side(1)
+    assert Solver(max_matchings=34).family(concept).conjecture_sets(e)
+    with pytest.raises(SizeLimitExceeded) as exc:
+        Solver(max_matchings=33).family(concept).conjecture_sets(e)
+    assert str(exc.value) == (
+        "enumeration exceeded the cap of 33 matchings in an economy "
+        "with horizon 1 and 6 agents"
+    )
+
+
 LONG = """\
 periods: 400
 agent a1 side A arrives 1 delta 1/2

@@ -4,6 +4,7 @@ it imports is read, and a family takes another's rule only by inheriting it."""
 
 import ast
 import sys
+from importlib.util import resolve_name
 from pathlib import Path
 
 from dynmatch.concepts import FAMILIES
@@ -96,6 +97,22 @@ def test_framework_scans_only_through_the_scan_memo():
     # memo, and a faster scan goes in that one place.
     tree = ast.parse((PACKAGE / "framework.py").read_text(encoding="utf-8"))
     assert _scopes_reading(tree, "unblocked") == ["ConjectureFamily._scan"]
+
+
+def test_concepts_import_nothing_from_statics():
+    # ds's filter and cvr-ds's refinement test first periods through the
+    # family's scan memo (ConjectureFamily._among_matched), so no concept
+    # runs a static test of its own beside the one shared path.
+    tree = ast.parse((PACKAGE / "concepts.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            module = resolve_name("." * node.level + (node.module or ""), "dynmatch")
+            imported |= {module, *(f"{module}.{alias.name}" for alias in node.names)}
+    assert "dynmatch.framework" in imported
+    assert "dynmatch.statics" not in imported
 
 
 def test_framework_raises_the_size_cap_only_in_the_scan():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from dynmatch.economy import build_economy
 from dynmatch.errors import LoneWolfViolation, TiesPresent, UnknownAgent
+from dynmatch.framework import ConjectureFamily
 from dynmatch.matching import period_matchings
 from dynmatch.statics import (
     INDIVIDUAL_A,
@@ -19,10 +20,10 @@ from dynmatch.statics import (
     deferred_acceptance,
     first_block,
     is_stable,
-    stability_among_matched,
     stable_set,
 )
 
+import reference
 from corpus import random_static_economy
 
 
@@ -179,8 +180,6 @@ def test_static_entry_points_refuse_bad_names_at_once():
             stable_set(StaticEconomy(e, a, b))
         with pytest.raises(error):
             deferred_acceptance(StaticEconomy(e, a, b), "A")
-        with pytest.raises(error):
-            stability_among_matched(e, tuple(zip(a, b)), {})
     with pytest.raises(ValueError, match="^a1-zz is not a pair of the static"):
         is_stable(StaticEconomy(e, ("a1",), ("b1",)), (("a1", "zz"),))
 
@@ -247,9 +246,9 @@ def test_raising_a_threshold_only_breaks_stability_through_that_agent():
                 assert e.utility(agent, partner) < bumped.threshold(agent)
 
 
-def test_stability_among_matched_ignores_outside_agents():
-    # a2 strictly prefers b1 and is idle, but only matched agents count.
-    e = build_economy(
+def idle_rival_market():
+    """a2 and b1 rank each other 5, but a1 and b1 only 1."""
+    return build_economy(
         1,
         [(("a1", "a2"), ("b1",))],
         {n: Fraction(1) for n in ("a1", "a2", "b1")},
@@ -260,19 +259,37 @@ def test_stability_among_matched_ignores_outside_agents():
             ("b1", "a2"): Fraction(5),
         },
     )
-    assert stability_among_matched(e, (("a1", "b1"),), {})
-    assert stability_among_matched(e, (), {})
 
 
-def test_stability_among_matched_enforces_thresholds():
-    e = build_economy(
+def one_pair_market():
+    """a1 and b1 rank each other 2."""
+    return build_economy(
         1,
         [(("a1",), ("b1",))],
         {"a1": Fraction(1), "b1": Fraction(1)},
         {("a1", "b1"): Fraction(2), ("b1", "a1"): Fraction(2)},
     )
-    assert stability_among_matched(e, (("a1", "b1"),), {"a1": Fraction(1)})
-    assert not stability_among_matched(e, (("a1", "b1"),), {"a1": Fraction(3)})
+
+
+def test_stability_among_matched_ignores_outside_agents():
+    # a2 strictly prefers b1 and is idle, but only matched agents count:
+    # a1-b1 is blocked in the whole market and stable among its own agents.
+    e = idle_rival_market()
+    pairs = (("a1", "b1"),)
+    assert not reference.stable_at_zero(e, ("a1", "a2"), ("b1",), pairs)
+    assert reference.stable_among_matched(e, pairs, {})
+    assert reference.stable_among_matched(e, (), {})
+    found = ConjectureFamily()._among_matched(e, {})
+    assert set(found) == {(), pairs, (("a2", "b1"),)}
+
+
+def test_stability_among_matched_enforces_thresholds():
+    e = one_pair_market()
+    pairs = (("a1", "b1"),)
+    family = ConjectureFamily()
+    for threshold, stable in ((Fraction(1), True), (Fraction(3), False)):
+        assert reference.stable_among_matched(e, pairs, {"a1": threshold}) == stable
+        assert (pairs in family._among_matched(e, {"a1": threshold})) == stable
 
 
 SMALL_FRACTIONS = st.fractions(min_value=-2, max_value=3, max_denominator=3)

@@ -29,7 +29,8 @@ reservation values every period check and the candidates compare against
 (:meth:`ConjectureFamily.thresholds_of`); the static layer only compares.
 What depends only on the economy is memoized by economy key: conjecture,
 solution and candidate sets and thresholds by the family, static scans
-(:meth:`ConjectureFamily._scan`) in a memo that a solver's families share.
+(:meth:`ConjectureFamily._scan`, which computes each stable set by
+:func:`~dynmatch.statics.stable_set`) in a memo a solver's families share.
 """
 
 from __future__ import annotations
@@ -55,8 +56,7 @@ from .matching import (
     stitch,
     validate_matching,
 )
-from .statics import NEG_INF, POS_INF, StaticEconomy, assert_lone_wolf, first_block
-from .statics import stable_set, unblocked
+from .statics import NEG_INF, POS_INF, StaticEconomy, first_block, stable_set, unblocked
 
 # How an empty conjecture set constrains its owner: not at all (threshold
 # NEG_INF) or completely (threshold POS_INF).
@@ -233,20 +233,15 @@ class ConjectureFamily:
         return self._once("candidates", economy, self._candidates)
 
     def _candidates(self, economy: Economy) -> tuple[DynamicMatching, ...]:
-        return self._induced(economy, self.thresholds(economy), self.candidates)
-
-    def _induced(self, economy: Economy, thresholds: Mapping, rest):
-        """The stable set that ``thresholds`` induce on period 1, checked by
-        :func:`~dynmatch.statics.assert_lone_wolf`, stitched onto ``rest``."""
-        firsts = self._scan(economy, thresholds, thresholds)
-        e1 = StaticEconomy(economy, *economy.arrivals[0], thresholds)
-        assert_lone_wolf(e1, firsts)
-        return self._stitched(economy, firsts, rest)
+        thr = self.thresholds(economy)
+        return self._stitched(economy, self._scan(economy, thr, thr), self.candidates)
 
     def _scan(self, economy: Economy, thresholds: Mapping, singles: Mapping):
         """:func:`~dynmatch.statics.unblocked` on period 1, a single agent k
         attaining ``singles[k]``; memoized by economy key, with thresholds
-        and singles compared, not hashed.  This is the cap rule of every
+        and singles compared, not hashed.  A miss computes a stable set
+        (singles equal to thresholds) by :func:`~dynmatch.statics.stable_set`,
+        so it is checked once, when stored.  This is the cap rule of every
         static scan: more period-1 pair sets than the cap raise
         SizeLimitExceeded, naming the economy, before any is tested or the
         memo is read."""
@@ -258,7 +253,11 @@ class ConjectureFamily:
         for known, single, found in entries:
             if known == thresholds and single == singles:
                 return found
-        found = unblocked(economy, a1, b1, thresholds.__getitem__, singles.__getitem__)
+        if singles == thresholds:
+            found = stable_set(StaticEconomy(economy, a1, b1, thresholds))
+        else:
+            value = singles.__getitem__
+            found = unblocked(economy, a1, b1, thresholds.__getitem__, value)
         entries.append((thresholds, singles, found))
         return found
 
@@ -400,8 +399,8 @@ class AgreeFamily(ConjectureFamily):
 
     def _solutions(self, economy):
         """The empty first period stitched onto the solutions S(C) of the
-        economy C it leaves, if period 1 lacks side-A or side-B agents and
-        the horizon is 2 or more; otherwise the default.
+        economy C it leaves, if period 1 lacks side-A or side-B agents;
+        otherwise the default.
 
         The default keeps each matching of ∅ + S(C) that has no period-1
         witness, and none has one:
@@ -420,11 +419,10 @@ class AgreeFamily(ConjectureFamily):
         So no threshold, conjecture set, fixed point or deferred market of
         a one-sided economy is built for its solutions; the one stitch
         still counts toward the cap and is guarded against a horizon too
-        long to recurse.  At horizon 1 the default scan is kept: its
-        thresholds are 0 without any set.  ``stable`` keeps the default.
+        long to recurse.  ``stable`` keeps the default.
         """
         a1, b1 = economy.arrivals[0]
-        if economy.horizon == 1 or (a1 and b1):
+        if a1 and b1:
             return super()._solutions(economy)
         return self._stitched(economy, ((),), self.solution_set)
 
@@ -517,7 +515,8 @@ def candidate_set(
             )
         return sols
 
-    return family._induced(economy, family.thresholds_of(economy, conjectured), solved)
+    thr = family.thresholds_of(economy, conjectured)
+    return family._stitched(economy, family._scan(economy, thr, thr), solved)
 
 
 def candidate_matchings(

@@ -9,8 +9,8 @@ partner beats staying single) and ``POS_INF`` (nothing is acceptable — the
 agent must stay single).
 
 One exhaustive scan of a period's pair sets, :func:`unblocked`, gives the
-stable set (:func:`stable_set`), the last-period solutions and, with single
-agents attaining ``POS_INF``, stability among the matched agents.
+stable set (:func:`stable_set`, by which the solver computes every one) and,
+with single agents attaining ``POS_INF``, stability among the matched agents.
 
 This layer takes thresholds as given and knows nothing of later periods:
 a conjecture family turns its conjecture sets into thresholds
@@ -126,9 +126,8 @@ def unblocked(
 ) -> tuple[PeriodPairs, ...]:
     """Every pair set of ``a_names`` and ``b_names``, in enumeration order,
     that :func:`first_block` passes against ``threshold(k)`` when a matched
-    agent attains its partner's utility and a single agent ``single(k)``.
-    This is the one static scan: the stable set and the last-period
-    solutions both run it.  A single agent valued at ``POS_INF`` can neither
+    agent attains its partner's utility and a single agent ``single(k)``:
+    the one static scan.  A single agent valued at ``POS_INF`` can neither
     fall short of its threshold nor join a block, so with ``single`` all
     ``POS_INF`` the scan tests stability among the matched agents only.
     Utilities are read from the profile unchecked, so ``a_names`` must be
@@ -143,9 +142,10 @@ def unblocked(
 
 
 def stable_set(e1: StaticEconomy) -> tuple[PeriodPairs, ...]:
-    """All stable matchings (:func:`is_stable`), by exhaustive scan, in
-    enumeration order, checked by :func:`assert_lone_wolf`."""
-    out = unblocked(e1.economy, e1.a_names, e1.b_names, e1.threshold, e1.threshold)
+    """Every stable matching (:func:`is_stable`) in enumeration order, checked
+    by :func:`assert_lone_wolf`; the scan memo computes each one it stores here."""
+    thr = {k: e1.threshold(k) for k in (*e1.a_names, *e1.b_names)}.__getitem__
+    out = unblocked(e1.economy, e1.a_names, e1.b_names, thr, thr)
     assert_lone_wolf(e1, out)
     return out
 
@@ -166,9 +166,9 @@ def _is_strict(e1: StaticEconomy) -> bool:
 
 def assert_lone_wolf(e1: StaticEconomy, matchings: Iterable[PeriodPairs]) -> None:
     """In a strict market (:func:`_is_strict`), every stable matching must
-    leave the same agents unmatched (McVitie & Wilson 1971; Roth 1984).
-    With ties the theorem does not hold, so the check stops there; the
-    strictness test runs only once two unmatched sets differ."""
+    leave the same agents unmatched (McVitie & Wilson 1971; Roth 1984);
+    :func:`stable_set` alone checks it.  With ties the theorem fails, so
+    it raises only in a strict market, tested once two unmatched sets differ."""
     unmatched_sets = set()
     everyone = set(e1.a_names) | set(e1.b_names)
     for pairs in matchings:

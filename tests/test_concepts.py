@@ -23,6 +23,7 @@ from dynmatch.errors import (
     DynmatchError,
     EmptyContinuationSolutions,
     EmptyFixedPoint,
+    LoneWolfViolation,
     NotAvailable,
 )
 from dynmatch.framework import (
@@ -119,13 +120,47 @@ def test_solutions_are_nonempty_on_the_reference_markets(
     assert solver.solution_set(concept, market2)
 
 
-def test_refinement_chain_on_the_reference_markets(solver, market1, market2):
+def test_refinement_chain_on_the_reference_markets(
+    solver, market1, market2, stepping_market, agree_ds_market, cvr_sds_market
+):
+    # The proved links of the chain: agree ⊆ stable, ds ⊆ agree and
+    # cvr-ds ⊆ ds under both policies, and re ⊆ sds under strict.  Neither
+    # sds ⊆ cvr-ds nor re ⊆ sds under vacuous is proved, so neither is
+    # asserted.
+    markets = (market1, market2, stepping_market, agree_ds_market, cvr_sds_market)
+    markets += (*corpus(91, 120, max_per_side=2), *corpus(92, 60, max_per_side=3))
+    for policy in EMPTY_POLICIES:
+        for e in markets:
+            shared = Solver(policy)
+            sols = {c: set(shared.solution_set(c, e)) for c in CONCEPT_NAMES}
+            assert sols["agree"] <= sols["stable"]
+            assert sols["ds"] <= sols["agree"]
+            assert sols["cvr-ds"] <= sols["ds"]
+            if policy == "strict":
+                assert sols["re"] <= sols["sds"]
     for e in (market1, market2):
-        ds = set(solver.solution_set("ds", e))
-        cvr = set(solver.solution_set("cvr-ds", e))
-        sds = set(solver.solution_set("sds", e))
-        assert cvr <= ds
+        sds, ds = (set(solver.solution_set(c, e)) for c in ("sds", "ds"))
         assert sds <= ds
+
+
+@pytest.mark.parametrize("policy", EMPTY_POLICIES)
+def test_each_link_of_the_refinement_chain_is_strict_somewhere(
+    policy, market2, stepping_market, agree_ds_market, cvr_sds_market
+):
+    # Each concept of the chain keeps fewer solutions than the one before it
+    # on a named market, so no link collapses to an equality.
+    links = (
+        ("stable", "agree", cvr_sds_market),
+        ("stable", "agree", market2),
+        ("agree", "ds", agree_ds_market),
+        ("ds", "cvr-ds", market2),
+        ("cvr-ds", "sds", cvr_sds_market),
+        ("sds", "re", stepping_market),
+    )
+    for wider, narrower, e in links:
+        shared = Solver(policy)
+        kept = [set(shared.solution_set(c, e)) for c in (wider, narrower)]
+        assert kept[0] > kept[1], (wider, narrower)
 
 
 def test_value_respecting_conjectures_refine_plain_ones(solver):
@@ -550,11 +585,11 @@ def test_last_period_thresholds_build_no_conjecture_sets(
 
 
 def one_sided(economy):
-    """Horizon 2 or more, and period 1 lacks side-A or side-B agents: the
-    economies whose solutions AgreeFamily stitches straight from their
-    continuation."""
+    """The horizon if period 1 lacks side-A or side-B agents, else 0: the
+    economies of any horizon whose solutions AgreeFamily stitches straight
+    from their continuation."""
     a1, b1 = economy.arrivals[0]
-    return economy.horizon >= 2 and not (a1 and b1)
+    return 0 if a1 and b1 else economy.horizon
 
 
 @pytest.mark.parametrize("policy", EMPTY_POLICIES)
@@ -565,8 +600,9 @@ def test_one_sided_periods_solve_as_the_default_filter(
     # Every one-sided economy a solve reaches has the solutions of the
     # definition, ConjectureFamily._solutions, on a fresh family that takes
     # that route at every economy: a rule that also skipped the threshold
-    # filter of a two-sided period would show in the continuations.
-    checked = 0
+    # filter of a two-sided period would show in the continuations.  Those
+    # of horizon 1 and of horizons 2 or more are counted apart.
+    checked = Counter()
     for e in pinned_and_corpus_markets:
         solver = Solver(policy)
         family = solver.family(concept)
@@ -583,8 +619,10 @@ def test_one_sided_periods_solve_as_the_default_filter(
         fresh._solutions = partial(ConjectureFamily._solutions, fresh)
         for d in filter(one_sided, reached):
             assert family.solution_set(d) == ConjectureFamily._solutions(fresh, d)
-            checked += 1
-    assert checked >= 20  # 27 for agree, ds and cvr-ds; 190 for re and sds
+            checked[min(one_sided(d), 2)] += 1
+    # 27 of horizon 2 or more for agree, ds and cvr-ds, 190 for re and sds;
+    # 9 of horizon 1 for each.
+    assert checked[2] >= 20 and checked[1] >= 5
 
 
 @pytest.mark.parametrize("policy", EMPTY_POLICIES)
@@ -602,13 +640,14 @@ def test_one_sided_periods_build_no_thresholds(
             rule = getattr(family, hook)
 
             def counting(economy, hook=hook, rule=rule):
-                calls[hook, one_sided(economy)] += 1
+                calls[hook, min(one_sided(economy), 2)] += 1
                 return rule(economy)
 
             setattr(family, hook, counting)
         family.solution_set(e)
-    assert calls["_solutions", True] >= 20
-    assert calls["_threshold_rule", True] == calls["_conjectures", True] == 0
+    assert calls["_solutions", 2] >= 20 and calls["_solutions", 1] >= 5
+    for horizon in (1, 2):  # 1, and 2 or more
+        assert calls["_threshold_rule", horizon] == calls["_conjectures", horizon] == 0
 
 
 def tied_one_period_markets(seed, count, max_per_side=4):
@@ -908,16 +947,18 @@ def test_solver_reuses_cached_solution_sets(solver, market1):
 
 
 def test_stable_set_caches_belong_to_their_solver(monkeypatch):
-    import dynmatch.framework
-
+    # The scan memo computes a stable set through statics.stable_set, which
+    # reads statics.unblocked, and every other scan through framework's
+    # import of it, so both are counted.
     calls = []
-    real = dynmatch.framework.unblocked
+    real = statics.unblocked
 
     def counting(economy, *args):
         calls.append(economy)
         return real(economy, *args)
 
-    monkeypatch.setattr(dynmatch.framework, "unblocked", counting)
+    monkeypatch.setattr(framework, "unblocked", counting)
+    monkeypatch.setattr(statics, "unblocked", counting)
     e = load_fixture("example1")[0]
     first = Solver().solve("stable", e)
     first_calls = len(calls)
@@ -960,6 +1001,54 @@ def test_one_solver_runs_each_static_scan_once(
             solver.solve(concept, e)
     assert calls
     assert len(calls) == len(set(calls))
+
+
+def test_each_stored_stable_set_is_checked_once(monkeypatch, market1, market2):
+    # A scan whose single values equal its thresholds is a stable set: the
+    # scan memo computes it through statics.stable_set, which checks it
+    # once, when it is stored, whichever of the last-period solutions, the
+    # candidates or the sds step asks first; a memo hit checks nothing.
+    stable_scans, checks = [], []
+    real_scan, real_check = statics.unblocked, statics.assert_lone_wolf
+
+    def scanning(economy, a_names, b_names, threshold, single):
+        agents = (*a_names, *b_names)
+        if all(threshold(k) == single(k) for k in agents):
+            stable_scans.append(economy.key)
+        return real_scan(economy, a_names, b_names, threshold, single)
+
+    def checking(e1, matchings):
+        checks.append(e1.economy.key)
+        return real_check(e1, matchings)
+
+    monkeypatch.setattr(framework, "unblocked", scanning)
+    monkeypatch.setattr(statics, "unblocked", scanning)
+    monkeypatch.setattr(statics, "assert_lone_wolf", checking)
+    solver = Solver()
+    for e in (market1, market2):
+        for concept in CONCEPT_NAMES:
+            solver.solve(concept, e)
+    assert stable_scans  # 49
+    assert checks == stable_scans
+
+
+@pytest.mark.parametrize("concept", CONCEPT_NAMES)
+def test_last_period_solutions_are_checked_by_the_lone_wolf_theorem(
+    monkeypatch, concept
+):
+    # A strict market's stable sets all leave the same agents single, so a
+    # scan that kept two pair sets leaving different ones single is wrong:
+    # the last-period solutions raise on it before any candidate is read.
+    e = one_pair_market()
+    wrong = ((), (("a1", "b1"),))
+    monkeypatch.setattr(framework, "unblocked", lambda *args: wrong)
+    monkeypatch.setattr(statics, "unblocked", lambda *args: wrong)
+    family = Solver().family(concept)
+    asked = []
+    monkeypatch.setattr(family, "candidates", asked.append)
+    with pytest.raises(LoneWolfViolation):
+        family.solution_set(e)
+    assert asked == []
 
 
 @pytest.mark.parametrize("policy", EMPTY_POLICIES)

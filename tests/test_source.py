@@ -99,6 +99,17 @@ def test_framework_scans_only_through_the_scan_memo():
     assert _scopes_reading(tree, "unblocked") == ["ConjectureFamily._scan"]
 
 
+def test_framework_reaches_the_lone_wolf_check_only_through_stable_set():
+    # statics.stable_set alone runs assert_lone_wolf, and the scan memo
+    # computes every stable set it stores with it, so each is checked once;
+    # candidate_matchings, an oracle, calls it directly.
+    tree = ast.parse((PACKAGE / "framework.py").read_text(encoding="utf-8"))
+    assert _scopes_reading(tree, "assert_lone_wolf") == []
+    for name in ("stable_set", "StaticEconomy"):
+        scopes = set(_scopes_reading(tree, name))
+        assert scopes == {"ConjectureFamily._scan", "candidate_matchings"}
+
+
 def test_concepts_import_nothing_from_statics():
     # ds's filter and cvr-ds's refinement test first periods through the
     # family's scan memo (ConjectureFamily._among_matched), so no concept

@@ -133,15 +133,12 @@ def cmd_solve(args) -> int:
 
 
 def cmd_check(args) -> int:
-    economy, _ = _load(args.file)
-    solver = Solver(args.empty_conjectures, args.max_matchings)
-    family = solver.family(args.concept)
-    if args.check in ("cc", "solution") and args.matching is None:
-        print(f"--matching is required for --check {args.check}", file=sys.stderr)
-        return EXIT_INPUT
+    if args.check != "gc" and args.matching is None:
+        raise ValueError(f"--matching is required for --check {args.check}")
     if args.check == "gc" and args.matching is not None:
-        print("--matching is not read by --check gc", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError("--matching is not read by --check gc")
+    economy, _ = _load(args.file)
+    family = Solver(args.empty_conjectures, args.max_matchings).family(args.concept)
     if args.check == "gc":
         verdict = check_generalized_consistency(economy, family)
         if verdict.passed:

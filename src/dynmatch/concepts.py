@@ -23,7 +23,8 @@ continuation (see :class:`~dynmatch.framework.ConjectureFamily`):
 started, through the class order, from the rule of ``agree`` and of ``re``;
 they differ in the step.  Every concept but ``stable`` subclasses
 :class:`~dynmatch.framework.AgreeFamily` and inherits its last-period
-thresholds and consistency answer and its one-sided-period solutions.
+thresholds and consistency answer and its solutions: one-sided periods
+stitched straight from their continuation, other periods pruned.
 """
 
 from __future__ import annotations

@@ -13,7 +13,9 @@ and a candidate are each a first period stitched onto a solved continuation
 by one family method, :meth:`ConjectureFamily._stitched`.  A period with
 agents on one side only forms no pair, and under every built-in concept but
 ``stable`` its solutions are the empty first period stitched onto the
-solutions of the economy it leaves, read without a threshold
+solutions of the economy it leaves, read without a threshold; any other
+period of horizon 2 or more stitches only the first periods stable among
+the agents they match, at the family's thresholds
 (:meth:`AgreeFamily._solutions`).  The exhaustive
 :func:`phi_solution_set` and :func:`candidate_matchings` filter every full
 matching and are kept only as oracles.  :func:`is_phi_solution` is the
@@ -399,8 +401,8 @@ class AgreeFamily(ConjectureFamily):
 
     def _solutions(self, economy):
         """The empty first period stitched onto the solutions S(C) of the
-        economy C it leaves, if period 1 lacks side-A or side-B agents;
-        otherwise the default.
+        economy C it leaves, if period 1 lacks side-A or side-B agents; the
+        default at horizon 1; otherwise the default on pruned first periods.
 
         The default keeps each matching of ∅ + S(C) that has no period-1
         witness, and none has one:
@@ -420,11 +422,24 @@ class AgreeFamily(ConjectureFamily):
         a one-sided economy is built for its solutions; the one stitch
         still counts toward the cap and is guarded against a horizon too
         long to recurse.  ``stable`` keeps the default.
+
+        A two-sided period at horizon 2 or more stitches only the first
+        periods stable among the agents they match, at the family's
+        thresholds (:meth:`_among_matched`), and filters what it stitched
+        as the default does.  The prune is exact for any family: a matched
+        agent's individual rationality reads only its partner's utility and
+        its threshold, and a block by two matched agents reads only
+        utilities; only the checks of a single agent read the continuation.
+        So no continuation of a first period that cannot survive is built.
         """
         a1, b1 = economy.arrivals[0]
-        if a1 and b1:
+        if not (a1 and b1):
+            return self._stitched(economy, ((),), self.solution_set)
+        if economy.horizon == 1:
             return super()._solutions(economy)
-        return self._stitched(economy, ((),), self.solution_set)
+        firsts = self._among_matched(economy, self.thresholds(economy))
+        stitched = self._stitched(economy, firsts, self.solution_set)
+        return tuple(m for m in stitched if period_witness(economy, m, self) is None)
 
 
 def period_witness(

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dynmatch import concepts, framework, statics
+from dynmatch import concepts, framework, matching, statics
 from dynmatch.concepts import (
     CONCEPT_NAMES,
     FAMILIES,
@@ -532,7 +532,7 @@ def test_each_rule_runs_once_per_economy(monkeypatch, concept):
 def pinned_and_corpus_markets(
     market1, market2, stepping_market, agree_ds_market, cvr_sds_market
 ):
-    """Both fixtures, the three pinned markets and 32 corpus markets of
+    """Both fixtures, the three pinned markets and 62 corpus markets of
     horizons 2 and 3, at most 3 agents a side."""
     return (
         market1,
@@ -542,6 +542,7 @@ def pinned_and_corpus_markets(
         cvr_sds_market,
         *corpus(75, 20, horizon=2, max_per_side=3),
         *corpus(76, 12, horizon=3, max_per_side=3),
+        *corpus(77, 30, horizon=2, max_per_side=3),
     )
 
 
@@ -592,18 +593,13 @@ def one_sided(economy):
     return 0 if a1 and b1 else economy.horizon
 
 
-@pytest.mark.parametrize("policy", EMPTY_POLICIES)
-@pytest.mark.parametrize("concept", ("agree", "re", "ds", "cvr-ds", "sds"))
-def test_one_sided_periods_solve_as_the_default_filter(
-    pinned_and_corpus_markets, concept, policy
-):
-    # Every one-sided economy a solve reaches has the solutions of the
-    # definition, ConjectureFamily._solutions, on a fresh family that takes
-    # that route at every economy: a rule that also skipped the threshold
-    # filter of a two-sided period would show in the continuations.  Those
-    # of horizon 1 and of horizons 2 or more are counted apart.
+def solved_as_the_definition(markets, concept, policy, selected):
+    """Every economy a solve of ``markets`` reaches that ``selected`` picks
+    has the solutions of the definition, ConjectureFamily._solutions, on a
+    fresh family that takes that route at every economy; the count of those
+    checked, by horizon 1 and horizon 2 or more."""
     checked = Counter()
-    for e in pinned_and_corpus_markets:
+    for e in markets:
         solver = Solver(policy)
         family = solver.family(concept)
         reached = []
@@ -617,12 +613,79 @@ def test_one_sided_periods_solve_as_the_default_filter(
         solver.solve(concept, e)
         fresh = Solver(policy).family(concept)
         fresh._solutions = partial(ConjectureFamily._solutions, fresh)
-        for d in filter(one_sided, reached):
+        for d in filter(selected, reached):
             assert family.solution_set(d) == ConjectureFamily._solutions(fresh, d)
-            checked[min(one_sided(d), 2)] += 1
-    # 27 of horizon 2 or more for agree, ds and cvr-ds, 190 for re and sds;
-    # 9 of horizon 1 for each.
+            checked[min(d.horizon, 2)] += 1
+    return checked
+
+
+@pytest.mark.parametrize("policy", EMPTY_POLICIES)
+@pytest.mark.parametrize("concept", ("agree", "re", "ds", "cvr-ds", "sds"))
+def test_one_sided_periods_solve_as_the_default_filter(
+    pinned_and_corpus_markets, concept, policy
+):
+    # A rule that also skipped the threshold filter of a two-sided period
+    # would show in the continuations.  Since solutions prune their first
+    # periods, the solves reach fewer one-sided continuations: 41 of
+    # horizon 2 or more for agree and cvr-ds, 39 for ds, 272 for re and
+    # sds; 25 of horizon 1 for agree and cvr-ds, 9 for ds, 8 for re and sds.
+    checked = solved_as_the_definition(
+        pinned_and_corpus_markets, concept, policy, one_sided
+    )
     assert checked[2] >= 20 and checked[1] >= 5
+
+
+@pytest.mark.parametrize("policy", EMPTY_POLICIES)
+@pytest.mark.parametrize("concept", ("agree", "re", "ds", "cvr-ds", "sds"))
+def test_pruned_two_sided_periods_solve_as_the_default_filter(
+    pinned_and_corpus_markets, concept, policy
+):
+    # AgreeFamily._solutions stitches only the first periods stable among
+    # the agents they match at the family's thresholds; the definition
+    # stitches every one and lets period_witness reject them.
+    def pruned(economy):
+        return economy.horizon >= 2 and not one_sided(economy)
+
+    checked = solved_as_the_definition(
+        pinned_and_corpus_markets, concept, policy, pruned
+    )
+    # 50 for agree and cvr-ds, 43 for ds, 280 for re and sds.
+    assert checked[2] >= 40
+
+
+@pytest.mark.parametrize("concept", ("re", "sds"))
+def test_solutions_solve_no_continuation_of_an_unstable_first_period(
+    monkeypatch, pinned_and_corpus_markets, concept
+):
+    # A solution's first period is stable among the agents it matches, at
+    # the family's thresholds, so solving builds no continuation economy
+    # of a first period that fails that test.  re's conjectures are the
+    # solutions of deferred economies, and sds's candidates are stable at
+    # the thresholds of its iterates, which only fall to the limit's.  The
+    # conjectures of agree and cvr-ds stitch every first period, and ds's
+    # those stable among the matched at 0, below its thresholds, so those
+    # three are left out.
+    built = []
+    step = matching.next_economy
+
+    def recording(economy, pairs):
+        built.append((economy, pairs))
+        return step(economy, pairs)
+
+    monkeypatch.setattr(matching, "next_economy", recording)
+    checked = 0
+    for policy in EMPTY_POLICIES:
+        for e in pinned_and_corpus_markets:
+            family = Solver(policy).family(concept)
+            built.clear()
+            family.solution_set(e)
+            for economy, pairs in tuple(built):
+                if pairs:  # the empty first period matches nobody
+                    thresholds = family.thresholds(economy)
+                    assert reference.stable_among_matched(economy, pairs, thresholds)
+                    checked += 1
+    # 434 for re, 662 for sds.
+    assert checked >= 400
 
 
 @pytest.mark.parametrize("policy", EMPTY_POLICIES)
@@ -645,6 +708,8 @@ def test_one_sided_periods_build_no_thresholds(
 
             setattr(family, hook, counting)
         family.solution_set(e)
+    # Of horizon 2 or more: 41 for agree and cvr-ds, 39 for ds, 237 for re
+    # and sds.  Of horizon 1: 25, 9 and 8.
     assert calls["_solutions", 2] >= 20 and calls["_solutions", 1] >= 5
     for horizon in (1, 2):  # 1, and 2 or more
         assert calls["_threshold_rule", horizon] == calls["_conjectures", horizon] == 0

@@ -183,11 +183,12 @@ class SolveReport:
 class Solver:
     """One conjecture family per concept, each built with this configuration,
     which the family checks and keeps (reports copy it from there), and the
-    solver's one memo of static scans.  Every cache lasts exactly as long as
-    the solver, and repeated queries on one economy are cheap."""
+    solver's one memo of static scans and one of payoff values.  Every cache
+    lasts exactly as long as the solver, and repeated queries on one economy
+    are cheap."""
 
     def __init__(self, empty_policy="vacuous", max_matchings=DEFAULT_MAX_MATCHINGS):
-        config = (empty_policy, max_matchings, {})  # {}: the shared scan memo
+        config = (empty_policy, max_matchings, {}, {})  # the shared memos
         self._families = {name: cls(*config) for name, cls in FAMILIES.items()}
 
     def family(self, concept: str) -> ConjectureFamily:

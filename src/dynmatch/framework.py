@@ -33,12 +33,17 @@ What depends only on the economy is memoized by economy key: conjecture,
 solution and candidate sets and thresholds by the family, static scans
 (:meth:`ConjectureFamily._scan`, which computes each stable set by
 :func:`~dynmatch.statics.stable_set`) in a memo a solver's families share.
+Thresholds and the solution filters read payoffs from value tables that
+the families share too (:meth:`ConjectureFamily._payoff_reader`);
+:func:`is_phi_solution` keeps the checked walk of
+:func:`~dynmatch.economy.payoff`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from functools import partial
+from typing import Callable, Iterable, Mapping, Optional
 
 from .economy import ZERO, Economy, payoff
 from .errors import (
@@ -96,7 +101,8 @@ class ConjectureFamily:
     from another.  The family also holds its concept's configuration and
     one memo: :meth:`_once` computes each of conjecture sets, thresholds,
     solution and candidate sets once per economy key.  :meth:`_scan` keeps
-    static scans in a memo that a solver shares among its families.
+    static scans, and :meth:`_payoff_reader` payoff values, in memos that a
+    solver shares among its families.
     """
 
     name = "?"
@@ -106,6 +112,7 @@ class ConjectureFamily:
         empty_policy: str = "vacuous",
         max_matchings: int = DEFAULT_MAX_MATCHINGS,
         scans: Optional[dict] = None,
+        values: Optional[dict] = None,
     ):
         if empty_policy not in EMPTY_POLICIES:
             raise ValueError(
@@ -122,6 +129,7 @@ class ConjectureFamily:
         kinds = ("conjectures", "thresholds", "solutions", "candidates")
         self._memo: dict = {kind: {} for kind in kinds}
         self._scans = {} if scans is None else scans
+        self._values = {} if values is None else values
 
     def _once(self, kind: str, economy: Economy, compute):
         """``compute(economy)``, memoized under ``kind`` by economy key; a
@@ -175,16 +183,48 @@ class ConjectureFamily:
         ``conjectured[k]``, in declaration order; an empty set gives the
         sentinel of the family's empty-conjecture policy.  This is the one
         conversion from conjecture sets to thresholds; ValueError names any
-        period-1 agent that ``conjectured`` leaves out."""
+        period-1 agent that ``conjectured`` leaves out, and, as
+        :func:`~dynmatch.economy.payoff` raises it, a conjecture of another
+        horizon.  Payoffs are read by :meth:`_payoff_reader`."""
         a1, b1 = _period_1(economy)
         missing = ", ".join(k for k in (*a1, *b1) if k not in conjectured)
         if missing:
             raise ValueError(f"no conjecture set for period-1 agents {missing}")
-        empty = self._empty
+        empty, read = self._empty, self._payoff_reader(economy)
         return {
-            k: min((payoff(economy, m, k, 1) for m in conjectured[k]), default=empty)
+            k: min((read(m, k) for m in conjectured[k]), default=empty)
             for k in (*a1, *b1)
         }
+
+    def _payoff_reader(self, economy: Economy) -> Callable:
+        """``read(m, k)``, equal to ``payoff(economy, m, k, 1)`` for a
+        period-1 agent k: one scan of ``m.periods`` finds k's first partner
+        p, s periods on, and ``delta_k ** s * u_k(p)`` is read from a table
+        of exact Fractions, filled once per (owner, partner, delay) through
+        :meth:`~dynmatch.economy.Economy.utility`, which checks the pair.  A
+        matching of another horizon goes to :func:`~dynmatch.economy.payoff`
+        to raise its ValueError; nothing else is checked.  The solver's
+        families share one table per profile, keyed by the identity of the
+        profile, which the entry holds alive, so no read hashes a profile."""
+        profile, horizon = economy.profile, economy.horizon
+        table = self._values.setdefault(id(profile), (profile, {}))[1]
+
+        def read(m, k):
+            if len(m.periods) != horizon:
+                return payoff(economy, m, k, 1)
+            for s, pairs in enumerate(m.periods):
+                for a, b in pairs:
+                    if k == a or k == b:
+                        key = (k, b if k == a else a, s)
+                        try:
+                            return table[key]
+                        except KeyError:
+                            value = profile.delta(k) ** s * economy.utility(k, key[1])
+                            table[key] = value
+                            return value
+            return ZERO
+
+        return read
 
     def _conjectures(self, economy: Economy) -> dict:
         """The concept's rule: every period-1 agent's conjectures at once."""
@@ -210,8 +250,12 @@ class ConjectureFamily:
     def _solutions(self, economy: Economy) -> tuple[DynamicMatching, ...]:
         """Every first period stitched onto the solutions of the economy it
         leaves, keeping the matchings with no period-1 witness.  This is the
-        definition; :meth:`AgreeFamily._solutions` skips the filter where it
-        provably keeps everything.
+        definition.  :meth:`AgreeFamily._solutions`, the route of every
+        concept but ``stable``, departs from it where a lemma in its
+        docstring proves the result the same: a one-sided period skips the
+        filter, which keeps everything, and a two-sided period at horizon 2
+        or more stitches only the first periods stable among the agents
+        they match, as no other first period can survive the filter.
 
         At the last period a payoff is the partner's utility, or 0 for a
         single agent, so the first periods are the static scan
@@ -443,7 +487,11 @@ class AgreeFamily(ConjectureFamily):
 
 
 def period_witness(
-    cont: Economy, rest: DynamicMatching, family: ConjectureFamily, t: int = 1
+    cont: Economy,
+    rest: DynamicMatching,
+    family: ConjectureFamily,
+    t: int = 1,
+    value: Optional[Callable] = None,
 ) -> Optional[BlockWitness]:
     """First violation of the period-1 solution conditions of ``rest`` in
     ``cont``, or None.  ``cont`` is the continuation economy at period t of
@@ -451,11 +499,13 @@ def period_witness(
 
     The scan is :func:`~dynmatch.statics.first_block` of period-1 payoffs
     against the family's cached thresholds, agents in declaration order.
+    ``value(k)`` is k's payoff from ``rest``; by default the family's
+    :meth:`~ConjectureFamily._payoff_reader` reads it, as the solution
+    filters need, and :func:`is_phi_solution` passes the checked
+    :func:`~dynmatch.economy.payoff`.
     """
-
-    def value(k):
-        return payoff(cont, rest, k, 1)
-
+    if value is None:
+        value = partial(family._payoff_reader(cont), rest)
     threshold = family.thresholds(cont).__getitem__
     avail_a, avail_b = cont.arrivals[0]
     block = first_block(avail_a, avail_b, cont.profile.utility, value, threshold)
@@ -469,7 +519,11 @@ def is_phi_solution(economy: Economy, m: DynamicMatching, family: ConjectureFami
     """
     validate_matching(economy, m)
     for t, (cont, rest) in enumerate(continuations(economy, m), start=1):
-        witness = period_witness(cont, rest, family, t)
+
+        def checked(k):
+            return payoff(cont, rest, k, 1)
+
+        witness = period_witness(cont, rest, family, t, checked)
         if witness is not None:
             return witness
     return True

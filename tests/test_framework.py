@@ -3,6 +3,7 @@ import random
 import re
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,7 @@ from dynmatch.errors import (
     NotACandidate,
     NotAvailable,
     SizeLimitExceeded,
+    UnknownAgent,
 )
 from dynmatch.framework import (
     EMPTY_POLICIES,
@@ -380,6 +382,152 @@ def test_thresholds_of_follows_the_empty_conjecture_policy():
         "a1": 0,
         "b1": POS_INF,
     }
+
+
+def rough_markets():
+    """Seeded corpus draws with their discount factors redrawn to include 0
+    and 1, and their utilities redrawn from four values, so that ties are
+    common, and a quarter of them left unlisted: what the corpus, strict by
+    design, never draws."""
+    rng = random.Random(36)
+    markets, deltas = [], (0, 1, Fraction(0), Fraction(1), Fraction(1, 2))
+    for e in corpus(36, 24, max_per_side=2):
+        drawn = {k: rng.choice(deltas) for k in e.members()}
+        utilities = {
+            pair: rng.choice((Fraction(-1), 0, Fraction(1), Fraction(2)))
+            for pair, _ in e.profile.utilities
+            if rng.random() >= 0.25
+        }
+        markets.append(build_economy(e.horizon, e.arrivals, drawn, utilities))
+    return markets
+
+
+def payoff_markets():
+    """Both fixtures, the markets of tests/*.econ and :func:`rough_markets`."""
+    econ = sorted(Path(__file__).parent.glob("*.econ"))
+    assert len(econ) == 3
+    return [
+        *(load_fixture(name)[0] for name in ("example1", "example2")),
+        *(load(path.read_text())[0] for path in econ),
+        *rough_markets(),
+    ]
+
+
+def test_rough_markets_hold_ties_unlisted_partners_and_extreme_deltas():
+    markets = rough_markets()
+    assert {0, 1} <= {d for e in markets for _, d in e.profile.deltas}
+    unlisted = tied = False
+    for e in markets:
+        for k in e.members():
+            listed = [u for (owner, _), u in e.profile.utilities if owner == k]
+            partners = sum(e.side_of(n) != e.side_of(k) for n in e.members())
+            unlisted |= len(listed) < partners
+            tied |= len(set(listed)) < len(listed) or 0 in listed
+    assert unlisted and tied
+
+
+def test_the_payoff_reader_reads_what_payoff_computes():
+    # Thresholds and the solution filters read period-1 payoffs from the
+    # solver's value table: each read, whether it fills an entry or finds it
+    # filled, equals payoff's, type included.
+    family = Solver().family("re")
+    for e in payoff_markets():
+        a1, b1 = e.arrivals[0]
+        matchings = enumerate_matchings(e)
+        for read in (family._payoff_reader(e), family._payoff_reader(e)):
+            for m in matchings:
+                for k in (*a1, *b1):
+                    expected, value = payoff(e, m, k, 1), read(m, k)
+                    assert (value, type(value)) == (expected, type(expected))
+
+
+@pytest.mark.parametrize(
+    "m, error, message",
+    [
+        (
+            empty_matching(3),
+            ValueError,
+            "a matching of horizon 3 in an economy of horizon 2",
+        ),
+        (
+            DynamicMatching(((("a1", "a2"),),) * 2),
+            ValueError,
+            "a1 and a2 are on the same side",
+        ),
+        (DynamicMatching(((("a1", "zz"),),) * 2), UnknownAgent, "zz"),
+    ],
+    ids=["three-periods", "one-side", "unknown-agent"],
+)
+def test_thresholds_and_candidates_reject_what_payoff_rejects(m, error, message):
+    # The payoff reader hands a matching of another horizon to payoff, and
+    # fills a table entry through Economy.utility, which checks the pair,
+    # so both public entries still raise what payoff raised.
+    e = load_fixture("example1")[0]
+    for family in (StableFamily(), Solver().family("re")):
+        conjectured = dict(family.conjecture_sets(e))
+        conjectured["a1"] += (m,)
+        for entry in (family.thresholds_of, lambda e, c: candidate_set(e, c, family)):
+            with pytest.raises(error, match=f"^{message}$"):
+                entry(e, conjectured)
+
+
+@pytest.mark.parametrize("policy", EMPTY_POLICIES)
+def test_the_solve_route_reads_no_payoff(monkeypatch, policy):
+    # Every binding of economy.payoff in the package is counted.  The
+    # solve route reads payoffs through the families' reader only;
+    # is_phi_solution keeps the checked walk.  Of these markets only
+    # sds_step has a candidate that is not a solution (under re).
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return payoff(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "dynmatch" or name.startswith("dynmatch."):
+            if getattr(module, "payoff", None) is payoff:
+                monkeypatch.setattr(module, "payoff", counting)
+    solver, rejected = Solver(policy), []
+    markets = [load_fixture(name)[0] for name in ("example1", "example2")]
+    markets.append(load((Path(__file__).parent / "sds_step.econ").read_text())[0])
+    for e in markets:
+        for concept in CONCEPT_NAMES:
+            family = solver.family(concept)
+            solutions = solver.solution_set(concept, e)
+            candidates = family.candidates(e)
+            assert family.conjecture_sets(e) and family.thresholds(e)
+            for m in (*solutions, *candidates):
+                consistency_failures(e, m, family)
+            rejected += [(e, m, family) for m in candidates if m not in solutions]
+    assert calls == []
+    assert rejected
+    for e, m, family in rejected:
+        assert is_phi_solution(e, m, family) is not True
+    assert calls
+
+
+def test_payoff_tables_belong_to_their_solver_and_profile():
+    # Two markets of the same agents that differ in a3's utility for b3.
+    # One table for both, or one keyed by anything less than the profile,
+    # hands one market's values to the other and changes every concept's
+    # report of the market solved second, in either order.
+    e = load_fixture("example1")[0]
+    utilities = dict(e.profile.utilities)
+    utilities[("a3", "b3")] = Fraction(20)
+    f = build_economy(e.horizon, e.arrivals, dict(e.profile.deltas), utilities)
+    fresh = {(c, x): Solver().solve(c, x) for c in CONCEPT_NAMES for x in (e, f)}
+    assert all(fresh[c, e] != fresh[c, f] for c in CONCEPT_NAMES)
+    for order in ((e, f), (f, e)):
+        shared = Solver()
+        for x in order:
+            for c in CONCEPT_NAMES:
+                assert shared.solve(c, x) == fresh[c, x]
+    # A solver's families share one memo of tables; two solvers share none,
+    # and a family built alone has its own.
+    first, second = Solver(), Solver()
+    memos = {id(s.family(c)._values) for s in (first, second) for c in CONCEPT_NAMES}
+    assert len(memos) == 2
+    assert StableFamily()._values is not StableFamily()._values
 
 
 def test_induced_economy_with_singleton_idle_conjectures_is_plain_ir():

@@ -7,11 +7,9 @@ from .dsl import load, parse, serialize, validate_ordinal
 from .economy import Economy, PreferenceProfile, build_economy, payoff
 from .framework import (
     BlockWitness,
-    candidate_matchings,
     check_consistency,
     check_generalized_consistency,
     is_phi_solution,
-    phi_solution_set,
     recursive_solution_set,
 )
 from .matching import (
@@ -32,7 +30,6 @@ __all__ = [
     "Solver",
     "StaticEconomy",
     "build_economy",
-    "candidate_matchings",
     "check_consistency",
     "check_generalized_consistency",
     "deferred_acceptance",
@@ -43,7 +40,6 @@ __all__ = [
     "parse",
     "parse_matching_text",
     "payoff",
-    "phi_solution_set",
     "recursive_solution_set",
     "serialize",
     "stable_set",

@@ -16,18 +16,17 @@ agents on one side only forms no pair, and under every built-in concept but
 solutions of the economy it leaves, read without a threshold; any other
 period of horizon 2 or more stitches only the first periods stable among
 the agents they match, at the family's thresholds
-(:meth:`AgreeFamily._solutions`).  The exhaustive
-:func:`phi_solution_set` and :func:`candidate_matchings` filter every full
-matching and are kept only as oracles.  :func:`is_phi_solution` is the
-one walk of a matching's periods for a witness, and it validates the
-matching first.
+(:meth:`AgreeFamily._solutions`).  That is the package's one solution
+route: the exhaustive filters that check it are in ``tests/reference.py``,
+written from the definitions.  :func:`is_phi_solution` is the one walk of a
+matching's periods for a witness, and it validates the matching first.
 
 A family is its concept: a conjecture rule and the concept's configuration
 (the empty-conjecture policy and the size cap), set once when it is built.
-Every function here reads the configuration from the family, so the
-exhaustive and stitched routes cannot disagree about it.  The family is
-also the one place that turns conjecture sets into thresholds, the
-reservation values every period check and the candidates compare against
+Every function here reads the configuration from the family, so no two of
+them can disagree about it.  The family is also the one place that turns
+conjecture sets into thresholds, the reservation values every period check
+and the candidates compare against
 (:meth:`ConjectureFamily.thresholds_of`); the static layer only compares.
 What depends only on the economy is memoized by economy key: conjecture,
 solution and candidate sets and thresholds by the family, static scans
@@ -57,7 +56,6 @@ from .matching import (
     DynamicMatching,
     continuations,
     empty_matching,
-    enumerate_matchings,
     pair_set_count,
     period_matchings,
     stitch,
@@ -544,24 +542,12 @@ def _canonical(matchings: Iterable[DynamicMatching]) -> tuple[DynamicMatching, .
     return tuple(sorted(set(matchings), key=lambda m: m.periods))
 
 
-def phi_solution_set(
-    economy: Economy, family: ConjectureFamily
-) -> tuple[DynamicMatching, ...]:
-    """Exhaustive filter of all matchings by the solution conditions; an
-    oracle for the stitched :meth:`ConjectureFamily.solution_set`."""
-    return _canonical(
-        m
-        for m in enumerate_matchings(economy, max_matchings=family.max_matchings)
-        if is_phi_solution(economy, m, family) is True
-    )
-
-
 def recursive_solution_set(
     economy: Economy, family: ConjectureFamily
 ) -> tuple[DynamicMatching, ...]:
-    """The same set by the stitching route: the family's memoized
-    :meth:`ConjectureFamily.solution_set`.  :func:`phi_solution_set` is its
-    independent oracle."""
+    """The family's memoized :meth:`ConjectureFamily.solution_set`, by the
+    name the benchmark imports.  Its oracle, an exhaustive filter sharing no
+    code with the solver, is in ``tests/reference.py``."""
     return family.solution_set(economy)
 
 
@@ -586,25 +572,6 @@ def candidate_set(
 
     thr = family.thresholds_of(economy, conjectured)
     return family._stitched(economy, family._scan(economy, thr, thr), solved)
-
-
-def candidate_matchings(
-    economy: Economy, family: ConjectureFamily
-) -> tuple[DynamicMatching, ...]:
-    """Matchings whose newly formed pairs are stable in the induced economy
-    of every period — the exhaustive candidate set, an oracle for
-    :meth:`ConjectureFamily.candidates`."""
-    out = []
-    for m in enumerate_matchings(economy, max_matchings=family.max_matchings):
-        for cont, rest in continuations(economy, m):
-            a1, b1 = cont.arrivals[0]
-            thresholds = family.thresholds_of(cont, family.conjecture_sets(cont))
-            e1 = StaticEconomy(cont, a1, b1, thresholds)
-            if rest.pairs_at(1) not in stable_set(e1):
-                break
-        else:
-            out.append(m)
-    return _canonical(out)
 
 
 @dataclass(frozen=True)

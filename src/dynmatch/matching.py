@@ -1,4 +1,4 @@
-"""Dynamic matchings: validation, enumeration, continuations.
+"""Dynamic matchings: validation, enumeration, the continuation walk.
 
 A matching is stored as one pair set per period.  Irreversibility shows up as
 set inclusion between consecutive periods, which makes the validator a pure
@@ -8,20 +8,19 @@ Because matching is irreversible, what happened before period t matters only
 through who is still free at t.  :func:`next_economy` is the one place that
 decides it: the economy from period 2 on, once a period-1 pair set formed.
 ``m.tail()`` and :func:`prepend` move a matching into and out of that
-economy.  :func:`stitch` is the one loop that prepends first periods: it puts
-each period-1 pair set in front of the matchings some rule picks in the
-economy it leaves, it enforces the size cap, and it is the one recursion
-guard.  Enumeration and every solve route (solutions, conjectures,
-candidates) are built on it, down to the horizon-0 economy, whose only
-matching is ``DynamicMatching(())``, so all of them refuse a horizon too
-long to recurse.
+economy, and :func:`continuations` walks a matching's periods that way.
+:func:`stitch` is the one loop that prepends first periods: it puts each
+period-1 pair set in front of the matchings some rule picks in the economy
+it leaves, it enforces the size cap, and it is the one recursion guard.
+Enumeration and every solve route (solutions, conjectures, candidates) are
+built on it, down to the horizon-0 economy, whose only matching is
+``DynamicMatching(())``, so all of them refuse a horizon too long to recurse.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from itertools import islice
 from math import comb, factorial
 from typing import Callable, Iterable, Iterator
 
@@ -177,23 +176,11 @@ def continuations(
     economy: Economy, m: DynamicMatching
 ) -> Iterator[tuple[Economy, DynamicMatching]]:
     """For t = 1..T, the continuation economy at period t and m restricted
-    to it, one :func:`next_economy` step apart.  m is not checked."""
+    to it, one :func:`next_economy` step apart: an agent available at t gets
+    the same payoff from period 1 of either view.  m is not checked."""
     while economy.horizon:
         yield economy, m
         economy, m = next_economy(economy, m.pairs_at(1)), m.tail()
-
-
-def continuation(
-    economy: Economy, m: DynamicMatching, t: int
-) -> tuple[Economy, DynamicMatching]:
-    """The continuation economy after m's first t-1 periods, and m restricted
-    to it.  Period t of m is period 1 of the continuation, and an agent
-    available at t gets the same payoff from either view.  Raises ValueError
-    if m is not a matching of the economy or t is not one of its periods."""
-    validate_matching(economy, m)
-    if not 1 <= t <= economy.horizon:
-        raise ValueError(f"period {t} outside 1..{economy.horizon}")
-    return next(islice(continuations(economy, m), t - 1, None))
 
 
 def defer_arrivals(economy: Economy, names: Iterable[str]) -> Economy:
@@ -253,7 +240,7 @@ def enumerate_matchings(
     """All dynamic matchings of the economy, duplicate-free and deterministic:
     each period-1 pair set, in order, stitched onto every matching of the
     economy it leaves.  Raises SizeLimitExceeded past ``max_matchings``.
-    Exhaustive, so the solver never calls it; tests use it as an oracle."""
+    Exhaustive, so the solver never calls it; the benchmark and tests do."""
     if not economy.horizon:
         return (DynamicMatching(()),)
     a1, b1 = economy.arrivals[0]

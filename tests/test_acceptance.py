@@ -12,13 +12,7 @@ import pytest
 from dynmatch.concepts import Solver
 from dynmatch.dsl import parse, serialize, validate_ordinal
 from dynmatch.economy import payoff
-from dynmatch.framework import (
-    AgreeFamily,
-    candidate_matchings,
-    consistency_failures,
-    phi_solution_set,
-    recursive_solution_set,
-)
+from dynmatch.framework import consistency_failures, recursive_solution_set
 from dynmatch.matching import enumerate_matchings, next_economy
 from dynmatch.reproduce import (
     FIXTURE_NAMES,
@@ -73,7 +67,7 @@ def test_criterion_3_one_period_solutions_equal_the_stable_set():
         }
         for seed in (1, 2, 3):
             family = RandomFamily(seed)
-            got = {m.periods for m in phi_solution_set(e, family)}
+            got = {m.periods for m in reference.solution_set(e, family)}
             assert got == expected
             checked += 1
     assert checked == 600
@@ -85,7 +79,7 @@ def test_criterion_4_candidates_are_consistent_solutions(solver, markets):
     for e in markets:
         solutions = set(solver.solution_set("agree", e))
         assert solutions
-        for m_star in candidate_matchings(e, family):
+        for m_star in reference.candidate_set(e, "agree"):
             assert consistency_failures(e, m_star, family) == ()
             assert m_star in solutions
     report(4)
@@ -128,7 +122,7 @@ def test_criterion_6_sophisticated_stability(solver, markets):
         ):
             for k in earlier:
                 assert set(earlier[k]) <= set(later[k])
-        for m_star in candidate_matchings(e, family):
+        for m_star in reference.candidate_set(e, "sds"):
             assert consistency_failures(e, m_star, family) == ()
     report(6)
 
@@ -137,10 +131,9 @@ def test_criterion_7_oracle_equivalences(solver, markets):
     rng = random.Random(9700)
     for i, e in enumerate(markets[:40]):
         # Exhaustive filter vs period-1-plus-solved-continuations recursion.
-        for family in (RandomFamily(9700 + i), solver.family("re")):
-            assert recursive_solution_set(e, family) == phi_solution_set(
-                e, family
-            )
+        family = RandomFamily(9700 + i)
+        assert recursive_solution_set(e, family) == reference.solution_set(e, family)
+        assert solver.solution_set("re", e) == reference.solution_set(e, "re")
         # Stitched conjectures vs filtering the full enumeration: k single in
         # period 1, ds's period-1 test, and an exhaustively solved tail.
         full = enumerate_matchings(e)
@@ -150,7 +143,8 @@ def test_criterion_7_oracle_equivalences(solver, markets):
             for m in full:
                 p1 = m.pairs_at(1)
                 if p1 not in tails:
-                    tails[p1] = set(phi_solution_set(next_economy(e, p1), family))
+                    after = next_economy(e, p1)
+                    tails[p1] = set(reference.solution_set(after, concept))
             if concept == "cvr-ds":
                 stitched = family.iterates(e)[0]
             else:

@@ -30,13 +30,11 @@ from dynmatch.framework import (
     EMPTY_POLICIES,
     ConjectureFamily,
     StableFamily,
-    candidate_matchings,
     candidate_set,
     check_consistency,
     check_generalized_consistency,
     consistency_failures,
     is_phi_solution,
-    phi_solution_set,
     recursive_solution_set,
 )
 from dynmatch.matching import (
@@ -129,18 +127,22 @@ def test_refinement_chain_on_the_reference_markets(
     # asserted.
     markets = (market1, market2, stepping_market, agree_ds_market, cvr_sds_market)
     markets += (*corpus(91, 120, max_per_side=2), *corpus(92, 60, max_per_side=3))
-    for policy in EMPTY_POLICIES:
-        for e in markets:
-            shared = Solver(policy)
-            sols = {c: set(shared.solution_set(c, e)) for c in CONCEPT_NAMES}
-            assert sols["agree"] <= sols["stable"]
-            assert sols["ds"] <= sols["agree"]
-            assert sols["cvr-ds"] <= sols["ds"]
-            if policy == "strict":
-                assert sols["re"] <= sols["sds"]
+    for e in markets:
+        check_proved_links(e)
     for e in (market1, market2):
         sds, ds = (set(solver.solution_set(c, e)) for c in ("sds", "ds"))
         assert sds <= ds
+
+
+def check_proved_links(e):
+    for policy in EMPTY_POLICIES:
+        shared = Solver(policy)
+        sols = {c: set(shared.solution_set(c, e)) for c in CONCEPT_NAMES}
+        assert sols["agree"] <= sols["stable"]
+        assert sols["ds"] <= sols["agree"]
+        assert sols["cvr-ds"] <= sols["ds"]
+        if policy == "strict":
+            assert sols["re"] <= sols["sds"]
 
 
 @pytest.mark.parametrize("policy", EMPTY_POLICIES)
@@ -212,7 +214,7 @@ def test_sophisticated_base_is_the_deferred_arrival_solution_set(solver):
 def test_both_solution_routes_agree_on_random_markets(solver, concept):
     family = solver.family(concept)
     for e in corpus(54, 8, max_per_side=2):
-        assert recursive_solution_set(e, family) == phi_solution_set(e, family)
+        assert recursive_solution_set(e, family) == reference.solution_set(e, concept)
 
 
 @pytest.mark.parametrize("concept", CONCEPT_NAMES)
@@ -226,10 +228,11 @@ def test_the_full_enumeration_count_is_always_a_sufficient_cap(concept):
 
 def test_both_solution_routes_agree_under_strict_empty_conjectures():
     solver = Solver("strict")
-    for concept in CONCEPT_NAMES:
-        family = solver.family(concept)
-        for e in corpus(54, 8, max_per_side=2):
-            assert recursive_solution_set(e, family) == phi_solution_set(e, family)
+    for e in corpus(54, 8, max_per_side=2):
+        oracle = reference.Reference(e, "strict")
+        for concept in CONCEPT_NAMES:
+            family = solver.family(concept)
+            assert recursive_solution_set(e, family) == oracle.solution_set(concept)
 
 
 @st.composite
@@ -300,11 +303,11 @@ def check_consistent_families(e):
     # consistency is not claimed for sds (example1 has an sds solution that
     # a1, a3 and b1 do not conjecture).  A conjecture leaves its owner
     # single now.
-    solver = Solver()
+    solver, oracle = Solver(), reference.Reference(e)
     for concept in CONCEPT_NAMES:
         family = solver.family(concept)
-        assert family.solution_set(e) == phi_solution_set(e, family)
-        assert family.candidates(e) == candidate_matchings(e, family)
+        assert family.solution_set(e) == oracle.solution_set(concept)
+        assert family.candidates(e) == oracle.candidate_set(concept)
         for k, conjectured in family.conjecture_sets(e).items():
             assert all(m.partner(k, 1) == k for m in conjectured)
     check_never_empty(solver, e)
@@ -347,13 +350,24 @@ def test_tied_markets_solve_under_every_concept(e):
     # Ties void the lone-wolf theorem, so its check does not run on them:
     # every concept solves, and both routes still agree.
     for policy in EMPTY_POLICIES:
-        solver = Solver(policy)
+        solver, oracle = Solver(policy), reference.Reference(e, policy)
         for concept in CONCEPT_NAMES:
-            family = solver.family(concept)
             report = solver.solve(concept, e)
-            assert report.solutions == phi_solution_set(e, family)
-            assert report.candidates == candidate_matchings(e, family)
+            assert report.solutions == oracle.solution_set(concept)
+            assert report.candidates == oracle.candidate_set(concept)
         check_never_empty(solver, e)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(strict_markets(max_per_side=3))
+def test_the_proved_links_of_the_refinement_chain_hold_on_strict_markets(e):
+    check_proved_links(e)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(tied_markets())
+def test_the_proved_links_of_the_refinement_chain_hold_on_tied_markets(e):
+    check_proved_links(e)
 
 
 @settings(max_examples=120, derandomize=True, database=None, deadline=None)
@@ -929,6 +943,70 @@ def test_the_sds_step_moves_a_threshold_of_the_stepping_market(
 
 
 @pytest.mark.parametrize("policy", EMPTY_POLICIES)
+def test_the_reference_gives_the_solver_sets_of_the_pinned_markets(
+    policy, market1, market2, stepping_market, agree_ds_market, cvr_sds_market
+):
+    # Both fixtures and the three tests/*.econ markets: every concept's
+    # solutions and candidates, as tests/reference.py builds them from the
+    # definitions, sharing no code with the solver.
+    solver = Solver(policy)
+    for e in (market1, market2, stepping_market, agree_ds_market, cvr_sds_market):
+        oracle = reference.Reference(e, policy)
+        for concept in CONCEPT_NAMES:
+            family = solver.family(concept)
+            assert family.solution_set(e) == oracle.solution_set(concept), concept
+            assert family.candidates(e) == oracle.candidate_set(concept), concept
+
+
+# Draw 118,837 of corpus.random_economy(Random(1), horizon=2, max_per_side=3),
+# the first of those draws with three agents a side on which the sds fixed
+# point takes a step.
+SDS_STEP_THREE_A_SIDE = """\
+periods: 2
+agent a1 side A arrives 1 delta 7/10
+agent a2 side A arrives 1 delta 9/10
+agent a3 side A arrives 1 delta 5/6
+agent b1 side B arrives 1 delta 5/8
+agent b2 side B arrives 1 delta 3/4
+agent b3 side B arrives 2 delta 1/2
+prefs a1: b1=3/7 b2=1/7 b3=-3/7
+prefs a2: b1=9/7 b2=1/7 b3=15/7
+prefs a3: b1=-1 b2=3/7 b3=1/7
+prefs b1: a1=11/7 a2=19/7 a3=13/7
+prefs b2: a1=-9/7 a2=15/7 a3=11/7
+prefs b3: a1=9/7 a2=1 a3=13/7
+"""
+
+
+@pytest.mark.parametrize("policy", EMPTY_POLICIES)
+def test_sds_steps_on_a_generated_three_a_side_market(policy):
+    # The step adds to a1's conjectures the candidate in which a2-b1 and
+    # a3-b2 form at once and nobody matches later.  That lowers a1's
+    # threshold from 3/10 (its worst deferred-arrival conjecture) to 0, and
+    # that candidate becomes an sds solution that re does not have.
+    e = parse(SDS_STEP_THREE_A_SIDE).to_economy()
+    solver = Solver(policy)
+    family = solver.family("sds")
+    trace = family.iterates(e)
+    assert len(trace) == 2
+    start, limit = (family.thresholds_of(e, it) for it in trace)
+    assert start["a1"] == Fraction(3, 10) and limit == {**start, "a1": 0}
+    added = [m for m in trace[1]["a1"] if m not in trace[0]["a1"]]
+    late = "t=1: a2-b1 a3-b2 | t=2: -"
+    assert [matching_text(m) for m in added] == [late]
+    assert all(trace[1][k] == trace[0][k] for k in trace[0] if k != "a1")
+    early = "t=1: a1-b1 a3-b2 | t=2: a2-b3"
+    assert [matching_text(m) for m in solver.solution_set("re", e)] == [early]
+    assert [matching_text(m) for m in solver.solution_set("sds", e)] == [early, late]
+    oracle = reference.Reference(e, policy)
+    for concept in CONCEPT_NAMES:
+        family = solver.family(concept)
+        assert family.conjecture_sets(e) == oracle.conjecture_sets(concept)
+        assert family.solution_set(e) == oracle.solution_set(concept)
+        assert family.candidates(e) == oracle.candidate_set(concept)
+
+
+@pytest.mark.parametrize("policy", EMPTY_POLICIES)
 def test_ds_refines_agree_strictly_on_the_separating_market(agree_ds_market, policy):
     solver = Solver(policy)
     solved = {c: solver.solution_set(c, agree_ds_market) for c in CONCEPT_NAMES}
@@ -939,9 +1017,6 @@ def test_ds_refines_agree_strictly_on_the_separating_market(agree_ds_market, pol
     for concept in ("ds", "re", "cvr-ds", "sds"):
         assert texts[concept] == [dynamic]
     assert set(solved["ds"]) < set(solved["agree"])
-    for concept in CONCEPT_NAMES:
-        family = solver.family(concept)
-        assert solved[concept] == phi_solution_set(agree_ds_market, family)
 
 
 @pytest.mark.parametrize("policy", EMPTY_POLICIES)
@@ -955,9 +1030,6 @@ def test_cvr_ds_and_sds_differ_on_the_separating_market(cvr_sds_market, policy):
     for concept in ("agree", "ds", "cvr-ds"):
         assert texts[concept] == [held, late]
     assert texts["re"] == texts["sds"] == [late]
-    for concept in CONCEPT_NAMES:
-        family = solver.family(concept)
-        assert solved[concept] == phi_solution_set(cvr_sds_market, family)
     # At t=2 the worst conjecture of b2 is worth 5/56 under cvr-ds and 25/56
     # under sds, against 1/7 = 8/56 from a2.
     witness = is_phi_solution(cvr_sds_market, solved["cvr-ds"][0], solver.family("sds"))

@@ -23,19 +23,17 @@ from dynmatch.framework import (
     AgreeFamily,
     BlockWitness,
     StableFamily,
-    candidate_matchings,
     candidate_set,
     check_consistency,
     check_generalized_consistency,
     consistency_failures,
     is_phi_solution,
     period_witness,
-    phi_solution_set,
     recursive_solution_set,
 )
 from dynmatch.matching import (
     DynamicMatching,
-    continuation,
+    continuations,
     defer_arrivals,
     empty_matching,
     enumerate_matchings,
@@ -45,6 +43,7 @@ from dynmatch.matching import (
 from dynmatch.reproduce import load_fixture
 from dynmatch.statics import NEG_INF, POS_INF, StaticEconomy, stable_set
 
+import reference
 from corpus import RandomFamily, corpus, random_economy
 
 
@@ -58,7 +57,7 @@ def test_one_period_solutions_under_idle_conjectures_are_the_stable_set():
         e = random_economy(rng, horizon=1, max_per_side=3)
         a, b = e.arrivals[0]
         expected = {as_dynamic(p) for p in stable_set(StaticEconomy(e, a, b))}
-        assert set(phi_solution_set(e, StableFamily())) == expected
+        assert set(reference.solution_set(e, "stable")) == expected
 
 
 def test_one_period_solutions_under_random_conjectures_are_still_stable():
@@ -73,7 +72,7 @@ def test_one_period_solutions_under_random_conjectures_are_still_stable():
             expected = {
                 as_dynamic(p) for p in stable_set(StaticEconomy(e, a, b))
             }
-            assert set(phi_solution_set(e, family)) == expected
+            assert set(reference.solution_set(e, family)) == expected
 
 
 def test_recursive_route_agrees_with_exhaustive_filter():
@@ -82,17 +81,22 @@ def test_recursive_route_agrees_with_exhaustive_filter():
     for i, e in enumerate(corpus(33, 35, max_per_side=2)):
         for anywhere, policy in itertools.product((False, True), EMPTY_POLICIES):
             family = RandomFamily(i, anywhere, policy)
-            assert recursive_solution_set(e, family) == phi_solution_set(e, family)
+            solutions = recursive_solution_set(e, family)
+            assert solutions == reference.solution_set(e, family)
 
 
 def test_consistent_candidates_are_solutions_for_arbitrary_families():
     # The paper's key lemma: a candidate that every agent it leaves unmatched
     # conjectures is a solution, whatever the conjectures.  Drawn from all
-    # matchings, they may pair their owner now or be empty.
+    # matchings, they may pair their owner now or be empty.  Both sets are
+    # the reference's filters of the family's conjectures too.
     candidates = consistent = 0
     for i, e in enumerate(corpus(91, 120, max_per_side=3)):
         for anywhere, policy in itertools.product((False, True), EMPTY_POLICIES):
             family = RandomFamily(i, anywhere, policy)
+            oracle = reference.Reference(e)
+            assert family.solution_set(e) == oracle.solution_set(family)
+            assert family.candidates(e) == oracle.candidate_set(family)
             solutions = set(family.solution_set(e))
             for m in family.candidates(e):
                 candidates += 1
@@ -104,8 +108,12 @@ def test_consistent_candidates_are_solutions_for_arbitrary_families():
 
 def test_recursive_route_agrees_for_the_self_referential_family():
     for e in corpus(34, 10, max_per_side=2)[:10]:
+        # The filter of the family's own conjecture sets, and agree's sets
+        # built from the definition.
         family = AgreeFamily()
-        assert recursive_solution_set(e, family) == phi_solution_set(e, family)
+        solutions = recursive_solution_set(e, family)
+        assert solutions == reference.solution_set(e, family)
+        assert solutions == reference.solution_set(e, "agree")
 
 
 def test_witnesses_replay():
@@ -113,7 +121,7 @@ def test_witnesses_replay():
     # reproduce the violated inequality from primitives.
     for i, e in enumerate(corpus(35, 15, max_per_side=2)):
         family = RandomFamily(100 + i)
-        solutions = set(phi_solution_set(e, family))
+        solutions = set(reference.solution_set(e, family))
         for m in enumerate_matchings(e):
             verdict = is_phi_solution(e, m, family)
             if m in solutions:
@@ -149,11 +157,12 @@ def test_witness_reports_the_earliest_failing_period():
             verdict = is_phi_solution(e, m, family)
             if verdict is True:
                 continue
+            walk = list(continuations(e, m))
             for t in range(1, verdict.period):
                 # No earlier period can contain a violation.
-                cont, rest = continuation(e, m, t)
+                cont, rest = walk[t - 1]
                 assert period_witness(cont, rest, family, t) is None
-            cont, rest = continuation(e, m, verdict.period)
+            cont, rest = walk[verdict.period - 1]
             assert period_witness(cont, rest, family, verdict.period) == verdict
 
 
@@ -242,12 +251,12 @@ def test_agree_conjecture_sets_in_the_last_period_are_unrestricted():
         family = AgreeFamily()
         T = e.horizon
         for m in enumerate_matchings(e):
-            cont, _ = continuation(e, m, T)
+            cont, _ = list(continuations(e, m))[T - 1]
             a1, b1 = cont.arrivals[0]
             for k in (*a1, *b1):
                 got = set(family.conjecture_set(cont, k))
                 base = {
-                    continuation(e, c, T)[1]
+                    list(continuations(e, c))[T - 1][1]
                     for c in enumerate_matchings(e)
                     if c.periods[: T - 1] == m.periods[: T - 1]
                     and c.partner(k, T) == k
@@ -264,7 +273,7 @@ def test_candidate_routes_agree_for_every_concept(concept):
     # stitching onto solutions (candidate_set) gives one matching more than
     # stitching onto candidates.
     for e in corpus(39, 10, max_per_side=2) + corpus(251, 1, max_per_side=2):
-        exhaustive = candidate_matchings(e, family)
+        exhaustive = reference.candidate_set(e, concept)
         assert family.candidates(e) == exhaustive
         if concept != "stable":
             assert candidate_set(e, family.conjecture_sets(e), family) == exhaustive
@@ -293,25 +302,21 @@ def test_candidate_set_names_the_agents_it_has_no_conjectures_for():
 
 def test_solver_never_calls_the_exhaustive_routes(monkeypatch):
     markets = corpus(41, 6, max_per_side=2)
-    oracle = Solver()
-    expected = {
-        (concept, e.key): (
-            phi_solution_set(e, oracle.family(concept)),
-            candidate_matchings(e, oracle.family(concept)),
-        )
-        for concept in CONCEPT_NAMES
-        for e in markets
-    }
+    expected = {}
+    for e in markets:
+        oracle = reference.Reference(e)
+        for concept in CONCEPT_NAMES:
+            sets = (oracle.solution_set(concept), oracle.candidate_set(concept))
+            expected[concept, e.key] = sets
 
     def refuse(*args, **kwargs):
         raise AssertionError("the solve path called an exhaustive route")
 
-    names = ("phi_solution_set", "candidate_matchings", "enumerate_matchings")
+    # enumerate_matchings is the one exhaustive route left in the package.
     for module_name, module in list(sys.modules.items()):
         if module_name == "dynmatch" or module_name.startswith("dynmatch."):
-            for name in names:
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, refuse)
+            if hasattr(module, "enumerate_matchings"):
+                monkeypatch.setattr(module, "enumerate_matchings", refuse)
     solver = Solver()
     for concept in CONCEPT_NAMES:
         for e in markets:
@@ -322,7 +327,7 @@ def test_solver_never_calls_the_exhaustive_routes(monkeypatch):
 def test_solutions_are_candidates_for_the_self_referential_family():
     for e in corpus(40, 10, max_per_side=2):
         family = AgreeFamily()
-        candidates = set(candidate_matchings(e, family))
+        candidates = set(reference.candidate_set(e, family))
         for m in family.solution_set(e):
             assert m in candidates
 
@@ -593,6 +598,14 @@ def test_consistency_fails_when_the_conjecture_omits_the_matching():
         (1, "a1"),
         (1, "b1"),
     )
+    # b1's threshold is 2, which only the pairing pays, and a1's is -2,
+    # which it pays: the filter of these conjectures keeps the pairing.  At
+    # those thresholds both pair sets are stable, so both are candidates.
+    family = PairedFamily()
+    paired = DynamicMatching(((("a1", "b1"),),))
+    assert family.solution_set(e) == reference.solution_set(e, family) == (paired,)
+    both = (single, paired)
+    assert family.candidates(e) == reference.candidate_set(e, family) == both
 
 
 def test_consistency_report_does_not_depend_on_earlier_queries():
@@ -656,19 +669,19 @@ def test_empty_conjecture_policies_change_the_solution_set():
     paired = DynamicMatching(((("a1", "b1"),),))
     # Vacuous thresholds never bind: even the pairing a1 dislikes survives,
     # because blocking requires a strictly better partner for both sides.
-    assert phi_solution_set(e, EmptyFamily("vacuous")) == (single, paired)
+    assert reference.solution_set(e, EmptyFamily("vacuous")) == (single, paired)
     # Strict thresholds reject any matching that leaves someone single, and
     # pairing up is not individually rational for a1: nothing survives.
-    assert phi_solution_set(e, EmptyFamily("strict")) == ()
+    assert reference.solution_set(e, EmptyFamily("strict")) == ()
     # Every route reads the policy from the family, so the routes agree.
     for policy in EMPTY_POLICIES:
         family = EmptyFamily(policy)
-        solutions = phi_solution_set(e, family)
+        solutions = reference.solution_set(e, family)
         assert recursive_solution_set(e, family) == solutions
         assert family.solution_set(e) == solutions
         for m in enumerate_matchings(e):
             assert (is_phi_solution(e, m, family) is True) == (m in solutions)
-        assert candidate_matchings(e, family) == candidate_set(
+        assert reference.candidate_set(e, family) == candidate_set(
             e, family.conjecture_sets(e), family
         )
 
@@ -695,11 +708,11 @@ def test_tied_last_period_solutions_run_no_lone_wolf_check(concept):
     solver = Solver()
     family = solver.family(concept)
     solutions = family.solution_set(e)
-    assert solutions == phi_solution_set(e, family)
+    assert solutions == reference.solution_set(e, concept)
     assert len(solutions) == 2
     report = solver.solve(concept, e)
     assert report.solutions == solutions
-    assert report.candidates == candidate_matchings(e, family)
+    assert report.candidates == reference.candidate_set(e, concept)
 
 
 @pytest.mark.parametrize("concept", CONCEPT_NAMES)
@@ -707,11 +720,9 @@ def test_a_tie_before_a_later_arrival_solves(concept):
     # The tie of the market above, with a2 arriving in period 2: the sds
     # step builds candidates from the tied first period.
     e = tied_market([(("a1",), ("b1", "b2")), (("a2",), ())])
-    solver = Solver()
-    family = solver.family(concept)
-    report = solver.solve(concept, e)
-    assert report.solutions == phi_solution_set(e, family)
-    assert report.candidates == candidate_matchings(e, family)
+    report = Solver().solve(concept, e)
+    assert report.solutions == reference.solution_set(e, concept)
+    assert report.candidates == reference.candidate_set(e, concept)
 
 
 @pytest.mark.parametrize("config", [{"empty_policy": "bogus"}, {"max_matchings": 0}])
@@ -842,31 +853,20 @@ prefs b1: a1=3
 """
 
 
-HORIZON_ROUTES = (
-    "stable",
-    "sds",
-    "enumerate_matchings",
-    "phi_solution_set",
-    "candidate_matchings",
-)
+HORIZON_ROUTES = ("stable", "sds", "enumerate_matchings")
 
 
 def refusing_calls(route, e):
     """The calls that must refuse ``e``: a concept's solve and consistency
-    check, or one exhaustive oracle, which stitches through the same
+    check, or the exhaustive enumeration, which stitches through the same
     recursion."""
-    if route in CONCEPT_NAMES:
-        family = Solver().family(route)
-        return (
-            lambda: Solver().solve(route, e),
-            lambda: check_consistency(e, empty_matching(e.horizon), family),
-        )
-    oracles = {
-        "enumerate_matchings": lambda: enumerate_matchings(e),
-        "phi_solution_set": lambda: phi_solution_set(e, StableFamily()),
-        "candidate_matchings": lambda: candidate_matchings(e, StableFamily()),
-    }
-    return (oracles[route],)
+    if route == "enumerate_matchings":
+        return (lambda: enumerate_matchings(e),)
+    family = Solver().family(route)
+    return (
+        lambda: Solver().solve(route, e),
+        lambda: check_consistency(e, empty_matching(e.horizon), family),
+    )
 
 
 @pytest.mark.parametrize("route", HORIZON_ROUTES)
@@ -902,8 +902,15 @@ def test_a_horizon_above_the_recursion_limit_is_refused_at_once(route, monkeypat
 
 
 def test_oracle_routes_are_exported_from_the_package():
+    # The package keeps one solution route; the exhaustive filters are
+    # tests/reference.py's, written from the definitions.  The recursive
+    # route's alias and the enumerator stay.
     import dynmatch
 
     assert dynmatch.recursive_solution_set is recursive_solution_set
-    assert dynmatch.candidate_matchings is candidate_matchings
-    assert {"recursive_solution_set", "candidate_matchings"} <= set(dynmatch.__all__)
+    assert dynmatch.enumerate_matchings is enumerate_matchings
+    assert {"recursive_solution_set", "enumerate_matchings"} <= set(dynmatch.__all__)
+    for name in ("phi_solution_set", "candidate_matchings"):
+        assert not hasattr(dynmatch, name) and name not in dynmatch.__all__
+        assert not hasattr(dynmatch.framework, name)
+    assert not hasattr(dynmatch.matching, "continuation")

@@ -9,9 +9,8 @@ from dynmatch.economy import build_economy, payoff
 from dynmatch.errors import BadMatchingSpec, SizeLimitExceeded
 from dynmatch.matching import (
     DynamicMatching,
-    continuation,
+    continuations,
     defer_arrivals,
-    empty_matching,
     enumerate_matchings,
     matching_text,
     next_economy,
@@ -179,7 +178,7 @@ def test_continuation_economy_after_empty_history_is_identity():
     rng = random.Random(4)
     e = random_economy(rng, max_per_side=2)
     for m in enumerate_matchings(e):
-        assert continuation(e, m, 1) == (e, m)
+        assert next(continuations(e, m)) == (e, m)
 
 
 def test_continuation_depends_only_on_available_agents():
@@ -210,14 +209,15 @@ def test_tail_and_prepend_are_inverse():
             assert prepend(pairs, rest) == m
             after = next_economy(e, pairs)
             validate_matching(after, rest)
-            assert continuation(e, m, 2) == (after, rest)
+            assert list(continuations(e, m)) == [(e, m), (after, rest)]
 
 
 def test_period_t_payoffs_are_period_1_payoffs_of_the_continuation():
     for e in corpus(11, 12, max_per_side=2):
         for m in enumerate_matchings(e):
-            for t in range(1, e.horizon + 1):
-                cont, rest = continuation(e, m, t)
+            walk = list(continuations(e, m))
+            assert len(walk) == e.horizon
+            for t, (cont, rest) in enumerate(walk, start=1):
                 # Available at t: arrived by t and single through t - 1.
                 avail_a, avail_b = (
                     tuple(n for n in names if t == 1 or m.partner(n, t - 1) == n)
@@ -226,19 +226,6 @@ def test_period_t_payoffs_are_period_1_payoffs_of_the_continuation():
                 assert cont.arrivals[0] == (avail_a, avail_b)
                 for k in (*avail_a, *avail_b):
                     assert payoff(e, m, k, t) == payoff(cont, rest, k, 1)
-
-
-def test_continuation_checks_its_matching_and_period():
-    e = build_economy(
-        2,
-        [(("a1",), ("b1",)), ((), ("b2",))],
-        {n: Fraction(1) for n in ("a1", "b1", "b2")},
-        {},
-    )
-    doubled = DynamicMatching(((), (("a1", "b1"), ("a1", "b2"))))
-    for m, t in ((doubled, 2), (DynamicMatching(((),)), 1), (empty_matching(2), 3)):
-        with pytest.raises(ValueError):
-            continuation(e, m, t)
 
 
 def test_defer_arrivals_moves_agent_to_period_two():

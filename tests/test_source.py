@@ -101,13 +101,28 @@ def test_framework_scans_only_through_the_scan_memo():
 
 def test_framework_reaches_the_lone_wolf_check_only_through_stable_set():
     # statics.stable_set alone runs assert_lone_wolf, and the scan memo
-    # computes every stable set it stores with it, so each is checked once;
-    # candidate_matchings, an oracle, calls it directly.
+    # computes every stable set it stores with it, so each is checked once.
     tree = ast.parse((PACKAGE / "framework.py").read_text(encoding="utf-8"))
     assert _scopes_reading(tree, "assert_lone_wolf") == []
     for name in ("stable_set", "StaticEconomy"):
         scopes = set(_scopes_reading(tree, name))
-        assert scopes == {"ConjectureFamily._scan", "candidate_matchings"}
+        assert scopes == {"ConjectureFamily._scan"}
+
+
+def test_the_reference_imports_only_data_types_and_sentinels_from_the_package():
+    # tests/reference.py is the solver's oracle, so it may share no code
+    # with it: from dynmatch it takes only what a market, a matching and a
+    # threshold are made of, and computes every set itself.
+    path = Path(__file__).resolve().parent / "reference.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(a.name.split(".")[0] == "dynmatch" for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module.split(".")[0] == "dynmatch":
+                imported |= {alias.name for alias in node.names}
+    assert imported == {"Economy", "DynamicMatching", "NEG_INF", "POS_INF"}
 
 
 def test_concepts_import_nothing_from_statics():

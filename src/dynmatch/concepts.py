@@ -53,12 +53,19 @@ class REFamily(AgreeFamily):
     name = "re"
 
     def _conjectures(self, economy):
-        # A matching of the deferred economy is literally a matching of the
-        # base economy with k unmatched in period 1, and vice versa.
+        """k's set solves the economy where k arrives a period late (its
+        matchings leave k single now).  A lone agent's is read, by the lemma
+        of :meth:`AgreeFamily._solutions`, from one stitch both sides share."""
         a1, b1 = economy.arrivals[0]
-        return {
-            k: self.solution_set(defer_arrivals(economy, [k])) for k in (*a1, *b1)
-        }
+        sets, lone = {}, None
+        for k in (*a1, *b1):
+            if (k,) not in (a1, b1):
+                sets[k] = self.solution_set(defer_arrivals(economy, [k]))
+                continue
+            if lone is None:
+                lone = self._stitched(economy, ((),), self.solution_set)
+            sets[k] = lone
+        return sets
 
 
 class DSFamily(AgreeFamily):

@@ -21,6 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 from .economy import Economy, build_economy
 from .errors import (
@@ -32,14 +33,20 @@ from .errors import (
     UnknownPartner,
 )
 
-_RATIONAL = re.compile(r"^-?\d+(/0*[1-9]\d*)?$")
+_RATIONAL = re.compile(r"^(-?\d+)(?:/(0*[1-9]\d*))?$")
 _NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+_PERIODS = re.compile(r"^periods:\s*(\d+)$")
+_AGENT = re.compile(r"^agent\s+(\S+)\s+side\s+(\S+)\s+arrives\s+(\d+)\s+delta\s+(\S+)$")
+_PREFS = re.compile(r"^prefs\s+(\S+?):\s*(.*)$")
+_PREF_ENTRY = re.compile(r"^(\S+)=(\S+)$")
+_ORDINAL = re.compile(r"^ordinal\s+(\S+?):\s*(.*)$")
+_ORDINAL_ENTRY = re.compile(r"^\((\S+?),(\d+)\)$")
 
 
 def _parse_rational(token: str, line: int) -> Fraction:
-    if not _RATIONAL.match(token):
+    if not (mt := _RATIONAL.match(token)):
         raise BadRational(f"expected an integer or p/q with q > 0, got {token!r}", line)
-    return Fraction(token)
+    return Fraction(int(mt[1]), int(mt[2] or 1))
 
 
 @dataclass(frozen=True)
@@ -81,7 +88,7 @@ def parse(text: str) -> EconomyDocument:
         if not line:
             continue
         if horizon is None:
-            mt = re.match(r"^periods:\s*(\d+)$", line)
+            mt = _PERIODS.match(line)
             if not mt:
                 raise DslSyntaxError("first statement must be 'periods: <T>'", lineno)
             horizon = int(mt.group(1))
@@ -89,10 +96,7 @@ def parse(text: str) -> EconomyDocument:
                 raise DslSyntaxError("periods must be at least 1", lineno)
             continue
         if line.startswith("agent "):
-            mt = re.match(
-                r"^agent\s+(\S+)\s+side\s+(\S+)\s+arrives\s+(\d+)\s+delta\s+(\S+)$",
-                line,
-            )
+            mt = _AGENT.match(line)
             if not mt:
                 raise DslSyntaxError(
                     "expected 'agent <name> side <A|B> arrives <t> delta <p/q>'",
@@ -135,7 +139,7 @@ def parse(text: str) -> EconomyDocument:
 
     for lineno, line in pending:
         if line.startswith("prefs "):
-            mt = re.match(r"^prefs\s+(\S+?):\s*(.*)$", line)
+            mt = _PREFS.match(line)
             if not mt:
                 raise DslSyntaxError("expected 'prefs <name>: <partner>=<p/q> ...'", lineno)
             owner, body = mt.groups()
@@ -146,7 +150,7 @@ def parse(text: str) -> EconomyDocument:
             entries = []
             seen = set()
             for token in body.split():
-                me = re.match(r"^(\S+)=(\S+)$", token)
+                me = _PREF_ENTRY.match(token)
                 if not me:
                     raise DslSyntaxError(f"bad preference entry {token!r}", lineno)
                 partner, value = me.groups()
@@ -157,11 +161,11 @@ def parse(text: str) -> EconomyDocument:
                     )
                 seen.add(partner)
                 entries.append((partner, _parse_rational(value, lineno)))
-            # Canonical order: utility descending, then partner name.
-            entries.sort(key=lambda e: (-e[1], e[0]))
-            prefs[owner] = tuple(entries)
+            # Canonical order: utility descending, then (a stable sort) name.
+            entries.sort()  # by name alone, as no name is listed twice
+            prefs[owner] = tuple(sorted(entries, key=itemgetter(1), reverse=True))
         else:
-            mt = re.match(r"^ordinal\s+(\S+?):\s*(.*)$", line)
+            mt = _ORDINAL.match(line)
             if not mt:
                 raise DslSyntaxError(
                     "expected 'ordinal <name>: (<partner>,<d>) ...'", lineno
@@ -173,7 +177,7 @@ def parse(text: str) -> EconomyDocument:
                 raise DuplicateAgent(f"ordinal block for {owner} given twice", lineno)
             entries = []
             for token in body.split():
-                me = re.match(r"^\((\S+?),(\d+)\)$", token)
+                me = _ORDINAL_ENTRY.match(token)
                 if not me:
                     raise DslSyntaxError(f"bad ordinal entry {token!r}", lineno)
                 partner, delay = me.groups()

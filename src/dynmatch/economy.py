@@ -53,9 +53,12 @@ class PreferenceProfile:
     _hash: int = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
+        def exact(v):  # the two usual types first, then any Rational
+            return type(v) in (Fraction, int) or isinstance(v, Rational)
+
         inexact = sorted(
-            {n for n, d in self.deltas if not isinstance(d, Rational)}
-            | {o for (o, _), u in self.utilities if not isinstance(u, Rational)}
+            {n for n, d in self.deltas if not exact(d)}
+            | {o for (o, _), u in self.utilities if not exact(u)}
         )
         if inexact:
             raise ValueError(

@@ -61,7 +61,8 @@ from .matching import (
     stitch,
     validate_matching,
 )
-from .statics import NEG_INF, POS_INF, StaticEconomy, first_block, stable_set, unblocked
+from .statics import NEG_INF, POS_INF, StaticEconomy, first_block, stable_set
+from .statics import unblocked, unblocked_among_matched
 
 # How an empty conjecture set constrains its owner: not at all (threshold
 # NEG_INF) or completely (threshold POS_INF).
@@ -288,7 +289,8 @@ class ConjectureFamily:
         so it is checked once, when stored.  This is the cap rule of every
         static scan: more period-1 pair sets than the cap raise
         SizeLimitExceeded, naming the economy, before any is tested or the
-        memo is read."""
+        memo is read.  A scan with every single at ``POS_INF`` is built
+        pair by pair, by :func:`~dynmatch.statics.unblocked_among_matched`."""
         a1, b1 = economy.arrivals[0]
         if pair_set_count(len(a1), len(b1)) > self.max_matchings:
             horizon, agents = economy.horizon, len(economy.members())
@@ -299,6 +301,8 @@ class ConjectureFamily:
                 return found
         if singles == thresholds:
             found = stable_set(StaticEconomy(economy, a1, b1, thresholds))
+        elif all(v is POS_INF for v in singles.values()):
+            found = unblocked_among_matched(economy, a1, b1, thresholds.__getitem__)
         else:
             value = singles.__getitem__
             found = unblocked(economy, a1, b1, thresholds.__getitem__, value)
@@ -458,6 +462,12 @@ class AgreeFamily(ConjectureFamily):
           only candidate first period of a one-sided period is ∅;
         - so j's threshold is the minimum over the very set being
           filtered, and individual rationality removes nothing.
+
+        For ``re``, an agent k alone on its side of a two-sided period
+        conjectures ∅ + S(C) too: deferring k leaves a one-sided period,
+        so ∅ stitched onto the solutions of the economy that period leaves,
+        which has C's schedule and horizon, so C's key, with the same cap
+        and guard.  :meth:`REFamily._conjectures` defers no lone agent.
 
         If S(C) is empty, both routes stitch nothing and read no threshold.
         So no threshold, conjecture set, fixed point or deferred market of

@@ -296,10 +296,10 @@ def parse_matching_text(economy: Economy, text: str) -> DynamicMatching:
 
 def matching_text(m: DynamicMatching) -> str:
     """Canonical one-line rendering; pairs listed at their formation period,
-    which is period 1 of the matching's successive tails."""
-    chunks = []
-    for t in range(1, m.horizon + 1):
-        formed = " ".join(f"{a}-{b}" for a, b in m.pairs_at(1))
+    the first that holds them: period 1 of the matching's successive tails."""
+    chunks, earlier = [], set()
+    for t, pairs in enumerate(m.periods, start=1):
+        formed = " ".join(f"{a}-{b}" for a, b in pairs if (a, b) not in earlier)
         chunks.append(f"t={t}: {formed or '-'}")
-        m = m.tail()
+        earlier.update(pairs)
     return " | ".join(chunks) or "(empty horizon)"

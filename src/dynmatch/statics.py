@@ -8,9 +8,9 @@ ordered below and above every number: ``NEG_INF`` (no constraint — any
 partner beats staying single) and ``POS_INF`` (nothing is acceptable — the
 agent must stay single).
 
-One exhaustive scan of a period's pair sets, :func:`unblocked`, gives the
-stable set (:func:`stable_set`, by which the solver computes every one) and,
-with single agents attaining ``POS_INF``, stability among the matched agents.
+The exhaustive scan of a period's pair sets, :func:`unblocked`, gives every
+stable set (:func:`stable_set`); :func:`unblocked_among_matched` builds the
+pair sets stable among the agents they match, pair by pair.
 
 This layer takes thresholds as given and knows nothing of later periods:
 a conjecture family turns its conjecture sets into thresholds
@@ -127,18 +127,44 @@ def unblocked(
     """Every pair set of ``a_names`` and ``b_names``, in enumeration order,
     that :func:`first_block` passes against ``threshold(k)`` when a matched
     agent attains its partner's utility and a single agent ``single(k)``:
-    the one static scan.  A single agent valued at ``POS_INF`` can neither
-    fall short of its threshold nor join a block, so with ``single`` all
-    ``POS_INF`` the scan tests stability among the matched agents only.
-    Utilities are read from the profile unchecked, so ``a_names`` must be
-    side-A agents of ``economy`` and ``b_names`` side-B ones, as a
-    :class:`StaticEconomy`'s are."""
+    the one static scan of stable sets.  Utilities are read from the
+    profile unchecked, so ``a_names`` must be side-A agents of ``economy``
+    and ``b_names`` side-B ones, as a :class:`StaticEconomy`'s are."""
     u = economy.profile.utility
     return tuple(
         pairs
         for pairs in period_matchings(a_names, b_names)
         if not first_block(a_names, b_names, u, attained(u, pairs, single), threshold)
     )
+
+
+def unblocked_among_matched(economy: Economy, a_names, b_names, threshold):
+    """:func:`unblocked` with every single agent attaining ``POS_INF``, so
+    only matched agents are tested and a block joins two pairs: built pair
+    by pair in :func:`~dynmatch.matching.period_matchings` order, skipping a
+    pair that either side ranks below its threshold or that blocks, or is
+    blocked by, a pair already chosen, it gives the same tuples in order."""
+    u = economy.profile.utility
+    fits = [
+        [(a, b) for b in b_names if u(a, b) >= threshold(a) and u(b, a) >= threshold(b)]
+        for a in a_names
+    ]
+
+    def clash(a, b, x, y):  # one agent twice, or a cross pair that blocks
+        return b == y or (u(a, y) > u(a, b) and u(y, a) > u(y, x)) or (
+            u(x, b) > u(x, y) and u(b, x) > u(b, a)
+        )
+
+    def grow(i, chosen):
+        if i == len(fits):
+            yield tuple(sorted(chosen))
+            return
+        yield from grow(i + 1, chosen)
+        for a, b in fits[i]:
+            if not any(clash(a, b, x, y) for x, y in chosen):
+                yield from grow(i + 1, (*chosen, (a, b)))
+
+    return tuple(grow(0, ()))
 
 
 def stable_set(e1: StaticEconomy) -> tuple[PeriodPairs, ...]:

@@ -276,12 +276,12 @@ def strict_markets(max_per_side=2):
     return markets(max_per_side, DELTAS, values, unique=True)
 
 
-def tied_markets():
-    """Markets with ties: up to 3 agents a side, utilities from -1, 0, 1
-    and 2 (0 ties with staying single, -1 with every unlisted partner) and
-    discount factors 1/2 or 1."""
+def tied_markets(max_per_side=3):
+    """Markets with ties: up to ``max_per_side`` agents a side, utilities
+    from -1, 0, 1 and 2 (0 ties with staying single, -1 with every unlisted
+    partner) and discount factors 1/2 or 1."""
     values = tuple(Fraction(u) for u in (-1, 0, 1, 2))
-    return markets(3, (Fraction(1, 2), Fraction(1)), values, unique=False)
+    return markets(max_per_side, (Fraction(1, 2), Fraction(1)), values, unique=False)
 
 
 # The concepts whose sets are never empty (AgreeFamily's docstring proves
@@ -324,6 +324,37 @@ def check_consistent_families(e):
     assert all(solved[c] <= solved["stable"] for c in CONCEPT_NAMES)
     assert solved["cvr-ds"] <= solved["ds"] and solved["sds"] <= solved["ds"]
     assert solved["re"] <= solved["sds"]
+
+
+@st.composite
+def among_matched_scans(draw, economies):
+    """An economy, 0 to 4 of its agents a side in a drawn order, and a
+    threshold for each: a sentinel, a small fraction or a utility of the
+    economy, so that some partners sit exactly at a threshold."""
+    e = draw(economies)
+    a_names, b_names = (
+        tuple(draw(st.lists(st.sampled_from(names), unique=True)))
+        for names in (sum(side, ()) for side in zip(*e.arrivals))
+    )
+    values = sorted({u for _, u in e.profile.utilities})
+    thresholds = st.one_of(THRESHOLDS, st.sampled_from(values))
+    return e, a_names, b_names, {k: draw(thresholds) for k in (*a_names, *b_names)}
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(
+    st.one_of(
+        among_matched_scans(strict_markets(max_per_side=4)),
+        among_matched_scans(tied_markets(max_per_side=4)),
+    )
+)
+def test_the_among_matched_scan_is_unblocked_with_singles_at_pos_inf(scan):
+    # Built pair by pair, it must give the exhaustive scan's tuples in the
+    # exhaustive scan's order: the solver stitches first periods in it.
+    e, a_names, b_names, thresholds = scan
+    threshold = thresholds.__getitem__
+    exhaustive = statics.unblocked(e, a_names, b_names, threshold, lambda k: POS_INF)
+    assert statics.unblocked_among_matched(e, a_names, b_names, threshold) == exhaustive
 
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
@@ -424,10 +455,11 @@ def thresholded_one_period_markets(draw):
 @example((one_pair_market(), {"a1": Fraction(1)}))
 @example((one_pair_market(), {"a1": Fraction(3)}))
 def test_the_among_matched_scan_is_the_reference_filter(case):
-    # ConjectureFamily._among_matched runs the one static scan with every
-    # single agent valued at POS_INF, which neither falls short of its
-    # threshold nor blocks: so it keeps exactly the pair sets stable among
-    # the agents they match, as ds's filter and cvr-ds's refinement need.
+    # ConjectureFamily._among_matched builds, pair by pair, the static scan
+    # with every single agent valued at POS_INF, which neither falls short
+    # of its threshold nor blocks: so it keeps exactly the pair sets stable
+    # among the agents they match, as ds's filter and cvr-ds's refinement
+    # need.
     e, thresholds = case
     a1, b1 = e.arrivals[0]
     found = Solver().family("ds")._among_matched(e, thresholds)
@@ -727,6 +759,83 @@ def test_one_sided_periods_build_no_thresholds(
     assert calls["_solutions", 2] >= 20 and calls["_solutions", 1] >= 5
     for horizon in (1, 2):  # 1, and 2 or more
         assert calls["_threshold_rule", horizon] == calls["_conjectures", horizon] == 0
+
+
+def lone(economy, k):
+    """Is k the only period-1 agent on its side?"""
+    return (k,) in economy.arrivals[0]
+
+
+def deferral_conjectures(family, economy):
+    """re's conjecture sets, or the sets sds's fixed point starts from."""
+    if isinstance(family, FixedPointFamily):
+        return family.iterates(economy)[0]
+    return family.conjecture_sets(economy)
+
+
+@pytest.mark.parametrize("policy", EMPTY_POLICIES)
+@pytest.mark.parametrize("concept", ("re", "sds"))
+def test_deferral_conjectures_are_the_solutions_of_the_deferred_economy(
+    pinned_and_corpus_markets, concept, policy
+):
+    # The definition: k's set is the solution set of the economy in which
+    # k arrives a period late, here solved on a fresh solver.  A lone agent's
+    # set is stitched without building that economy; every economy whose
+    # conjectures a solve builds is checked, lone agents or not.
+    checked = Counter()
+    for e in pinned_and_corpus_markets:
+        family = Solver(policy).family(concept)
+        reached = [e]
+        rule = family._conjectures
+
+        def recording(economy, rule=rule, reached=reached):
+            reached.append(economy)
+            return rule(economy)
+
+        family._conjectures = recording
+        family.solution_set(e)
+        fresh = Solver(policy).family(concept)
+        for d in reached:
+            for k, conjectured in deferral_conjectures(family, d).items():
+                assert conjectured == fresh.solution_set(defer_arrivals(d, [k]))
+                checked[lone(d, k)] += 1
+    # 425 lone agents and 540 others for re, 406 and 531 for sds.
+    assert checked[True] >= 50 and checked[False] >= 50
+
+
+@pytest.mark.parametrize("concept", ("re", "sds"))
+def test_a_lone_agent_s_conjectures_defer_no_arrival(
+    monkeypatch, pinned_and_corpus_markets, concept
+):
+    # Deferring the only period-1 agent of a side leaves a one-sided period,
+    # whose solutions are the empty first period stitched onto what it
+    # leaves, so the lone agents' sets are read from that one stitch.
+    deferred, built = [], Counter()
+    defer = concepts.defer_arrivals
+
+    def recording(economy, names):
+        deferred.append((economy, tuple(names)))
+        return defer(economy, names)
+
+    monkeypatch.setattr(concepts, "defer_arrivals", recording)
+    for policy in EMPTY_POLICIES:
+        for e in pinned_and_corpus_markets:
+            family = Solver(policy).family(concept)
+            rule = family._conjectures
+
+            def counting(economy, rule=rule):
+                a1, b1 = economy.arrivals[0]
+                built[True] += sum(lone(economy, k) for k in (*a1, *b1))
+                built[False] += sum(not lone(economy, k) for k in (*a1, *b1))
+                return rule(economy)
+
+            family._conjectures = counting
+            family.solution_set(e)
+            family.candidates(e)
+    # 738 lone agents and 942 others; each of the others defers once.
+    assert built[True] >= 50 and built[False] >= 50
+    assert len(deferred) == built[False]
+    assert not any(lone(economy, k) for economy, (k,) in deferred)
 
 
 def tied_one_period_markets(seed, count, max_per_side=4):
@@ -1120,23 +1229,33 @@ def test_one_solver_runs_each_static_scan_once(
     # repeats neither across concepts, nor between a family's solutions and
     # its candidates, nor between the last round of sds's fixed point and
     # its candidates.  So no first period is tested twice against one
-    # threshold mapping, however many conjectures share it.
-    calls = []
-    real = statics.unblocked
+    # threshold mapping, however many conjectures share it.  The scans
+    # among the matched, built pair by pair, count with the others.
+    calls, kinds = [], Counter()
+    real, among = statics.unblocked, statics.unblocked_among_matched
 
     def counting(economy, a_names, b_names, threshold, single):
         agents = sorted((*a_names, *b_names))
         reads = tuple((k, threshold(k), single(k)) for k in agents)
         calls.append((economy.key, reads))
+        kinds["unblocked"] += 1
         return real(economy, a_names, b_names, threshold, single)
 
-    monkeypatch.setattr(framework, "unblocked", counting)
-    monkeypatch.setattr(statics, "unblocked", counting)
+    def counting_among(economy, a_names, b_names, threshold):
+        agents = sorted((*a_names, *b_names))
+        reads = tuple((k, threshold(k), POS_INF) for k in agents)
+        calls.append((economy.key, reads))
+        kinds["among"] += 1
+        return among(economy, a_names, b_names, threshold)
+
+    for module in (framework, statics):
+        monkeypatch.setattr(module, "unblocked", counting)
+        monkeypatch.setattr(module, "unblocked_among_matched", counting_among)
     solver = Solver()
     for e in (market1, market2, stepping_market, agree_ds_market):
         for concept in CONCEPT_NAMES:
             solver.solve(concept, e)
-    assert calls
+    assert kinds["unblocked"] and kinds["among"]
     assert len(calls) == len(set(calls))
 
 

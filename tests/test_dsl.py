@@ -62,6 +62,33 @@ prefs a1: b1=1 b2=7
     assert doc.prefs == (("a1", (("b2", Fraction(7)), ("b1", Fraction(1)))),)
 
 
+def test_prefs_on_one_utility_keep_partner_names_in_order():
+    doc = parse(
+        """\
+periods: 1
+agent a1 side A arrives 1 delta 1
+agent b1 side B arrives 1 delta 1
+agent b2 side B arrives 1 delta 1
+agent b3 side B arrives 1 delta 1
+prefs a1: b3=2/4 b2=1/2 b1=3
+"""
+    )
+    half = Fraction(1, 2)
+    assert doc.prefs == (("a1", (("b1", Fraction(3)), ("b2", half), ("b3", half))),)
+
+
+@pytest.mark.parametrize("token", ["0", "-0", "7", "-12", "3/6", "-4/0010", "007/0014"])
+def test_rationals_are_read_as_fraction_reads_them(token):
+    doc = parse(MINIMAL.replace("b1=3/2", f"b1={token}"))
+    assert doc.prefs[0] == ("a1", (("b1", Fraction(token)),))
+    assert type(doc.prefs[0][1][0][1]) is Fraction
+
+
+def test_a_preference_entry_splits_at_its_last_equals_sign():
+    with pytest.raises(UnknownPartner, match="^line 4: b1=2 is not a declared agent"):
+        parse(MINIMAL.replace("b1=3/2", "b1=2=3"))
+
+
 MUTABLE = """\
 periods: 1
 agent a1 side A arrives 1 delta 1/2

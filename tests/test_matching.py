@@ -278,6 +278,26 @@ def test_matching_text_round_trip():
             assert parse_matching_text(e, matching_text(m)) == m
 
 
+def test_matching_text_lists_each_pair_at_the_first_period_holding_it():
+    # One pass over the periods gives the text of period 1 of the
+    # matching's successive tails, also when a pair dissolves and forms
+    # again, which no validated matching does.
+    def by_tails(m):
+        chunks = []
+        for t in range(1, m.horizon + 1):
+            formed = " ".join(f"{a}-{b}" for a, b in m.pairs_at(1))
+            chunks.append(f"t={t}: {formed or '-'}")
+            m = m.tail()
+        return " | ".join(chunks) or "(empty horizon)"
+
+    again = DynamicMatching(((("a1", "b1"),), (), (("a1", "b1"), ("a2", "b2"))))
+    assert matching_text(again) == by_tails(again) == "t=1: a1-b1 | t=2: - | t=3: a2-b2"
+    assert matching_text(DynamicMatching(())) == "(empty horizon)"
+    for e in corpus(12, 10, max_per_side=2):
+        for m in enumerate_matchings(e):
+            assert matching_text(m) == by_tails(m)
+
+
 def test_parse_matching_text_accepts_either_pair_order():
     e = static_economy(1, 1)
     assert parse_matching_text(e, "t=1: b1-a1") == parse_matching_text(

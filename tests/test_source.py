@@ -92,11 +92,14 @@ def _scopes_reading(tree, name) -> list:
 
 
 def test_framework_scans_only_through_the_scan_memo():
-    # The one static scan is statics.unblocked; ConjectureFamily._scan calls
-    # it on a memo miss, so no last-period or candidate scan bypasses the
-    # memo, and a faster scan goes in that one place.
+    # The one static scan is statics.unblocked, and the scan among the
+    # matched agents, built pair by pair, is statics.unblocked_among_matched;
+    # ConjectureFamily._scan calls each on a memo miss, so no last-period,
+    # candidate or among-matched scan bypasses the memo, and a faster scan
+    # goes in that one place.
     tree = ast.parse((PACKAGE / "framework.py").read_text(encoding="utf-8"))
-    assert _scopes_reading(tree, "unblocked") == ["ConjectureFamily._scan"]
+    for scan in ("unblocked", "unblocked_among_matched"):
+        assert _scopes_reading(tree, scan) == ["ConjectureFamily._scan"]
 
 
 def test_framework_reaches_the_lone_wolf_check_only_through_stable_set():

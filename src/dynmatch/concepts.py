@@ -79,12 +79,12 @@ class DSFamily(AgreeFamily):
 
 
 class FixedPointFamily(ConjectureFamily):
-    """Conjectures of all period-1 agents at once: the limit of iterating
-    :meth:`_step` until an iterate repeats, from the :meth:`_conjectures`
-    of the next class in the method resolution order (a concept lists its
-    start rule's family after this one).  The limit is the family's
-    conjecture sets and is cached with them; :meth:`iterates` recomputes
-    the trace, agents in the asked economy's declaration order."""
+    """Conjectures of all period-1 agents at once: :meth:`_step` iterated
+    from the :meth:`_conjectures` of the next class in the method resolution
+    order (a concept lists its start rule's family after this one) until an
+    iterate repeats.  One equal to the last is the limit, the family's
+    conjecture sets, cached with them; one equal to an earlier iterate
+    raises DynmatchError.  :meth:`iterates` recomputes the trace."""
 
     def _conjectures(self, economy):
         return self.fixed_point(economy)[0]
@@ -100,6 +100,9 @@ class FixedPointFamily(ConjectureFamily):
             nxt = self._step(economy, current)
             if nxt == current:
                 break
+            if nxt in trace:
+                cycle = len(trace) - trace.index(nxt)
+                raise DynmatchError(f"conjecture iteration cycles every {cycle} steps")
             trace.append(nxt)
             current = nxt
         return current, tuple(trace)
@@ -156,13 +159,32 @@ class SDSFamily(FixedPointFamily, REFamily):
     name = "sds"
 
     def _step(self, economy, current):
-        # One Jacobi round: candidates built from the previous iterate for
-        # every agent at once.
+        """One Jacobi round: candidates built from ``current`` for every
+        agent at once, each added to the sets of the agents it leaves single.
+        ``current`` if period 1 is one-sided or has one agent a side, where
+        a round adds nothing (:meth:`AgreeFamily._solutions`), unless a set
+        is empty or :meth:`_idle` finds that building the candidates raises."""
+        a1, b1 = economy.arrivals[0]
+        if all(current.values()) and (not (a1 and b1) or self._idle(economy, current)):
+            return current
         candidates = candidate_set(economy, current, self)
         return {
             k: _canonical(ms + tuple(m for m in candidates if m.partner(k, 1) == k))
             for k, ms in current.items()
         }
+
+    def _idle(self, economy, current):
+        """Would building a 1×1 period's candidates raise nothing?  Solving
+        the pair's continuation raises here what it would raise there."""
+        (a1, b1), cap = economy.arrivals[0], self.max_matchings
+        if len(a1) + len(b1) > 2 or cap < 2:
+            return False
+        (a,), (b,) = a1, b1
+        thr, u = self.thresholds_of(economy, current), economy.profile.utility
+        if u(a, b) < thr[a] or u(b, a) < thr[b]:
+            return True  # the only candidates are ∅ + S(C)
+        paired = self.solution_set(self._next(economy, ((a, b),)))
+        return 0 < len(paired) <= cap - len(current[a])
 
 
 FAMILIES = {
@@ -190,12 +212,12 @@ class SolveReport:
 class Solver:
     """One conjecture family per concept, each built with this configuration,
     which the family checks and keeps (reports copy it from there), and the
-    solver's one memo of static scans and one of payoff values.  Every cache
-    lasts exactly as long as the solver, and repeated queries on one economy
-    are cheap."""
+    solver's three memos, of static scans, payoff values and continuation
+    economies, which its families share.  Every cache lasts exactly as long
+    as the solver, and repeated queries on one economy are cheap."""
 
     def __init__(self, empty_policy="vacuous", max_matchings=DEFAULT_MAX_MATCHINGS):
-        config = (empty_policy, max_matchings, {}, {})  # the shared memos
+        config = (empty_policy, max_matchings, {}, {}, {})  # the shared memos
         self._families = {name: cls(*config) for name, cls in FAMILIES.items()}
 
     def family(self, concept: str) -> ConjectureFamily:

@@ -31,7 +31,8 @@ and the candidates compare against
 What depends only on the economy is memoized by economy key: conjecture,
 solution and candidate sets and thresholds by the family, static scans
 (:meth:`ConjectureFamily._scan`, which computes each stable set by
-:func:`~dynmatch.statics.stable_set`) in a memo a solver's families share.
+:func:`~dynmatch.statics.stable_set`) and continuation economies
+(:meth:`ConjectureFamily._next`) in memos a solver's families share.
 Thresholds and the solution filters read payoffs from value tables that
 the families share too (:meth:`ConjectureFamily._payoff_reader`);
 :func:`is_phi_solution` keeps the checked walk of
@@ -51,6 +52,7 @@ from .errors import (
     NotAvailable,
     SizeLimitExceeded,
 )
+from . import matching
 from .matching import (
     DEFAULT_MAX_MATCHINGS,
     DynamicMatching,
@@ -100,8 +102,8 @@ class ConjectureFamily:
     from another.  The family also holds its concept's configuration and
     one memo: :meth:`_once` computes each of conjecture sets, thresholds,
     solution and candidate sets once per economy key.  :meth:`_scan` keeps
-    static scans, and :meth:`_payoff_reader` payoff values, in memos that a
-    solver shares among its families.
+    static scans, :meth:`_payoff_reader` payoff values and :meth:`_next`
+    continuation economies in memos that a solver shares among its families.
     """
 
     name = "?"
@@ -112,6 +114,7 @@ class ConjectureFamily:
         max_matchings: int = DEFAULT_MAX_MATCHINGS,
         scans: Optional[dict] = None,
         values: Optional[dict] = None,
+        economies: Optional[dict] = None,
     ):
         if empty_policy not in EMPTY_POLICIES:
             raise ValueError(
@@ -129,6 +132,7 @@ class ConjectureFamily:
         self._memo: dict = {kind: {} for kind in kinds}
         self._scans = {} if scans is None else scans
         self._values = {} if values is None else values
+        self._economies = {} if economies is None else economies
 
     def _once(self, kind: str, economy: Economy, compute):
         """``compute(economy)``, memoized under ``kind`` by economy key; a
@@ -331,10 +335,22 @@ class ConjectureFamily:
 
     def _stitched(self, economy: Economy, firsts, rest) -> tuple[DynamicMatching, ...]:
         """Each period-1 pair set of ``firsts`` stitched onto every matching
-        ``rest`` returns for the economy it leaves, in canonical order; the
-        family's size cap bounds the count, and :func:`stitch` refuses a
-        horizon too long to recurse."""
-        return _canonical(stitch(economy, firsts, rest, self.max_matchings))
+        ``rest`` returns for the economy it leaves, read by :meth:`_next`, in
+        canonical order; the family's size cap bounds the count, and
+        :func:`stitch` refuses a horizon too long to recurse."""
+        def leaving(p1):
+            return rest(self._next(economy, p1))
+
+        return _canonical(stitch(economy, firsts, leaving, self.max_matchings))
+
+    def _next(self, economy: Economy, pairs) -> Economy:
+        """:func:`~dynmatch.matching.next_economy`, once per economy key and
+        ``pairs`` for a solver's families; a hit keeps the first asker's order."""
+        key = economy.key, pairs
+        cont = self._economies.get(key)
+        if cont is None:
+            cont = self._economies[key] = matching.next_economy(economy, pairs)
+        return cont
 
 
 class StableFamily(ConjectureFamily):
@@ -468,6 +484,12 @@ class AgreeFamily(ConjectureFamily):
         so ∅ stitched onto the solutions of the economy that period leaves,
         which has C's schedule and horizon, so C's key, with the same cap
         and guard.  :meth:`REFamily._conjectures` defers no lone agent.
+
+        So no round of ``sds``'s fixed point (:meth:`SDSFamily._step`) adds
+        a conjecture in a period that is one-sided or has one agent a side:
+        its only pair set that leaves an agent k single is ∅, so k's new
+        candidates are in ∅ + S(C), k's start set, ``re``'s, by the two
+        paragraphs above, and the iterates only grow.
 
         If S(C) is empty, both routes stitch nothing and read no threshold.
         So no threshold, conjecture set, fixed point or deferred market of

@@ -147,11 +147,12 @@ def next_economy(economy: Economy, pairs: PeriodPairs) -> Economy:
 def stitch(
     economy: Economy,
     firsts: Iterable[PeriodPairs],
-    rest: Callable[[Economy], Iterable[DynamicMatching]],
+    rest: Callable[[PeriodPairs], Iterable[DynamicMatching]],
     cap: int,
 ) -> tuple[DynamicMatching, ...]:
-    """Each period-1 pair set of ``firsts``, in order, prepended to every
-    matching that ``rest(next_economy(economy, p1))`` returns, in order.
+    """Each period-1 pair set p1 of ``firsts``, in order, prepended to every
+    matching of ``next_economy(economy, p1)`` that ``rest(p1)`` returns, in
+    order; ``rest`` derives that economy or reads it from a memo.
 
     Raises SizeLimitExceeded, naming this economy, once more than ``cap``
     matchings are stitched.  Each stitched period nests a few frames, so a
@@ -164,7 +165,7 @@ def stitch(
     out: list[DynamicMatching] = []
     try:
         for p1 in firsts:
-            out.extend(prepend(p1, m) for m in rest(next_economy(economy, p1)))
+            out.extend(prepend(p1, m) for m in rest(p1))
             if len(out) > cap:
                 raise SizeLimitExceeded(cap, economy.horizon, len(economy.members()))
     except RecursionError:
@@ -247,7 +248,7 @@ def enumerate_matchings(
     return stitch(
         economy,
         period_matchings(a1, b1),
-        lambda cont: enumerate_matchings(cont, max_matchings),
+        lambda p1: enumerate_matchings(next_economy(economy, p1), max_matchings),
         max_matchings,
     )
 

@@ -1,4 +1,5 @@
 import random
+import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
@@ -15,6 +16,7 @@ from dynmatch.concepts import (
     FAMILIES,
     CVRFamily,
     FixedPointFamily,
+    SDSFamily,
     Solver,
 )
 from dynmatch.dsl import parse
@@ -25,11 +27,14 @@ from dynmatch.errors import (
     EmptyFixedPoint,
     LoneWolfViolation,
     NotAvailable,
+    SizeLimitExceeded,
 )
 from dynmatch.framework import (
     EMPTY_POLICIES,
+    AgreeFamily,
     ConjectureFamily,
     StableFamily,
+    _canonical,
     candidate_set,
     check_consistency,
     check_generalized_consistency,
@@ -521,6 +526,87 @@ def test_a_limit_that_its_own_thresholds_do_not_reproduce_is_rejected(market1):
     assert type(info.value) is DynmatchError
 
 
+class TogglingFamily(FixedPointFamily, AgreeFamily):
+    """Steps from agree's sets to each agent's first conjecture and back: a
+    cycle of two iterates, neither the limit.  It gives up after 50 steps, so
+    an iteration that misses the cycle fails rather than hangs."""
+
+    steps = 0
+
+    def _step(self, economy, current):
+        self.steps += 1
+        if self.steps > 50:
+            raise AssertionError("the iteration ran on through a cycle")
+        start = AgreeFamily._conjectures(self, economy)
+        return {k: ms[:1] for k, ms in start.items()} if current == start else start
+
+
+def test_a_fixed_point_iteration_that_cycles_is_rejected(market1):
+    family = TogglingFamily()
+    start = AgreeFamily._conjectures(family, market1)
+    assert any(len(ms) > 1 for ms in start.values())
+    message = "^conjecture iteration cycles every 2 steps$"
+    with pytest.raises(DynmatchError, match=message) as info:
+        family.conjecture_sets(market1)
+    assert type(info.value) is DynmatchError
+    assert family.steps == 2
+
+
+class UnsolvedSDSFamily(SDSFamily):
+    """sds, but the economy with the arrivals ``unsolved`` has no solution."""
+
+    def __init__(self, unsolved, empty_policy="vacuous"):
+        super().__init__(empty_policy)
+        self.unsolved = unsolved
+
+    def solution_set(self, economy):
+        if economy.arrivals == self.unsolved:
+            return ()
+        return super().solution_set(economy)
+
+
+ONE_A_SIDE = """periods: 2
+agent a1 side A arrives 1 delta 1/2
+agent b1 side B arrives 1 delta 1/2
+agent a2 side A arrives 2 delta 1/2
+agent b2 side B arrives 2 delta 1/2
+prefs a1: b1=3 b2=1
+prefs b1: a1=3 a2=1
+prefs a2: b2=2 b1=1
+prefs b2: a2=2 a1=1
+"""
+
+
+def test_a_round_of_one_agent_a_side_keeps_the_errors_of_its_candidates():
+    # The round adds no conjecture there, but it is still run where
+    # building its candidates raises.  a1 and b1 rank each other first, so
+    # the pair clears both thresholds, and here the economy it leaves has
+    # no solution.  If the economy that the empty first period leaves has
+    # none, the start sets are empty, and under the strict policy the empty
+    # first period is a candidate.  In a one-period market where a2 finds
+    # b2 unacceptable, the candidates are the empty period alone, but a cap
+    # of 1 is below the period's two pair sets, which their scan rejects.
+    e = parse(ONE_A_SIDE).to_economy()
+    paired = ((("a2",), ("b2",)),)
+    waiting = next_economy(e, ()).arrivals
+    assert waiting == ((("a1", "a2"), ("b1", "b2")),)
+    for family, unsolved in (
+        (UnsolvedSDSFamily(paired), paired),
+        (UnsolvedSDSFamily(waiting, "strict"), waiting),
+    ):
+        with pytest.raises(EmptyContinuationSolutions) as info:
+            family.conjecture_sets(e)
+        expected = f"no continuation solutions for the arrivals {unsolved}"
+        assert str(info.value) == expected
+    unacceptable = parse(ONE_A_SIDE.replace("b2=2", "b2=-1")).to_economy()
+    last = next_economy(unacceptable, (("a1", "b1"),))
+    assert last.arrivals == ((("a2",), ("b2",)),)
+    assert SDSFamily(max_matchings=2).conjecture_sets(last)
+    message = r"^enumeration exceeded the cap of 1 matchings .* horizon 1 and 2 agents$"
+    with pytest.raises(SizeLimitExceeded, match=message):
+        SDSFamily(max_matchings=1).conjecture_sets(last)
+
+
 def test_candidates_need_solved_continuations(market1):
     family = UnsolvableFamily()
     message = (
@@ -710,7 +796,8 @@ def test_solutions_solve_no_continuation_of_an_unstable_first_period(
     # the thresholds of its iterates, which only fall to the limit's.  The
     # conjectures of agree and cvr-ds stitch every first period, and ds's
     # those stable among the matched at 0, below its thresholds, so those
-    # three are left out.
+    # three are left out.  Only the continuation memo's misses reach
+    # next_economy, so each economy built is recorded once.
     built = []
     step = matching.next_economy
 
@@ -730,8 +817,170 @@ def test_solutions_solve_no_continuation_of_an_unstable_first_period(
                     thresholds = family.thresholds(economy)
                     assert reference.stable_among_matched(economy, pairs, thresholds)
                     checked += 1
-    # 434 for re, 662 for sds.
+    # 434 for re and for sds: sds's candidates reuse the continuations its
+    # solutions and start sets built (662 derivations without the memo).
     assert checked >= 400
+
+
+def recording_derivations(monkeypatch):
+    """Every (economy key, first period) that next_economy derives outside
+    the continuations walk, which the consistency checks and the witnesses
+    take without the memo, with the economy derived."""
+    derived = []
+    step = matching.next_economy
+
+    def recording(economy, pairs):
+        cont = step(economy, pairs)
+        if sys._getframe(1).f_code.co_name != "continuations":
+            derived.append(((economy.key, pairs), cont))
+        return cont
+
+    monkeypatch.setattr(matching, "next_economy", recording)
+    return derived
+
+
+def test_each_continuation_economy_is_derived_once_per_solver(
+    monkeypatch, market1, market2, stepping_market, agree_ds_market, cvr_sds_market
+):
+    # A solver's families share one memo of continuation economies, so
+    # solving all six concepts (solutions, candidates, consistency and
+    # witnesses) derives each (economy key, first period) once.
+    derived = recording_derivations(monkeypatch)
+    markets = (market1, market2, stepping_market, agree_ds_market, cvr_sds_market)
+    total = 0
+    for policy in EMPTY_POLICIES:
+        for e in (*markets, *corpus(78, 12, max_per_side=3)):
+            derived.clear()
+            solver = Solver(policy)
+            for concept in CONCEPT_NAMES:
+                solver.solve(concept, e)
+            counts = Counter(key for key, _ in derived)
+            assert max(counts.values(), default=1) == 1
+            total += len(counts)
+    # 754 economies derived.
+    assert total >= 500
+
+
+def test_two_solvers_share_no_continuation_economy(monkeypatch, market1):
+    derived = recording_derivations(monkeypatch)
+    solvers, seen = (Solver(), Solver()), []
+    for solver in solvers:
+        derived.clear()
+        for concept in CONCEPT_NAMES:
+            solver.solve(concept, market1)
+        seen.append(dict(derived))
+    first, second = seen
+    assert first and first.keys() == second.keys()
+    assert not {id(cont) for cont in first.values()} & {
+        id(cont) for cont in second.values()
+    }
+
+
+def small_first_period(economy):
+    """Is period 1 one-sided, or has it at most one agent a side?"""
+    a1, b1 = economy.arrivals[0]
+    return not (a1 and b1) or len(a1) == len(b1) == 1
+
+
+@pytest.mark.parametrize("policy", EMPTY_POLICIES)
+def test_sds_rounds_of_small_first_periods_build_no_candidates(
+    monkeypatch, pinned_and_corpus_markets, policy
+):
+    # Such a round adds no conjecture (AgreeFamily._solutions), so the
+    # fixed point stops at its start without building candidates, and the
+    # sets are still the definition's.
+    built = set()
+    build = concepts.candidate_set
+
+    def recording(economy, conjectured, family):
+        built.add(economy.key)
+        return build(economy, conjectured, family)
+
+    monkeypatch.setattr(concepts, "candidate_set", recording)
+    checked = Counter()
+    for e in pinned_and_corpus_markets:
+        solver = Solver(policy)
+        family = solver.family("sds")
+        reached = []
+        rule = family._conjectures
+
+        def recording_rule(economy, rule=rule, reached=reached):
+            reached.append(economy)
+            return rule(economy)
+
+        family._conjectures = recording_rule
+        solver.solve("sds", e)
+        oracle = reference.Reference(e, policy)  # its markets share e's profile
+        for d in filter(small_first_period, reached):
+            assert d.key not in built
+            expected = oracle.conjectures("sds", reference.schedule(d))
+            assert family.conjecture_sets(d) == {
+                k: reference.canonical(ms) for k, ms in expected.items()
+            }
+            a1, b1 = d.arrivals[0]
+            checked[bool(a1 and b1)] += 1
+    # 110 periods of one agent a side and 39 one-sided ones.
+    assert checked[True] >= 50 and checked[False] >= 20
+
+
+class EveryRoundSDSFamily(SDSFamily):
+    """sds with every round building its candidates."""
+
+    def _step(self, economy, current):
+        candidates = candidate_set(economy, current, self)
+        return {
+            k: _canonical(ms + tuple(m for m in candidates if m.partner(k, 1) == k))
+            for k, ms in current.items()
+        }
+
+
+def outcome(call):
+    try:
+        return call()
+    except DynmatchError as exc:
+        return type(exc), str(exc)
+
+
+# Waiting costs nothing, so a1 and b1 conjecture pairing in period 2 or 3,
+# worth exactly what pairing now is: the pair clears both thresholds with
+# equality, so it cannot block the empty first period.  The candidates of
+# period 1 then stitch both first periods, three matchings in all.
+WAITING_PAIR = """periods: 3
+agent a1 side A arrives 1 delta 1
+agent b1 side B arrives 1 delta 1
+prefs a1: b1=1
+prefs b1: a1=1
+"""
+
+
+@pytest.mark.parametrize("policy", EMPTY_POLICIES)
+def test_skipped_sds_rounds_keep_the_results_and_errors_of_every_cap(policy):
+    # A round is skipped only where building its candidates would raise
+    # nothing: in a 1x1 period a cap of 1 trips their scan, and a cap below
+    # |S(C)| plus the pair's solved continuations their stitch, once a
+    # threshold ties the pair's utility (WAITING_PAIR at a cap of 2).
+    checked = Counter()
+    for e in (*corpus(79, 40, max_per_side=2), parse(WAITING_PAIR).to_economy()):
+        reached = []
+        family = SDSFamily(policy)
+        rule = family._conjectures
+
+        def recording_rule(economy, rule=rule, reached=reached):
+            reached.append(economy)
+            return rule(economy)
+
+        family._conjectures = recording_rule
+        family.solution_set(e)
+        for d in filter(small_first_period, reached):
+            for cap in (1, 2, 3, 4, 6, 8):
+                skipping, every = (
+                    outcome(lambda: cls(policy, cap).conjecture_sets(d))
+                    for cls in (SDSFamily, EveryRoundSDSFamily)
+                )
+                assert skipping == every
+                checked[type(skipping) is tuple] += 1
+    # 66 sets and 96 errors under each policy.
+    assert checked[False] >= 30 and checked[True] >= 50
 
 
 @pytest.mark.parametrize("policy", EMPTY_POLICIES)

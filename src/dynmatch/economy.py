@@ -131,6 +131,19 @@ class Economy:
         )
         object.__setattr__(self, "key", (self.horizon, sorted_arrivals, self.profile))
 
+    def _derived(self, arrivals, index, sorted_arrivals) -> "Economy":
+        """An economy on this profile from a schedule, name index and sorted
+        schedule derived from this one's checked data, with no check.  The
+        attributes are set in ``__init__``'s order, so reads are as fast."""
+        economy = object.__new__(Economy)
+        setattr_ = object.__setattr__
+        setattr_(economy, "horizon", len(arrivals))
+        setattr_(economy, "arrivals", arrivals)
+        setattr_(economy, "profile", self.profile)
+        setattr_(economy, "_index", index)
+        setattr_(economy, "key", (len(arrivals), sorted_arrivals, self.profile))
+        return economy
+
     def members(self) -> tuple[str, ...]:
         return tuple(n for a, b in self.arrivals for n in (*a, *b))
 

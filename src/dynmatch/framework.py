@@ -293,12 +293,15 @@ class ConjectureFamily:
         so it is checked once, when stored.  This is the cap rule of every
         static scan: more period-1 pair sets than the cap raise
         SizeLimitExceeded, naming the economy, before any is tested or the
-        memo is read.  A scan with every single at ``POS_INF`` is built
+        memo is read; the count is made only if ``(len(b1) + 1) ** len(a1)``,
+        a bound on it (each side-A agent single or with one side-B agent),
+        exceeds the cap.  A scan with every single at ``POS_INF`` is built
         pair by pair, by :func:`~dynmatch.statics.unblocked_among_matched`."""
         a1, b1 = economy.arrivals[0]
-        if pair_set_count(len(a1), len(b1)) > self.max_matchings:
+        cap = self.max_matchings
+        if (len(b1) + 1) ** len(a1) > cap and pair_set_count(len(a1), len(b1)) > cap:
             horizon, agents = economy.horizon, len(economy.members())
-            raise SizeLimitExceeded(self.max_matchings, horizon, agents)
+            raise SizeLimitExceeded(cap, horizon, agents)
         entries = self._scans.setdefault(economy.key, [])
         for known, single, found in entries:
             if known == thresholds and single == singles:

@@ -77,7 +77,10 @@ class DynamicMatching:
 
     def tail(self) -> "DynamicMatching":
         """m from period 2 on, with the period-1 pairs left out: m as a
-        matching of ``next_economy(economy, m.pairs_at(1))``."""
+        matching of ``next_economy(economy, m.pairs_at(1))``.  With no
+        period-1 pair there is nothing to leave out: the periods are sliced."""
+        if not self.periods[0]:
+            return DynamicMatching(self.periods[1:])
         first = set(self.periods[0])
         return DynamicMatching(
             tuple(tuple(p for p in ps if p not in first) for ps in self.periods[1:])
@@ -130,18 +133,28 @@ def next_economy(economy: Economy, pairs: PeriodPairs) -> Economy:
     Matching is irreversible, so a history matters only through who is
     still free: period 1 of the result lists, in declaration order, the
     period-1 agents that ``pairs`` leaves single, then the period-2
-    arrivals.  After the last period this is the horizon-0 economy.
+    arrivals.  After the last period this is the horizon-0 economy.  It is
+    derived from ``economy``'s checked index and key: only its period 1 is
+    sorted anew, and the later periods are sliced from the parent's.
     """
+    arrivals = economy.arrivals
+    if len(arrivals) == 1:
+        return economy._derived((), {}, ())
     matched = {n for pair in pairs for n in pair}
-    (a1, b1), *later = economy.arrivals
-    if not later:
-        return Economy(0, (), economy.profile)
-    (a2, b2), *rest = later
+    (a1, b1), (a2, b2) = arrivals[0], arrivals[1]
     single = (
         tuple(n for n in a1 if n not in matched) + a2,
         tuple(n for n in b1 if n not in matched) + b2,
     )
-    return Economy(economy.horizon - 1, (single, *rest), economy.profile)
+    index = {
+        n: entry if entry[1] == 1 else (entry[0], entry[1] - 1)
+        for n, entry in economy._index.items()
+        if n not in matched
+    }
+    first = (tuple(sorted(single[0])), tuple(sorted(single[1])))
+    return economy._derived(
+        (single,) + arrivals[2:], index, (first,) + economy.key[1][2:]
+    )
 
 
 def stitch(
@@ -188,23 +201,39 @@ def defer_arrivals(economy: Economy, names: Iterable[str]) -> Economy:
     """Move first-period arrivals one period later.
 
     With a one-period horizon the deferred agents simply leave the economy:
-    there is no later period in which they could match.
+    there is no later period in which they could match.  The result is
+    derived as :func:`next_economy`'s is: only periods 1 and 2 change.
     """
     moved = set(names)
-    (a1, b1), rest = economy.arrivals[0], economy.arrivals[1:]
+    arrivals, ordered = economy.arrivals, economy.key[1]
+    (a1, b1), (sorted_a1, sorted_b1) = arrivals[0], ordered[0]
     for n in moved:
         if n not in a1 and n not in b1:
             raise ValueError(f"{n} does not arrive in period 1")
-    a1_kept = tuple(n for n in a1 if n not in moved)
-    b1_kept = tuple(n for n in b1 if n not in moved)
+    kept = (
+        tuple(n for n in a1 if n not in moved),
+        tuple(n for n in b1 if n not in moved),
+    )
+    first = (
+        tuple(n for n in sorted_a1 if n not in moved),
+        tuple(n for n in sorted_b1 if n not in moved),
+    )
+    index = dict(economy._index)
     if economy.horizon == 1:
-        schedule = ((a1_kept, b1_kept),)
-    else:
-        a2, b2 = rest[0]
-        a2_new = a2 + tuple(n for n in a1 if n in moved)
-        b2_new = b2 + tuple(n for n in b1 if n in moved)
-        schedule = ((a1_kept, b1_kept), (a2_new, b2_new)) + rest[1:]
-    return Economy(economy.horizon, schedule, economy.profile)
+        for n in moved:
+            del index[n]
+        return economy._derived((kept,), index, (first,))
+    for n in moved:
+        index[n] = (index[n][0], 2)
+    a2, b2 = arrivals[1]
+    later = (
+        a2 + tuple(n for n in a1 if n in moved),
+        b2 + tuple(n for n in b1 if n in moved),
+    )
+    second = (tuple(sorted(later[0])), tuple(sorted(later[1])))
+    return economy._derived(
+        (kept, later) + arrivals[2:], index, (first, second) + ordered[2:]
+    )
 
 
 def period_matchings(

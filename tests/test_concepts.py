@@ -7,7 +7,7 @@ from functools import partial
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, settings, target
 from hypothesis import strategies as st
 
 from dynmatch import concepts, framework, matching, statics
@@ -28,6 +28,7 @@ from dynmatch.errors import (
     LoneWolfViolation,
     NotAvailable,
     SizeLimitExceeded,
+    UnknownAgent,
 )
 from dynmatch.framework import (
     EMPTY_POLICIES,
@@ -392,6 +393,21 @@ def test_tied_markets_solve_under_every_concept(e):
             assert report.solutions == oracle.solution_set(concept)
             assert report.candidates == oracle.candidate_set(concept)
         check_never_empty(solver, e)
+
+
+@settings(max_examples=1000, derandomize=True, database=None, deadline=None)
+@given(st.one_of(strict_markets(max_per_side=3), tied_markets()))
+def test_a_search_steered_to_small_re_and_sds_solution_sets_finds_none_empty(e):
+    # Whether re or sds can have an empty solution set is open: their
+    # conjectures solve deferred economies, so AgreeFamily's proof does not
+    # carry over.  Each concept and policy is a target that steers the draws
+    # toward fewer solutions; an empty set fails here and is shrunk.
+    for policy in EMPTY_POLICIES:
+        solver = Solver(policy)
+        for concept in ("re", "sds"):
+            solutions = solver.solution_set(concept, e)
+            target(-len(solutions), label=f"{concept} {policy}")
+            assert solutions, (concept, policy)
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
@@ -874,6 +890,65 @@ def test_two_solvers_share_no_continuation_economy(monkeypatch, market1):
     assert not {id(cont) for cont in first.values()} & {
         id(cont) for cont in second.values()
     }
+
+
+def check_derived_economies(root):
+    """Every economy derived from ``root`` by next_economy, over each first
+    period, and by defer_arrivals, of each period-1 agent, recursively down
+    to horizon 0, against the economy Economy(...) builds from scratch on
+    its schedule; one economy per key is followed.  Returns the count."""
+    everyone, seen = root.members(), set()
+
+    def check(derived):
+        if derived.key in seen:
+            return
+        seen.add(derived.key)
+        fresh = Economy(derived.horizon, derived.arrivals, derived.profile)
+        assert derived == fresh and hash(derived) == hash(fresh)
+        assert (derived.horizon, derived.arrivals) == (fresh.horizon, fresh.arrivals)
+        assert derived.key == fresh.key and derived.members() == fresh.members()
+        # Attributes set in __init__'s order keep its fast attribute reads.
+        assert list(vars(derived)) == list(vars(fresh))
+        for k in everyone:
+            if k in fresh.members():
+                assert derived.side_of(k) == fresh.side_of(k)
+                assert derived.arrival_period(k) == fresh.arrival_period(k)
+            else:  # matched or left
+                with pytest.raises(UnknownAgent):
+                    derived.side_of(k)
+                with pytest.raises(UnknownAgent):
+                    derived.arrival_period(k)
+        if derived.horizon:
+            a1, b1 = derived.arrivals[0]
+            for p1 in matching.period_matchings(a1, b1):
+                check(next_economy(derived, p1))
+            for k in (*a1, *b1):
+                check(defer_arrivals(derived, [k]))
+
+    check(root)
+    return len(seen)
+
+
+def test_derived_economies_equal_economies_built_from_scratch(
+    market1, market2, stepping_market, agree_ds_market, cvr_sds_market
+):
+    # A derived economy takes its index and key from its parent's, with no
+    # check; it must read as the economy built from its schedule does.
+    # It lists its agents in its parent's declaration order.
+    markets = (market1, market2, stepping_market, agree_ds_market, cvr_sds_market)
+    tied = tied_one_period_markets(41, 10)
+    checked = sum(
+        check_derived_economies(e)
+        for e in (*markets, *corpus(79, 20, max_per_side=3), *tied)
+    )
+    # 2,140 economies, one per key.
+    assert checked >= 1000
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.one_of(strict_markets(max_per_side=3), tied_markets()))
+def test_derived_economies_equal_economies_built_from_scratch_on_drawn_markets(e):
+    check_derived_economies(e)
 
 
 def small_first_period(economy):

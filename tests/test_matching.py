@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from dynmatch.economy import build_economy, payoff
+from dynmatch.economy import Economy, build_economy, payoff
 from dynmatch.errors import BadMatchingSpec, SizeLimitExceeded
 from dynmatch.matching import (
     DynamicMatching,
@@ -210,6 +210,48 @@ def test_tail_and_prepend_are_inverse():
             after = next_economy(e, pairs)
             validate_matching(after, rest)
             assert list(continuations(e, m)) == [(e, m), (after, rest)]
+
+
+def test_tail_leaves_out_the_period_1_pairs():
+    # The definition: every later period without the pairs formed in
+    # period 1.  With no period-1 pair the periods are sliced, not rebuilt.
+    def by_definition(m):
+        first = set(m.periods[0])
+        return tuple(tuple(p for p in ps if p not in first) for ps in m.periods[1:])
+
+    seen = {True: 0, False: 0}
+    for e in corpus(13, 40, max_per_side=3):
+        for m in enumerate_matchings(e):
+            assert m.tail().periods == by_definition(m)
+            if not m.periods[0]:
+                assert all(a is b for a, b in zip(m.tail().periods, m.periods[1:]))
+            seen[bool(m.periods[0])] += 1
+    # 145 matchings with a period-1 pair and 224 without.
+    assert seen[True] >= 100 and seen[False] >= 100
+
+
+def test_a_continuations_walk_checks_only_its_root(monkeypatch):
+    # Each step derives the next economy from the checked one before it,
+    # so only the root runs Economy's checks, however long the walk.
+    checked = []
+    check = Economy.__post_init__
+
+    def counting(economy):
+        checked.append(economy.horizon)
+        check(economy)
+
+    monkeypatch.setattr(Economy, "__post_init__", counting)
+    e = build_economy(
+        300,
+        [(("a1",), ("b1",))] + [((), ())] * 299,
+        {"a1": Fraction(1, 2), "b1": Fraction(1, 2)},
+        {("a1", "b1"): Fraction(2), ("b1", "a1"): Fraction(3)},
+    )
+    m = DynamicMatching.from_formed([[("a1", "b1")]] + [[]] * 299)
+    walk = list(continuations(e, m))
+    assert [cont.horizon for cont, _ in walk] == list(range(300, 0, -1))
+    assert walk[1][0].arrivals == (((), ()),) * 299
+    assert checked == [300]
 
 
 def test_period_t_payoffs_are_period_1_payoffs_of_the_continuation():
